@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from fedsim import AggregationWeights, QuantumParams, aggregate_quantum, circular_mean
+from fedsim import AggregationWeights, ClientUpdate, ParamLayout, aggregate_quantum, circular_mean
 from fedsim.aggregation import arithmetic_mean_quantum
+from fedsim.data import ClassDistribution
 
 from_counts = AggregationWeights.from_counts
 
@@ -23,25 +24,26 @@ mean, resultant = circular_mean(angles, from_counts([1, 1]))
 print(f"circular mean:   {mean:+.4f}  (resultant length {resultant:.4f})")
 print(f"arithmetic mean: {np.mean(angles):+.4f}  <- far from every client")
 
-# the same comparison through the aggregation entry points used by the server
-import fedsim.model as model
+# the same comparison through the aggregation entry points used by the server:
+# each upload is one flat vector, here a 2 -> 1 -> 1 extractor (five zeros)
+# followed by a single angle (one qubit, one layer)
+layout = ParamLayout(features=2, hidden=1, qubits=1, layers=1)
+
 
 def upload(cid, angle):
-    classical = model.ClassicalParams(np.zeros((1, 2)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-    quantum = model.QuantumParams(np.array([angle]), 1, 1)
-    from fedsim.data import ClassDistribution
-    return model.ClientUpdate(cid, model.HybridParams(classical, quantum),
-                              ClassDistribution(np.array([0.5, 0.5]), 10), 0.0)
+    params = np.concatenate([np.zeros(layout.n_classical), [angle]])
+    return ClientUpdate(cid, params, layout, ClassDistribution(np.array([0.5, 0.5]), 10), 0.0)
+
 
 updates = [upload(0, angles[0]), upload(1, angles[1])]
-fallback = QuantumParams(np.array([0.25]), 1, 1)
+fallback = np.array([[0.25]])  # the previous global angles, (layers, qubits)
 circ, degenerate = aggregate_quantum(updates, fallback)
 arith = arithmetic_mean_quantum(updates)
-print(f"\nserver circular aggregation:   {circ.angles[0]:+.4f}  (degenerate dims: {degenerate})")
-print(f"server arithmetic aggregation: {arith.angles[0]:+.4f}")
+print(f"\nserver circular aggregation:   {circ[0, 0]:+.4f}  (degenerate dims: {degenerate})")
+print(f"server arithmetic aggregation: {arith[0, 0]:+.4f}")
 
 # fully opposed directions: resultant collapses, server keeps the old value
 opposed = [upload(0, 0.0), upload(1, math.pi)]
 kept, degenerate = aggregate_quantum(opposed, fallback)
-print(f"\nopposed angles (0, pi): resultant ~ 0, fallback {fallback.angles[0]} kept -> "
-      f"{kept.angles[0]}  (degenerate dims: {degenerate})")
+print(f"\nopposed angles (0, pi): resultant ~ 0, fallback {fallback[0, 0]} kept -> "
+      f"{kept[0, 0]}  (degenerate dims: {degenerate})")

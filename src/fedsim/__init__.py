@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .aggregation import (
     AggregationWeights,
-    ServerOptimizerState,
     aggregate_quantum,
     arithmetic_mean_quantum,
     circular_mean,
@@ -54,10 +53,8 @@ from .errors import (
 )
 from .model import (
     AdamState,
-    ClassicalParams,
     ClientUpdate,
-    HybridParams,
-    QuantumParams,
+    ParamLayout,
     adam_local_step,
     circuit_forward,
     hybrid_loss_and_grads,

@@ -8,8 +8,10 @@ angles that straddle the -pi/pi cut cancel catastrophically. The global
 quantum update then treats the gap between the current parameters and the
 aggregate as a pseudo-gradient for a server-side Adam step.
 
-All reductions stack client arrays in ascending client-id order and reduce
-with numpy's pairwise summation, so results never depend on arrival order.
+Uploads are flat parameter vectors. Every reduction stacks them once, in
+ascending client-id order, as an (n_clients, P) array and reduces a column
+block of it (the classical block or the angle block) with numpy's
+summation, so results never depend on arrival order.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import numpy as np
 from ._angles import wrap_angle, wrap_angles
 from .clustering import ClusterAssignment
 from .errors import ParameterError, ProtocolError
-from .model import ClassicalParams, ClientUpdate, QuantumParams
+from .model import AdamState, ClientUpdate, adam_step
 
 __all__ = [
     "AggregationWeights",
-    "ServerOptimizerState",
     "wrap_angle",
     "wrap_angles",
     "cluster_weighted_average",
@@ -63,59 +64,47 @@ class AggregationWeights:
         return cls(c / total)
 
 
-@dataclass
-class ServerOptimizerState:
-    """Server Adam moments and step counter for the quantum parameters."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        if self.m.shape != self.v.shape or self.m.ndim != 1:
-            raise ParameterError("moment buffers must be vectors of equal length")
-        if np.any(self.v < 0):
-            raise ParameterError("second moments must be non-negative")
-        if self.t < 0:
-            raise ParameterError("step counter must be >= 0")
-
-    @classmethod
-    def zeros(cls, size: int) -> "ServerOptimizerState":
-        return cls(np.zeros(size), np.zeros(size), 0)
-
-
-def _sorted_updates(updates) -> list[ClientUpdate]:
+def _stacked_updates(updates) -> tuple[list[ClientUpdate], np.ndarray]:
+    """Updates in ascending client-id order and their parameters as one (n_clients, P) array."""
     ups = sorted(updates, key=lambda u: u.client_id)
     if len(ups) == 0:
         raise ProtocolError("no client updates to aggregate")
     ids = [u.client_id for u in ups]
     if len(set(ids)) != len(ids):
         raise ProtocolError("duplicate client ids in updates")
-    return ups
+    if any(u.layout != ups[0].layout for u in ups):
+        raise ProtocolError("client updates disagree on the parameter layout")
+    return ups, np.stack([u.params for u in ups])
 
 
-def cluster_weighted_average(updates, assignment: ClusterAssignment) -> dict[int, ClassicalParams]:
-    """Sample-count weighted mean of classical parameters within each cluster.
+def cluster_weighted_average(updates, assignment: ClusterAssignment) -> dict[int, np.ndarray]:
+    """Sample-count weighted mean of the classical parameter block within each cluster.
 
     Position i of the assignment refers to the i-th update in ascending
     client-id order; every assigned client must have exactly one update.
+    Each cluster model is a vector of the layout's n_classical entries.
     """
-    ups = _sorted_updates(updates)
+    ups, stacked = _stacked_updates(updates)
     if len(ups) != len(assignment.labels):
         raise ProtocolError(
             f"assignment covers {len(assignment.labels)} clients but {len(ups)} updates arrived"
         )
-    f, h, q = ups[0].params.classical.dims
-    out: dict[int, ClassicalParams] = {}
+    classical = stacked[:, :ups[0].layout.n_classical]
+    counts = np.array([u.distribution.count for u in ups], dtype=np.float64)
+    out: dict[int, np.ndarray] = {}
     for cluster in range(assignment.n_clusters):
         members = np.flatnonzero(assignment.labels == cluster)
-        counts = np.array([ups[i].distribution.count for i in members], dtype=np.float64)
-        weights = counts / counts.sum()
-        flats = np.stack([ups[i].params.classical.flatten() for i in members])
-        out[cluster] = ClassicalParams.from_flat((weights[:, None] * flats).sum(axis=0), f, h, q)
+        weights = counts[members] / counts[members].sum()
+        out[cluster] = (weights[:, None] * classical[members]).sum(axis=0)
     return out
+
+
+def _resultant(angles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sums of sines and cosines along the last axis.
+
+    + 0.0 normalizes a possible -0.0 sum so atan2 lands on +pi, not -pi.
+    """
+    return (w * np.sin(angles)).sum(axis=-1) + 0.0, (w * np.cos(angles)).sum(axis=-1) + 0.0
 
 
 def circular_mean(angles, weights: AggregationWeights) -> tuple[float, float]:
@@ -130,76 +119,71 @@ def circular_mean(angles, weights: AggregationWeights) -> tuple[float, float]:
     w = weights.weights
     if a.shape != w.shape:
         raise ParameterError("angles and weights must have equal length")
-    # + 0.0 normalizes a possible -0.0 sum so atan2 lands on +pi, not -pi
-    s = float(np.sum(w * np.sin(a))) + 0.0
-    c = float(np.sum(w * np.cos(a))) + 0.0
+    s, c = (float(x) for x in _resultant(a, w))
     return math.atan2(s, c), math.hypot(s, c)
 
 
-def aggregate_quantum(updates, fallback: QuantumParams) -> tuple[QuantumParams, list[int]]:
+def aggregate_quantum(updates, fallback: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Per-dimension circular mean of the clients' quantum angles.
 
     Dimensions whose resultant length falls below DEGENERATE_RESULTANT keep
-    the fallback (previous global) value; their indices are returned so the
-    caller can record the degeneracy.
+    the fallback (previous global) value; their flat indices are returned
+    so the caller can record the degeneracy. The result has the fallback's
+    shape.
     """
-    ups = _sorted_updates(updates)
+    ups, stacked = _stacked_updates(updates)
     weights = AggregationWeights.from_counts([u.distribution.count for u in ups])
-    mat = np.stack([u.params.quantum.angles for u in ups])
-    out = np.empty(mat.shape[1])
+    # one row per angle dimension, so each row sum is that dimension's 1-D sum
+    per_dimension = np.ascontiguousarray(stacked[:, ups[0].layout.n_classical:].T)
+    out = np.array(fallback, dtype=np.float64).reshape(-1)
+    if len(out) != len(per_dimension):
+        raise ParameterError("fallback angle count does not match the updates")
+    sines, cosines = _resultant(per_dimension, weights.weights)
     degenerate: list[int] = []
-    for j in range(mat.shape[1]):
-        angle, resultant = circular_mean(mat[:, j], weights)
-        if resultant < DEGENERATE_RESULTANT:
-            out[j] = fallback.angles[j]
+    for j, (s, c) in enumerate(zip(sines.tolist(), cosines.tolist())):
+        if math.hypot(s, c) < DEGENERATE_RESULTANT:
             degenerate.append(j)
         else:
-            out[j] = angle
-    return QuantumParams(wrap_angles(out), fallback.n_qubits, fallback.n_layers), degenerate
+            out[j] = math.atan2(s, c)
+    return wrap_angles(out).reshape(np.shape(fallback)), degenerate
 
 
-def arithmetic_mean_quantum(updates) -> QuantumParams:
-    """Weighted arithmetic mean of raw angles, wrapped afterwards.
+def arithmetic_mean_quantum(updates) -> np.ndarray:
+    """Weighted arithmetic mean of raw angles, wrapped afterwards, as an (L, Q) array.
 
     This ignores periodicity on purpose: it is the baseline aggregation and
     the ablation arm that demonstrates why the circular mean exists.
     """
-    ups = _sorted_updates(updates)
+    ups, stacked = _stacked_updates(updates)
+    layout = ups[0].layout
     weights = AggregationWeights.from_counts([u.distribution.count for u in ups])
-    mat = np.stack([u.params.quantum.angles for u in ups])
-    mean = (weights.weights[:, None] * mat).sum(axis=0)
-    proto = ups[0].params.quantum
-    return QuantumParams(wrap_angles(mean), proto.n_qubits, proto.n_layers)
+    mean = (weights.weights[:, None] * stacked[:, layout.n_classical:]).sum(axis=0)
+    return wrap_angles(mean).reshape(layout.layers, layout.qubits)
 
 
 def fedadam_update(
-    phi_t: QuantumParams,
-    phi_bar: QuantumParams,
-    state: ServerOptimizerState,
+    phi_t: np.ndarray,
+    phi_bar: np.ndarray,
+    state: AdamState,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eta: float = 0.001,
     eps: float = 1e-8,
-) -> tuple[QuantumParams, ServerOptimizerState]:
+) -> tuple[np.ndarray, AdamState]:
     """Server Adam step driven by the gap between current and aggregated angles.
 
     The pseudo-gradient is the raw elementwise difference g = phi_t -
     phi_bar (both operands are canonically wrapped, no geodesic trickery),
-    followed by the usual momentum update, bias correction, and step. The
-    result is wrapped back to (-pi, pi].
+    fed to the same Adam step clients use. The result is wrapped back to
+    (-pi, pi] and has phi_t's shape; the moments are flat vectors.
     """
-    if phi_t.angles.shape != phi_bar.angles.shape or phi_t.angles.shape != state.m.shape:
+    phi_t = np.asarray(phi_t, dtype=np.float64)
+    if phi_t.shape != np.shape(phi_bar) or phi_t.size != len(state.m):
         raise ParameterError("parameter and state dimensions must match")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ParameterError("beta1 and beta2 must lie in [0, 1)")
     if eta <= 0 or eps <= 0:
         raise ParameterError("eta and eps must be > 0")
-    g = phi_t.angles - phi_bar.angles
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_angles = phi_t.angles - eta * m_hat / (np.sqrt(v_hat) + eps)
-    next_params = QuantumParams(wrap_angles(new_angles), phi_t.n_qubits, phi_t.n_layers)
-    return next_params, ServerOptimizerState(m, v, t)
+    g = (phi_t - phi_bar).reshape(-1)
+    stepped, next_state = adam_step(phi_t.reshape(-1), g, state, eta, beta1, beta2, eps)
+    return wrap_angles(stepped).reshape(phi_t.shape), next_state

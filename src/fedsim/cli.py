@@ -2,9 +2,10 @@
 
 Configuration is a flat key=value file (same keys as ExperimentConfig
 fields) optionally overridden by flags; flags win over the file, the file
-wins over defaults. Metrics land in a fixed-schema CSV next to a JSON run
-manifest. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-error, 5 I/O error.
+wins over defaults. Values are coerced to the field's annotated type, and
+each flag's argparse dest is the name of the field it sets. Metrics land
+in a fixed-schema CSV next to a JSON run manifest. Exit codes: 0 success,
+2 config error, 3 data error, 4 numeric error, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,14 +42,16 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
-_INT_KEYS = {
-    "n_clients", "rounds", "local_epochs", "batch_size", "clusters",
-    "features", "hidden", "qubits", "layers", "classes", "per_class", "seed",
-}
-_FLOAT_KEYS = {"alpha", "local_lr", "server_lr", "lambda1", "lambda2", "prox_mu", "spread"}
-_STR_KEYS = {"strategy", "dataset", "idx_images", "idx_labels"}
+def _value_type(hint):
+    """The type a field's values are coerced to: its annotation, minus None for optionals."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = [t for t in typing.get_args(hint) if t is not type(None)]
+    return hint
+
+
+_FIELD_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+_EXPECTS = {int: "an integer", float: "a number"}
 
 
 def _coerce(key: str, raw) -> object:
@@ -59,19 +64,11 @@ def _coerce(key: str, raw) -> object:
             return tuple(int(part) for part in str(raw).split(",") if part.strip() != "")
         except ValueError:
             raise ConfigError(f"key 'keep_classes' expects a comma-separated list of integers, got '{raw}'")
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key '{key}' expects an integer, got '{raw}'")
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key '{key}' expects a number, got '{raw}'")
-    if key in _STR_KEYS:
-        return str(raw)
-    raise ConfigError(f"unknown config key '{key}'")
+    kind = _FIELD_TYPES[key]
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key '{key}' expects {_EXPECTS[kind]}, got '{raw}'")
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -210,35 +207,14 @@ def _out_dir(args) -> Path:
 
 
 def _flag_overrides(args) -> dict:
-    mapping = {
-        "strategy": args.strategy,
-        "dataset": args.dataset,
-        "idx_images": args.idx_images,
-        "idx_labels": args.idx_labels,
-        "alpha": args.alpha,
-        "n_clients": args.clients,
-        "rounds": args.rounds,
-        "local_epochs": args.epochs,
-        "batch_size": args.batch,
-        "local_lr": args.lr,
-        "server_lr": args.server_lr,
-        "clusters": args.clusters,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "prox_mu": args.prox_mu,
-        "qubits": args.qubits,
-        "layers": args.layers,
-        "hidden": args.hidden,
-        "seed": args.seed,
+    """The config fields set by flags; every flag's dest is the field it sets."""
+    overrides = {
+        name: getattr(args, name) for name in _FIELD_TYPES if getattr(args, name, None) is not None
     }
-    overrides = {k: v for k, v in mapping.items() if v is not None}
-    if args.classes is not None:
-        # a comma list selects original labels to keep (IDX path); a bare
-        # integer is the synthetic class count
-        if "," in args.classes:
-            overrides["keep_classes"] = args.classes
-        else:
-            overrides["classes"] = args.classes
+    # a comma list selects original labels to keep (IDX path); a bare
+    # integer is the synthetic class count
+    if "," in overrides.get("classes", ""):
+        overrides["keep_classes"] = overrides.pop("classes")
     return overrides
 
 
@@ -375,29 +351,29 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--strategy", default=None,
+        p.add_argument("--strategy", dest="strategy", default=None,
                        help="strategy name (comma-separated list for compare)")
-        p.add_argument("--dataset", default=None, choices=("synthetic", "idx"))
+        p.add_argument("--dataset", dest="dataset", default=None, choices=("synthetic", "idx"))
         p.add_argument("--idx-images", dest="idx_images", default=None)
         p.add_argument("--idx-labels", dest="idx_labels", default=None)
-        p.add_argument("--classes", default=None,
+        p.add_argument("--classes", dest="classes", default=None,
                        help="class count, or comma-separated labels to keep from an IDX file")
-        p.add_argument("--alpha", default=None,
+        p.add_argument("--alpha", dest="alpha", default=None,
                        help="Dirichlet concentration (comma-separated list for compare)")
-        p.add_argument("--clients", default=None)
-        p.add_argument("--rounds", default=None)
-        p.add_argument("--epochs", default=None)
-        p.add_argument("--batch", default=None)
-        p.add_argument("--lr", default=None)
+        p.add_argument("--clients", dest="n_clients", default=None)
+        p.add_argument("--rounds", dest="rounds", default=None)
+        p.add_argument("--epochs", dest="local_epochs", default=None)
+        p.add_argument("--batch", dest="batch_size", default=None)
+        p.add_argument("--lr", dest="local_lr", default=None)
         p.add_argument("--server-lr", dest="server_lr", default=None)
-        p.add_argument("--clusters", default=None)
-        p.add_argument("--lambda1", default=None)
-        p.add_argument("--lambda2", default=None)
+        p.add_argument("--clusters", dest="clusters", default=None)
+        p.add_argument("--lambda1", dest="lambda1", default=None)
+        p.add_argument("--lambda2", dest="lambda2", default=None)
         p.add_argument("--prox-mu", dest="prox_mu", default=None)
-        p.add_argument("--qubits", default=None)
-        p.add_argument("--layers", default=None)
-        p.add_argument("--hidden", default=None)
-        p.add_argument("--seed", default=None)
+        p.add_argument("--qubits", dest="qubits", default=None)
+        p.add_argument("--layers", dest="layers", default=None)
+        p.add_argument("--hidden", dest="hidden", default=None)
+        p.add_argument("--seed", dest="seed", default=None)
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
     return parser
 

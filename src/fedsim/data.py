@@ -53,7 +53,6 @@ class ClientDataset:
 
     client_id: int
     indices: np.ndarray
-    test_indices: np.ndarray | None = None  # unused when a global test split is in play
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)

@@ -31,7 +31,6 @@ from statistics import fmean
 import numpy as np
 
 from .aggregation import (
-    ServerOptimizerState,
     aggregate_quantum,
     arithmetic_mean_quantum,
     cluster_weighted_average,
@@ -51,11 +50,10 @@ from .data import (
     load_idx,
     stratified_split,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, NumericError, ParameterError
 from .model import (
-    ClassicalParams,
-    HybridParams,
-    QuantumParams,
+    AdamState,
+    ParamLayout,
     circuit_forward,
     init_params,
     local_train,
@@ -188,13 +186,17 @@ class RunContext:
 
 @dataclass
 class ServerState:
-    """Everything the server carries between rounds."""
+    """Everything the server carries between rounds.
+
+    Cluster models are classical parameter vectors (the first n_classical
+    entries of a ParamLayout); quantum is the global (L, Q) angle array.
+    """
 
     round_index: int
-    cluster_models: dict[int, ClassicalParams]
+    cluster_models: dict[int, np.ndarray]
     assignment: ClusterAssignment | None
-    quantum: QuantumParams
-    opt_state: ServerOptimizerState
+    quantum: np.ndarray
+    opt_state: AdamState
 
 
 def build_context(config: ExperimentConfig) -> RunContext:
@@ -221,30 +223,34 @@ def build_context(config: ExperimentConfig) -> RunContext:
     return RunContext(dataset, clients, train_idx, test_idx)
 
 
+def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
+    return ParamLayout(context.dataset.n_features, config.hidden, config.qubits, config.layers)
+
+
 def init_state(config: ExperimentConfig, context: RunContext) -> ServerState:
     """Round-0 server state: one broadcast model, empty optimizer moments."""
-    params = init_params(
-        context.dataset.n_features,
-        config.hidden,
-        config.qubits,
-        config.layers,
-        derived_seed(config.seed, _SEED_INIT),
-    )
+    layout = _layout(config, context)
+    params = init_params(layout, derived_seed(config.seed, _SEED_INIT))
     return ServerState(
         round_index=0,
-        cluster_models={0: params.classical},
+        cluster_models={0: params[:layout.n_classical]},
         assignment=None,
-        quantum=params.quantum,
-        opt_state=ServerOptimizerState.zeros(config.qubits * config.layers),
+        quantum=layout.angles(params),
+        opt_state=AdamState.zeros(config.qubits * config.layers),
     )
 
 
-def _score_model(classical, quantum, xs, ys, n_classes) -> tuple[float, float]:
-    embeddings = mlp_forward_batch(classical, xs)
+def _score_model(classical, angles, xs, ys, n_classes) -> tuple[float, float]:
+    # the hidden width is the one unknown in n_classical = H * (F + 1 + Q) + Q
+    layers, qubits = angles.shape
+    features = xs.shape[1]
+    hidden = (len(classical) - qubits) // (features + 1 + qubits)
+    dense = ParamLayout(features, hidden, qubits, layers).dense(classical)
+    embeddings = mlp_forward_batch(dense, xs)
     correct = 0
     loss = 0.0
     for emb, y in zip(embeddings, ys):
-        logits = circuit_forward(emb, quantum, n_classes)
+        logits = circuit_forward(emb, angles, n_classes)
         sample_loss, _ = softmax_cross_entropy(logits, int(y))
         loss += sample_loss
         if int(np.argmax(logits)) == int(y):
@@ -254,8 +260,8 @@ def _score_model(classical, quantum, xs, ys, n_classes) -> tuple[float, float]:
 
 
 def evaluate(
-    cluster_models: dict[int, ClassicalParams],
-    quantum: QuantumParams,
+    cluster_models: dict[int, np.ndarray],
+    quantum: np.ndarray,
     assignment: ClusterAssignment | None,
     updates,
     dataset: Dataset,
@@ -321,13 +327,16 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
 
     Client i trains from its cluster's classical parameters when a
     fedcompass assignment exists, otherwise from the single global model;
-    everyone receives the same global quantum parameters. Per-client seeds
-    derive from (master seed, round, client id), so a round is reproducible
-    regardless of scheduling.
+    everyone receives the same global quantum parameters, and a broadcast
+    is the concatenation of the two. Per-client seeds derive from (master
+    seed, round, client id), so a round is reproducible regardless of
+    scheduling. A client whose training diverges raises NumericError
+    naming the round and the client.
     """
     start = time.perf_counter()
     round_index = state.round_index + 1
     strategy = config.strategy
+    layout = _layout(config, context)
 
     updates = []
     for position, client in enumerate(context.clients):
@@ -335,20 +344,23 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
             classical = state.cluster_models[int(state.assignment.labels[position])]
         else:
             classical = state.cluster_models[0]
-        broadcast = HybridParams(classical.copy(), state.quantum.copy())
+        broadcast = np.concatenate([classical, state.quantum.reshape(-1)])
         prox_mu = config.prox_mu if strategy == "fedprox" else 0.0
-        updates.append(
-            local_train(
+        try:
+            update = local_train(
                 client,
                 context.dataset,
                 broadcast,
+                layout,
                 config.local_epochs,
                 config.batch_size,
                 config.local_lr,
                 prox_mu,
                 derived_seed(config.seed, _SEED_CLIENT, round_index, client.client_id),
             )
-        )
+        except NumericError as exc:
+            raise NumericError(f"round {round_index}, {exc}") from exc
+        updates.append(update)
     updates.sort(key=lambda u: u.client_id)
 
     eigengaps = None

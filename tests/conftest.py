@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedsim.data import ClassDistribution
-from fedsim.model import ClassicalParams, ClientUpdate, HybridParams, QuantumParams
+from fedsim.model import ClientUpdate, ParamLayout
 
 
 def write_idx_pair(directory, images, labels):
@@ -26,18 +26,19 @@ def write_idx_pair(directory, images, labels):
 
 
 def make_update(client_id, angles, count, classical=None, n_classes=2, layers=None):
-    """Minimal ClientUpdate with the given quantum angles and sample count."""
-    angles = np.asarray(angles, dtype=np.float64)
+    """Minimal ClientUpdate with the given quantum angles (one qubit) and sample count.
+
+    The classical block is a 2 -> 1 -> 1 extractor: five entries, zero by default.
+    """
+    angles = np.asarray(angles, dtype=np.float64).reshape(-1)
+    layout = ParamLayout(2, 1, 1, len(angles) if layers is None else layers)
     if classical is None:
-        classical = ClassicalParams(
-            np.zeros((1, 2)), np.zeros(1), np.zeros((1, 1)), np.zeros(1)
-        )
-    qubits = 1
-    layers = len(angles) if layers is None else layers
+        classical = np.zeros(layout.n_classical)
     proportions = np.full(n_classes, 1.0 / n_classes)
     return ClientUpdate(
         client_id,
-        HybridParams(classical, QuantumParams(angles, qubits, layers)),
+        np.concatenate([classical, angles]),
+        layout,
         ClassDistribution(proportions, count),
         0.0,
     )

@@ -15,7 +15,6 @@ import numpy as np
 import fedsim.cli as cli
 from fedsim.aggregation import (
     AggregationWeights,
-    ServerOptimizerState,
     arithmetic_mean_quantum,
     circular_mean,
     fedadam_update,
@@ -30,9 +29,8 @@ from fedsim.clustering import (
 )
 from fedsim.data import ClassDistribution
 from fedsim.model import (
-    ClassicalParams,
-    HybridParams,
-    QuantumParams,
+    AdamState,
+    ParamLayout,
     circuit_forward,
     hybrid_loss_and_grads,
     init_params,
@@ -61,12 +59,12 @@ def report(criterion, message):
 # -- criterion 1: analytic gradients vs central finite differences ----------
 
 
-def forward_loss(xs, ys, params, n_classes):
+def forward_loss(xs, ys, layout, params, n_classes):
     """Independent loss-only oracle: plain forward composition, no gradients."""
     total = 0.0
     for x, y in zip(xs, ys):
-        embedding, _ = mlp_forward(params.classical, x)
-        logits = circuit_forward(embedding, params.quantum, n_classes)
+        embedding, _ = mlp_forward(layout.dense(params), x)
+        logits = circuit_forward(embedding, layout.angles(params), n_classes)
         loss, _ = softmax_cross_entropy(logits, int(y))
         total += loss
     return total / len(ys)
@@ -79,13 +77,12 @@ def test_criterion_01_gradient_suite():
     worst = 0.0
     for draw in range(draws):
         rng = np.random.default_rng(1000 + draw)
-        params = init_params(f, h, q, layers, int(rng.integers(1 << 30)))
+        layout = ParamLayout(f, h, q, layers)
+        flat = init_params(layout, int(rng.integers(1 << 30)))
         xs = rng.uniform(-1.0, 1.0, (2, f))
         ys = rng.integers(0, classes, 2)
-        _, grad_c, grad_q = hybrid_loss_and_grads(xs, ys, params, classes)
-        analytic = np.concatenate([grad_c.flatten(), grad_q])
+        _, analytic = hybrid_loss_and_grads(xs, ys, flat, layout, classes)
 
-        flat = params.flatten()
         fd = np.empty_like(flat)
         step = 1e-5
         for k in range(len(flat)):
@@ -94,8 +91,8 @@ def test_criterion_01_gradient_suite():
             minus = flat.copy()
             minus[k] -= step
             fd[k] = (
-                forward_loss(xs, ys, HybridParams.from_flat(plus, params), classes)
-                - forward_loss(xs, ys, HybridParams.from_flat(minus, params), classes)
+                forward_loss(xs, ys, layout, plus, classes)
+                - forward_loss(xs, ys, layout, minus, classes)
             ) / (2 * step)
         rel = np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-6)
         worst = max(worst, rel)
@@ -130,14 +127,14 @@ def dense_cnot(control, target, n):
 
 
 def dense_oracle_state(embedding, quantum):
-    n, layers = quantum.n_qubits, quantum.n_layers
+    layers, n = quantum.shape
     psi = np.zeros(2**n)
     psi[0] = 1.0
     for qq in range(n):
         psi = dense_gate(ry_matrix(math.pi * embedding[qq]), qq, n) @ psi
     for layer in range(layers):
         for qq in range(n):
-            psi = dense_gate(ry_matrix(quantum.angles[layer * n + qq]), qq, n) @ psi
+            psi = dense_gate(ry_matrix(quantum[layer, qq]), qq, n) @ psi
         if n > 1:
             for qq in range(n):
                 psi = dense_cnot(qq, (qq + 1) % n, n) @ psi
@@ -152,7 +149,7 @@ def test_criterion_02_quantum_oracle_equivalence():
     for _ in range(circuits):
         n = int(rng.integers(1, 6))
         layers = int(rng.integers(1, 4))
-        quantum = QuantumParams(rng.uniform(-math.pi, math.pi, n * layers), n, layers)
+        quantum = rng.uniform(-math.pi, math.pi, (layers, n))
         embedding = rng.uniform(-1.0, 1.0, n)
         gap = np.max(np.abs(statevector(embedding, quantum) - dense_oracle_state(embedding, quantum)))
         worst = max(worst, gap)
@@ -191,7 +188,7 @@ def test_criterion_03_circular_mean_suite():
     mean, _ = circular_mean(branch_angles, AggregationWeights.from_counts([1, 1]))
     assert abs(mean - math.pi) <= 1e-9
     updates = [make_update(0, [branch_angles[0]], 7), make_update(1, [branch_angles[1]], 7)]
-    collapsed = arithmetic_mean_quantum(updates).angles[0]
+    collapsed = arithmetic_mean_quantum(updates)[0, 0]
     assert collapsed == 0.0
     report(3, f"equivariance/invariance at 1e-10; branch cut -> {mean:.9f}, arithmetic -> {collapsed}")
 
@@ -202,14 +199,14 @@ def test_criterion_03_circular_mean_suite():
 def test_criterion_04_fedadam_oracle():
     b1, b2, eta, eps = 0.9, 0.999, 0.001, 1e-8
     target = -0.35
-    phi = QuantumParams(np.array([0.8]), 1, 1)
-    state = ServerOptimizerState.zeros(1)
+    phi = np.array([0.8])
+    state = AdamState.zeros(1)
     trajectory = []
-    gaps = [abs(phi.angles[0] - target)]
+    gaps = [abs(phi[0] - target)]
     for _ in range(20):
-        phi, state = fedadam_update(phi, QuantumParams(np.array([target]), 1, 1), state, b1, b2, eta, eps)
-        trajectory.append(phi.angles[0])
-        gaps.append(abs(phi.angles[0] - target))
+        phi, state = fedadam_update(phi, np.array([target]), state, b1, b2, eta, eps)
+        trajectory.append(phi[0])
+        gaps.append(abs(phi[0] - target))
 
     x, m, v = 0.8, 0.0, 0.0
     expected = []
@@ -342,7 +339,7 @@ def branch_cut_classical():
     bias = 0.5 * (math.atanh(0.9) + math.atanh(0.1))
     w2 = np.array([[0.0, 0.0], [split, -split]])
     b2 = np.array([0.0, bias])
-    return ClassicalParams(w1, np.zeros(2), w2, b2)
+    return np.concatenate([w1.ravel(), np.zeros(2), w2.ravel(), b2])
 
 
 ABLATION_CONFIG = dict(
@@ -369,8 +366,8 @@ def branch_cut_state():
         round_index=0,
         cluster_models={0: branch_cut_classical()},
         assignment=None,
-        quantum=QuantumParams(np.full(2, math.pi - 0.002), 2, 1),
-        opt_state=ServerOptimizerState.zeros(2),
+        quantum=np.full((1, 2), math.pi - 0.002),
+        opt_state=AdamState.zeros(2),
     )
 
 
@@ -382,10 +379,10 @@ def test_criterion_08_ablation_direction():
     uploads = np.stack([
         local_train(
             client, context.dataset,
-            HybridParams(state.cluster_models[0].copy(), state.quantum.copy()),
+            np.concatenate([state.cluster_models[0], state.quantum.ravel()]), ParamLayout(2, 2, 2, 1),
             probe.local_epochs, probe.batch_size, probe.local_lr, 0.0,
             derived_seed(probe.seed, 4, 1, client.client_id),
-        ).params.quantum.angles
+        ).params[-2:]
         for client in context.clients
     ])
     straddling = [j for j in range(2) if uploads[:, j].max() > 3.0 and uploads[:, j].min() < -3.0]
@@ -466,7 +463,7 @@ def test_criterion_10_strategy_equivalences():
             cluster_models={0: state.cluster_models[0].copy()},
             assignment=None,
             quantum=state.quantum.copy(),
-            opt_state=ServerOptimizerState.zeros(len(state.quantum.angles)),
+            opt_state=AdamState.zeros(state.quantum.size),
         )
         next_fc_state, _ = run_round(fc_state, fc_config, context)
         np.testing.assert_array_equal(

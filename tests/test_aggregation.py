@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedsim.aggregation import (
     AggregationWeights,
-    ServerOptimizerState,
     aggregate_quantum,
     arithmetic_mean_quantum,
     circular_mean,
@@ -18,7 +17,7 @@ from fedsim.aggregation import (
 )
 from fedsim.clustering import ClusterAssignment
 from fedsim.errors import ParameterError, ProtocolError
-from fedsim.model import ClassicalParams, QuantumParams
+from fedsim.model import AdamState
 
 from conftest import make_update
 
@@ -79,17 +78,15 @@ class TestAggregationWeights:
 
 
 def classical_scalarish(value):
-    """1-parameter-per-slot classical container for arithmetic checks."""
-    return ClassicalParams(
-        np.full((1, 2), value), np.full(1, value), np.full((1, 1), value), np.full(1, value)
-    )
+    """The five-entry classical block of make_update, every entry set to value."""
+    return np.full(5, value)
 
 
 class TestClusterWeightedAverage:
     def test_singleton_cluster_is_identity(self):
         update = make_update(0, [0.3], 17, classical_scalarish(1.25))
         result = cluster_weighted_average([update], ClusterAssignment(np.array([0]), 1))
-        np.testing.assert_array_equal(result[0].flatten(), update.params.classical.flatten())
+        np.testing.assert_array_equal(result[0], update.params[:5])
 
     def test_equal_counts_midpoint(self):
         updates = [
@@ -97,7 +94,7 @@ class TestClusterWeightedAverage:
             make_update(1, [0.0], 10, classical_scalarish(4.0)),
         ]
         result = cluster_weighted_average(updates, ClusterAssignment(np.array([0, 0]), 1))
-        np.testing.assert_allclose(result[0].flatten(), np.full(5, 2.0), atol=1e-15)
+        np.testing.assert_allclose(result[0], np.full(5, 2.0), atol=1e-15)
 
     def test_count_weighted(self):
         updates = [
@@ -105,16 +102,14 @@ class TestClusterWeightedAverage:
             make_update(1, [0.0], 3, classical_scalarish(4.0)),
         ]
         result = cluster_weighted_average(updates, ClusterAssignment(np.array([0, 0]), 1))
-        np.testing.assert_allclose(result[0].flatten(), np.full(5, 3.0), atol=1e-15)
+        np.testing.assert_allclose(result[0], np.full(5, 3.0), atol=1e-15)
 
     def test_matches_elementwise_oracle(self, rng):
         updates = []
         for cid in range(6):
             flat = rng.standard_normal(5)
             updates.append(
-                make_update(cid, [0.1], int(rng.integers(5, 60)), ClassicalParams(
-                    flat[:2].reshape(1, 2), flat[2:3], flat[3:4].reshape(1, 1), flat[4:]
-                ))
+                make_update(cid, [0.1], int(rng.integers(5, 60)), flat)
             )
         labels = np.array([0, 1, 0, 1, 1, 0])
         result = cluster_weighted_average(updates, ClusterAssignment(labels, 2))
@@ -122,8 +117,8 @@ class TestClusterWeightedAverage:
             members = [u for u, lab in zip(updates, labels) if lab == cluster]
             total = sum(u.distribution.count for u in members)
             for k in range(5):
-                expected = sum(u.distribution.count * u.params.classical.flatten()[k] for u in members) / total
-                assert result[cluster].flatten()[k] == pytest.approx(expected, abs=1e-12)
+                expected = sum(u.distribution.count * u.params[k] for u in members) / total
+                assert result[cluster][k] == pytest.approx(expected, abs=1e-12)
 
     def test_order_independence(self, rng):
         updates = [
@@ -134,7 +129,7 @@ class TestClusterWeightedAverage:
         forward = cluster_weighted_average(updates, assignment)
         shuffled = cluster_weighted_average(updates[::-1], assignment)
         for cluster in (0, 1):
-            np.testing.assert_array_equal(forward[cluster].flatten(), shuffled[cluster].flatten())
+            np.testing.assert_array_equal(forward[cluster], shuffled[cluster])
 
     def test_missing_update_rejected(self):
         updates = [make_update(0, [0.0], 5)]
@@ -201,40 +196,59 @@ class TestCircularMean:
 class TestAggregateQuantum:
     def test_single_client_passthrough(self):
         update = make_update(0, [2.0, -1.0], 10, layers=2)
-        fallback = QuantumParams(np.zeros(2), 1, 2)
+        fallback = np.zeros((2, 1))
         result, degenerate = aggregate_quantum([update], fallback)
-        np.testing.assert_allclose(result.angles, [2.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(result.ravel(), [2.0, -1.0], atol=1e-15)
         assert degenerate == []
 
     def test_identical_clients_passthrough(self):
         updates = [make_update(i, [0.5, -2.5], 10, layers=2) for i in range(4)]
-        fallback = QuantumParams(np.zeros(2), 1, 2)
+        fallback = np.zeros((2, 1))
         result, _ = aggregate_quantum(updates, fallback)
-        np.testing.assert_allclose(result.angles, [0.5, -2.5], atol=1e-12)
+        np.testing.assert_allclose(result.ravel(), [0.5, -2.5], atol=1e-12)
 
     def test_degenerate_dimension_uses_fallback(self):
         updates = [make_update(0, [0.0, 1.0], 5, layers=2), make_update(1, [math.pi, 1.0], 5, layers=2)]
-        fallback = QuantumParams(np.array([0.123, 9.0]), 1, 2)
+        fallback = np.array([[0.123], [9.0]])
         result, degenerate = aggregate_quantum(updates, fallback)
         assert degenerate == [0]
-        assert result.angles[0] == pytest.approx(0.123, abs=1e-15)
-        assert result.angles[1] == pytest.approx(1.0, abs=1e-12)
+        assert result.ravel()[0] == pytest.approx(0.123, abs=1e-15)
+        assert result.ravel()[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_cut_consensus(self):
         updates = [
             make_update(0, [math.pi - 0.1], 7),
             make_update(1, [-math.pi + 0.1], 7),
         ]
-        result, degenerate = aggregate_quantum(updates, QuantumParams(np.zeros(1), 1, 1))
-        assert result.angles[0] == pytest.approx(math.pi, abs=1e-9)
+        result, degenerate = aggregate_quantum(updates, np.zeros((1, 1)))
+        assert result.ravel()[0] == pytest.approx(math.pi, abs=1e-9)
         assert degenerate == []
 
 
+    def test_result_has_the_fallback_shape(self):
+        updates = [make_update(i, [0.1 * i, -0.2, 0.3, 0.4], 5) for i in range(3)]
+        result, _ = aggregate_quantum(updates, np.zeros((2, 2)))
+        assert result.shape == (2, 2)
+
+    def test_fallback_size_mismatch_rejected(self):
+        with pytest.raises(ParameterError):
+            aggregate_quantum([make_update(0, [0.1, 0.2], 5)], np.zeros((3, 1)))
+
+    def test_mixed_layouts_rejected(self):
+        updates = [make_update(0, [0.1], 5), make_update(1, [0.1, 0.2], 5)]
+        with pytest.raises(ProtocolError):
+            aggregate_quantum(updates, np.zeros((1, 1)))
+
+
 class TestArithmeticMeanQuantum:
+    def test_shape_is_layers_by_qubits(self):
+        updates = [make_update(i, [0.7, -0.2, 0.1], 10) for i in range(2)]
+        assert arithmetic_mean_quantum(updates).shape == (3, 1)
+
     def test_identical_clients(self):
         updates = [make_update(i, [0.7, -0.2], 10, layers=2) for i in range(3)]
         result = arithmetic_mean_quantum(updates)
-        np.testing.assert_allclose(result.angles, [0.7, -0.2], atol=1e-15)
+        np.testing.assert_allclose(result.ravel(), [0.7, -0.2], atol=1e-15)
 
     def test_branch_cut_collapse_to_zero(self):
         # the failure mode the circular mean exists to avoid
@@ -243,46 +257,46 @@ class TestArithmeticMeanQuantum:
             make_update(1, [-math.pi + 0.1], 7),
         ]
         result = arithmetic_mean_quantum(updates)
-        assert result.angles[0] == 0.0
+        assert result.ravel()[0] == 0.0
 
     def test_count_weighted(self):
         updates = [make_update(0, [0.4], 1), make_update(1, [0.8], 3)]
         result = arithmetic_mean_quantum(updates)
-        assert result.angles[0] == pytest.approx(0.7, abs=1e-15)
+        assert result.ravel()[0] == pytest.approx(0.7, abs=1e-15)
 
 
 class TestFedadamUpdate:
     def test_fixed_point(self):
-        phi = QuantumParams(np.array([0.4, -1.2]), 2, 1)
-        state = ServerOptimizerState.zeros(2)
+        phi = np.array([0.4, -1.2])
+        state = AdamState.zeros(2)
         after, new_state = fedadam_update(phi, phi, state)
-        np.testing.assert_array_equal(after.angles, phi.angles)
+        np.testing.assert_array_equal(after, phi)
         np.testing.assert_array_equal(new_state.m, np.zeros(2))
         np.testing.assert_array_equal(new_state.v, np.zeros(2))
         assert new_state.t == 1
 
     def test_first_step_bias_correction(self):
-        phi_t = QuantumParams(np.array([0.5]), 1, 1)
-        phi_bar = QuantumParams(np.array([0.0]), 1, 1)
-        after, state = fedadam_update(phi_t, phi_bar, ServerOptimizerState.zeros(1),
+        phi_t = np.array([0.5])
+        phi_bar = np.array([0.0])
+        after, state = fedadam_update(phi_t, phi_bar, AdamState.zeros(1),
                                       beta1=0.9, beta2=0.999, eta=0.001, eps=1e-8)
         # g = 0.5: m_hat = 0.5, v_hat = 0.25, step = eta * 0.5 / (0.5 + 1e-8)
         expected = 0.5 - 0.001 * 0.5 / (0.5 + 1e-8)
-        assert after.angles[0] == pytest.approx(expected, abs=1e-15)
+        assert after[0] == pytest.approx(expected, abs=1e-15)
         assert state.m[0] == pytest.approx(0.05, abs=1e-15)
         assert state.v[0] == pytest.approx(0.00025, abs=1e-18)
 
     def test_twenty_step_trajectory_vs_recurrence_oracle(self):
         b1, b2, eta, eps = 0.9, 0.999, 0.001, 1e-8
         target = 0.2
-        phi = QuantumParams(np.array([0.9]), 1, 1)
-        state = ServerOptimizerState.zeros(1)
-        gaps = [abs(phi.angles[0] - target)]
+        phi = np.array([0.9])
+        state = AdamState.zeros(1)
+        gaps = [abs(phi[0] - target)]
         trajectory = []
         for _ in range(20):
-            phi, state = fedadam_update(phi, QuantumParams(np.array([target]), 1, 1), state, b1, b2, eta, eps)
-            trajectory.append(phi.angles[0])
-            gaps.append(abs(phi.angles[0] - target))
+            phi, state = fedadam_update(phi, np.array([target]), state, b1, b2, eta, eps)
+            trajectory.append(phi[0])
+            gaps.append(abs(phi[0] - target))
 
         # independent scalar replay
         x, m, v = 0.9, 0.0, 0.0
@@ -297,15 +311,15 @@ class TestFedadamUpdate:
         assert all(late < early for early, late in zip(gaps, gaps[1:]))
 
     def test_output_wrapped(self):
-        phi_t = QuantumParams(np.array([math.pi]), 1, 1)
-        phi_bar = QuantumParams(np.array([-math.pi + 0.5]), 1, 1)
-        after, _ = fedadam_update(phi_t, phi_bar, ServerOptimizerState.zeros(1), eta=1.5)
-        assert -math.pi < after.angles[0] <= math.pi
+        phi_t = np.array([math.pi])
+        phi_bar = np.array([-math.pi + 0.5])
+        after, _ = fedadam_update(phi_t, phi_bar, AdamState.zeros(1), eta=1.5)
+        assert -math.pi < after[0] <= math.pi
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             fedadam_update(
-                QuantumParams(np.zeros(2), 2, 1),
-                QuantumParams(np.zeros(3), 3, 1),
-                ServerOptimizerState.zeros(2),
+                np.zeros(2),
+                np.zeros(3),
+                AdamState.zeros(2),
             )

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestParseConfig:
     def test_type_mismatch_named_in_error(self):
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(None, {"rounds": "many"})
+
+    def test_values_coerced_to_field_types(self):
+        config = parse_config(None, {"per_class": "7", "spread": "0.5", "idx_images": "a.idx"})
+        assert config.per_class == 7 and isinstance(config.per_class, int)
+        assert config.spread == 0.5 and isinstance(config.spread, float)
+        assert config.idx_images == "a.idx"
+
+    def test_float_mismatch_named_in_error(self):
+        with pytest.raises(ConfigError, match="'spread' expects a number"):
+            parse_config(None, {"spread": "wide"})
 
     def test_invalid_combination(self):
         with pytest.raises(ConfigError, match="classes"):
@@ -277,6 +288,15 @@ class TestExitCodes:
         assert main(["run", "--out", str(tmp_path)] + FAST_FLAGS) == 4
         assert "numeric error" in capsys.readouterr().err
 
+    def test_divergent_training_is_a_numeric_error(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = main(["run", "--clients", "2", "--rounds", "1", "--epochs", "1", "--lr", "1e308",
+                         "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numeric error" in err
+        assert "round 1" in err and "client 0" in err
+
     def test_io_error_for_missing_idx_file(self, tmp_path, capsys):
         code = main([
             "run", "--dataset", "idx", "--idx-images", str(tmp_path / "nope.idx"),
@@ -285,3 +305,30 @@ class TestExitCodes:
         ])
         assert code == 5
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_every_flag_dest_is_a_config_field(self):
+        fields = set(ExperimentConfig.__dataclass_fields__)
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            action.dest
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert dests - {"config", "out", "command", "func"} <= fields
+        assert {"n_clients", "local_epochs", "batch_size", "local_lr", "classes"} <= dests
+
+    def test_flags_land_on_their_fields(self):
+        args = cli.build_parser().parse_args(
+            ["run", "--clients", "3", "--epochs", "2", "--batch", "8", "--lr", "0.05", "--classes", "3"]
+        )
+        assert cli._flag_overrides(args) == {
+            "n_clients": "3", "local_epochs": "2", "batch_size": "8", "local_lr": "0.05", "classes": "3",
+        }
+
+    def test_comma_classes_select_labels(self):
+        args = cli.build_parser().parse_args(["run", "--classes", "0,1"])
+        assert cli._flag_overrides(args) == {"keep_classes": "0,1"}

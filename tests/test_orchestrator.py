@@ -5,7 +5,8 @@ import pytest
 
 import fedsim.orchestrator as orch
 from fedsim.aggregation import aggregate_quantum, fedadam_update
-from fedsim.errors import ConfigError, ParameterError
+from fedsim.errors import ConfigError, NumericError, ParameterError
+from fedsim.model import ParamLayout
 from fedsim.orchestrator import (
     ExperimentConfig,
     build_context,
@@ -15,6 +16,15 @@ from fedsim.orchestrator import (
     run_experiment,
     run_round,
 )
+
+
+def layout_of(config, context):
+    return ParamLayout(context.dataset.n_features, config.hidden, config.qubits, config.layers)
+
+
+def broadcast(state):
+    """The single global model as a flat parameter vector."""
+    return np.concatenate([state.cluster_models[0], state.quantum.ravel()])
 
 
 def small_config(**overrides):
@@ -81,20 +91,20 @@ class TestSingleClientRound:
         update = local_train(
             context.clients[0],
             context.dataset,
-            orch.HybridParams(state.cluster_models[0].copy(), state.quantum.copy()),
+            broadcast(state),
+            layout_of(config, context),
             config.local_epochs,
             config.batch_size,
             config.local_lr,
             0.0,
             derived_seed(config.seed, 4, 1, 0),
         )
-        np.testing.assert_array_equal(
-            new_state.cluster_models[0].flatten(), update.params.classical.flatten()
-        )
+        n_classical = len(state.cluster_models[0])
+        np.testing.assert_array_equal(new_state.cluster_models[0], update.params[:n_classical])
         # quantum passes through the server optimizer step on the aggregated angles
         phi_bar, _ = aggregate_quantum([update], state.quantum)
         expected, _ = fedadam_update(state.quantum, phi_bar, state.opt_state, eta=config.server_lr)
-        np.testing.assert_array_equal(new_state.quantum.angles, expected.angles)
+        np.testing.assert_array_equal(new_state.quantum, expected)
 
 
 class TestStrategyEquivalences:
@@ -128,7 +138,8 @@ class TestFedavgAggregationOracle:
             local_train(
                 client,
                 context.dataset,
-                orch.HybridParams(state.cluster_models[0].copy(), state.quantum.copy()),
+                broadcast(state),
+                layout_of(config, context),
                 config.local_epochs,
                 config.batch_size,
                 config.local_lr,
@@ -139,14 +150,13 @@ class TestFedavgAggregationOracle:
         ]
         counts = np.array([u.distribution.count for u in updates], dtype=float)
         weights = counts / counts.sum()
-        expected_classical = sum(
-            w * u.params.classical.flatten() for w, u in zip(weights, updates)
-        )
-        expected_quantum = sum(w * u.params.quantum.angles for w, u in zip(weights, updates))
+        n_classical = len(state.cluster_models[0])
+        expected_classical = sum(w * u.params[:n_classical] for w, u in zip(weights, updates))
+        expected_quantum = sum(w * u.params[n_classical:] for w, u in zip(weights, updates))
 
         new_state, _ = run_round(state, config, context)
-        np.testing.assert_allclose(new_state.cluster_models[0].flatten(), expected_classical, atol=1e-12)
-        np.testing.assert_allclose(new_state.quantum.angles, expected_quantum, atol=1e-12)
+        np.testing.assert_allclose(new_state.cluster_models[0], expected_classical, atol=1e-12)
+        np.testing.assert_allclose(new_state.quantum.ravel(), expected_quantum, atol=1e-12)
 
 
 class TestRunExperiment:
@@ -188,12 +198,11 @@ class TestEvaluate:
         context = build_context(config)
         state = init_state(config, context)
         scores = {0: (0.5, 1.0), 1: (1.0, 0.5)}
-        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: scores[int(c.b1[0])])
+        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: scores[int(c[0])])
         models = {}
         for cid in (0, 1):
             model = state.cluster_models[0].copy()
-            model.b1 = model.b1.copy()
-            model.b1[0] = cid
+            model[0] = cid
             models[cid] = model
 
         from conftest import make_update
@@ -266,8 +275,8 @@ class TestAbortAtomicity:
         config = small_config(rounds=1)
         context = build_context(config)
         state = init_state(config, context)
-        classical_before = state.cluster_models[0].flatten().copy()
-        quantum_before = state.quantum.angles.copy()
+        classical_before = state.cluster_models[0].copy()
+        quantum_before = state.quantum.copy()
         t_before = state.opt_state.t
 
         def explode(*args, **kwargs):
@@ -276,6 +285,28 @@ class TestAbortAtomicity:
         monkeypatch.setattr(orch, "local_train", explode)
         with pytest.raises(RuntimeError):
             run_round(state, config, context)
-        np.testing.assert_array_equal(state.cluster_models[0].flatten(), classical_before)
-        np.testing.assert_array_equal(state.quantum.angles, quantum_before)
+        np.testing.assert_array_equal(state.cluster_models[0], classical_before)
+        np.testing.assert_array_equal(state.quantum, quantum_before)
         assert state.opt_state.t == t_before
+
+
+class TestServerStateShapes:
+    def test_cluster_models_are_classical_vectors_and_angles_are_layers_by_qubits(self):
+        config = small_config(rounds=1, layers=2)
+        context = build_context(config)
+        layout = layout_of(config, context)
+        state = init_state(config, context)
+        assert state.cluster_models[0].shape == (layout.n_classical,)
+        assert state.quantum.shape == (2, 4)
+        new_state, _ = run_round(state, config, context)
+        assert new_state.cluster_models[0].shape == (layout.n_classical,)
+        assert new_state.quantum.shape == (2, 4)
+
+
+class TestDivergence:
+    def test_non_finite_training_names_round_and_client(self):
+        config = small_config(rounds=1, local_lr=1e308)
+        context = build_context(config)
+        state = init_state(config, context)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"round 1, client \d+"):
+            run_round(state, config, context)
