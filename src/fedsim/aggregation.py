@@ -172,10 +172,12 @@ def fedadam_update(
 ) -> tuple[np.ndarray, AdamState]:
     """Server Adam step driven by the gap between current and aggregated angles.
 
-    The pseudo-gradient is the raw elementwise difference g = phi_t -
-    phi_bar (both operands are canonically wrapped, no geodesic trickery),
-    fed to the same Adam step clients use. The result is wrapped back to
-    (-pi, pi] and has phi_t's shape; the moments are flat vectors.
+    The pseudo-gradient is the geodesic difference g = wrap(phi_t -
+    phi_bar) in (-pi, pi]: angles 0.02 rad apart across the -pi/pi cut
+    give a gap of 0.02, not of 2pi - 0.02, so the step moves phi_t toward
+    the aggregate. Gaps already inside (-pi, pi] pass through unchanged.
+    g is fed to the same Adam step clients use. The result is wrapped back
+    to (-pi, pi] and has phi_t's shape; the moments are flat vectors.
     """
     phi_t = np.asarray(phi_t, dtype=np.float64)
     if phi_t.shape != np.shape(phi_bar) or phi_t.size != len(state.m):
@@ -184,6 +186,6 @@ def fedadam_update(
         raise ParameterError("beta1 and beta2 must lie in [0, 1)")
     if eta <= 0 or eps <= 0:
         raise ParameterError("eta and eps must be > 0")
-    g = (phi_t - phi_bar).reshape(-1)
+    g = wrap_angles(phi_t - phi_bar).reshape(-1)
     stepped, next_state = adam_step(phi_t.reshape(-1), g, state, eta, beta1, beta2, eps)
     return wrap_angles(stepped).reshape(phi_t.shape), next_state

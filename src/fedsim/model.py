@@ -11,9 +11,15 @@ zero-copy views of its dense-layer blocks and of its (L, Q) angle block.
 Gradients share that layout, so Adam steps, the proximal term and server
 aggregation all work on plain vectors.
 
+There is one simulation path, and it works on a batch: n statevectors are
+one (n, 2^Q) array, each RY layer a broadcast 2x2 update, the CNOT ring
+one index permutation and <Z> one product against a +-1 sign table. A
+single sample is a one-row batch.
+
 Gradients are exact: backprop through the dense layers and the two-point
 shift rule through every rotation gate (two circuit evaluations per
-parameter, the same recipe gradient hardware uses).
+parameter, the same recipe gradient hardware uses), with all shifted
+circuits of a batch simulated at once.
 """
 
 from __future__ import annotations
@@ -97,87 +103,80 @@ class MlpCache(NamedTuple):
 def mlp_forward(dense, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     """Embedding tanh(W2 tanh(W1 x + b1) + b2) plus the activations backprop needs.
 
-    `dense` is the (w1, b1, w2, b2) tuple of ParamLayout.dense.
+    `dense` is the (w1, b1, w2, b2) tuple of ParamLayout.dense. x is one
+    length-F feature vector or an (n, F) batch of them; the embedding is a
+    length-Q vector or an (n, Q) batch to match.
     """
     w1, b1, w2, b2 = dense
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (w1.shape[1],):
-        raise ParameterError(f"expected a length-{w1.shape[1]} feature vector")
-    hidden = np.tanh(w1 @ x + b1)
-    embedding = np.tanh(w2 @ hidden + b2)
+    if x.ndim not in (1, 2) or x.shape[-1] != w1.shape[1]:
+        raise ParameterError(f"expected a length-{w1.shape[1]} feature vector or an (n, {w1.shape[1]}) batch")
+    hidden = np.tanh(x @ w1.T + b1)
+    embedding = np.tanh(hidden @ w2.T + b2)
     return embedding, MlpCache(x, hidden, embedding)
 
 
-def mlp_forward_batch(dense, xs: np.ndarray) -> np.ndarray:
-    """Row-wise embeddings for a (n, F) feature matrix (inference path)."""
-    w1, b1, w2, b2 = dense
-    hidden = np.tanh(xs @ w1.T + b1)
-    return np.tanh(hidden @ w2.T + b2)
-
-
 def mlp_backward(dense, cache: MlpCache, grad_embedding: np.ndarray, grad_dense) -> None:
-    """Add one sample's dense-layer gradients, given dLoss/dEmbedding, into grad_dense.
+    """Add a batch's dense-layer gradients, given its (n, Q) dLoss/dEmbedding rows, into grad_dense.
 
-    grad_dense is the (w1, b1, w2, b2) view tuple of the flat gradient.
+    cache comes from mlp_forward on an (n, F) batch; the gradients are
+    summed over its rows. grad_dense is the (w1, b1, w2, b2) view tuple of
+    the flat gradient.
     """
     _, _, w2, _ = dense
     gw1, gb1, gw2, gb2 = grad_dense
     d_pre2 = grad_embedding * (1.0 - cache.embedding**2)
-    gw2 += np.outer(d_pre2, cache.hidden)
-    d_hidden = w2.T @ d_pre2
-    d_pre1 = d_hidden * (1.0 - cache.hidden**2)
-    gw1 += np.outer(d_pre1, cache.x)
-    gb1 += d_pre1
-    gb2 += d_pre2
+    gw2 += d_pre2.T @ cache.hidden
+    d_pre1 = (d_pre2 @ w2) * (1.0 - cache.hidden**2)
+    gw1 += d_pre1.T @ cache.x
+    gb1 += d_pre1.sum(axis=0)
+    gb2 += d_pre2.sum(axis=0)
 
 
-def _apply_ry(state: np.ndarray, qubit: int, angle: float) -> None:
-    """In-place RY rotation on one axis of the (2,)*Q state tensor."""
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    view = np.moveaxis(state, qubit, 0)
-    a0 = view[0].copy()
-    a1 = view[1].copy()
-    view[0] = c * a0 - s * a1
-    view[1] = s * a0 + c * a1
+def _simulate(rotations: np.ndarray) -> np.ndarray:
+    """(n, 2^Q) statevectors of n circuits given their (n, L+1, Q) RY angles.
 
-
-def _apply_cnot(state: np.ndarray, control: int, target: int) -> None:
-    """In-place CNOT: flip the target axis within the control=1 slice."""
-    sl = [slice(None)] * state.ndim
-    sl[control] = 1
-    t_axis = target - 1 if target > control else target
-    sub = state[tuple(sl)]
-    state[tuple(sl)] = np.flip(sub, axis=t_axis).copy()
-
-
-def _run_circuit(encoding_angles: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    n_qubits = angles.shape[1]
-    state = np.zeros((2,) * n_qubits, dtype=np.float64)
-    state[(0,) * n_qubits] = 1.0
-    for q in range(n_qubits):
-        _apply_ry(state, q, encoding_angles[q])
-    for layer_angles in angles:
+    Row 0 of each circuit's angles is the encoding layer, applied to
+    |0...0>; rows 1..L are the variational layers, each followed by the
+    CNOT ring (skipped when Q = 1).
+    """
+    n, depth, n_qubits = rotations.shape
+    cos, sin = np.cos(0.5 * rotations), np.sin(0.5 * rotations)
+    # gather index of the ring CNOT(q, q+1 mod Q), q = 0..Q-1, where qubit q owns
+    # bit Q-1-q; each CNOT is its own inverse, so the gather composes them in reverse
+    ring = np.arange(2**n_qubits)
+    for q in reversed(range(n_qubits)):
+        control_bit, target_bit = n_qubits - 1 - q, n_qubits - 1 - (q + 1) % n_qubits
+        ring ^= ((ring >> control_bit) & 1) << target_bit
+    state = np.zeros((n, 2**n_qubits))
+    state[:, 0] = 1.0
+    for layer in range(depth):
         for q in range(n_qubits):
-            _apply_ry(state, q, layer_angles[q])
-        if n_qubits > 1:
-            for q in range(n_qubits):
-                _apply_cnot(state, q, (q + 1) % n_qubits)
+            # axes (circuit, higher qubits, qubit q, lower qubits)
+            view = state.reshape(n, 2**q, 2, -1)
+            c, s = cos[:, layer, q, None, None], sin[:, layer, q, None, None]
+            a0, a1 = view[:, :, 0].copy(), view[:, :, 1]
+            view[:, :, 0] = c * a0 - s * a1
+            view[:, :, 1] = s * a0 + c * a1
+        if layer > 0 and n_qubits > 1:
+            state = state[:, ring]
     return state
 
 
-def _z_expectations(state: np.ndarray) -> np.ndarray:
-    probs = state**2
-    n_qubits = state.ndim
-    out = np.empty(n_qubits)
-    for q in range(n_qubits):
-        marginal = np.moveaxis(probs, q, 0).reshape(2, -1).sum(axis=1)
-        out[q] = marginal[0] - marginal[1]
-    return out
+def _z_expectations(states: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n, C) expectations <Z_0> .. <Z_{C-1}>: probabilities against a +-1 sign table."""
+    n_qubits = states.shape[1].bit_length() - 1
+    bits = np.arange(states.shape[1])[:, None] >> (n_qubits - 1 - np.arange(n_classes))
+    return states**2 @ (1.0 - 2.0 * (bits & 1))
 
 
-def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Validated (embedding, (L, Q) angles, class count); Q and L come from the angles' shape."""
+def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, tuple, int]:
+    """Validated per-circuit (n, L+1, Q) RY angles, the embedding's leading shape, and the class count.
+
+    Q and L come from the (L, Q) angles' shape. The embedding is one
+    length-Q vector (leading shape ()) or an (n, Q) batch; each circuit's
+    rotations are its encoding pi * e followed by the shared angles.
+    """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 2:
         raise ParameterError("angles must have shape (layers, qubits)")
@@ -186,19 +185,22 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
     if c > q:
         raise ParameterError(f"need n_classes <= {q} qubits")
     emb = np.asarray(embedding, dtype=np.float64)
-    if emb.shape != (q,):
-        raise ParameterError(f"expected a length-{q} embedding")
-    return emb, angles, c
+    if emb.ndim not in (1, 2) or emb.shape[-1] != q:
+        raise ParameterError(f"expected a length-{q} embedding or an (n, {q}) batch")
+    rows = emb.reshape(-1, q)
+    shared = np.broadcast_to(angles, (len(rows), *angles.shape))
+    return np.concatenate([np.pi * rows[:, None, :], shared], axis=1), emb.shape[:-1], c
 
 
 def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Flat 2^Q statevector after encoding and all variational layers.
 
-    Qubit 0 owns the most significant bit of the flat index. Exposed so the
-    simulator can be checked against dense matrix products.
+    Qubit 0 owns the most significant bit of the flat index. An (n, Q)
+    embedding batch gives (n, 2^Q) rows. Exposed so the simulator can be
+    checked against dense matrix products.
     """
-    emb, angles, _ = _circuit_inputs(embedding, angles, None)
-    return _run_circuit(np.pi * emb, angles).reshape(-1)
+    rotations, lead, _ = _circuit_inputs(embedding, angles, None)
+    return _simulate(rotations).reshape(*lead, -1)
 
 
 def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | None = None) -> np.ndarray:
@@ -207,10 +209,11 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     The embedding enters as per-qubit RY(pi * e_q) rotations of |0...0>,
     then each of the L layers (rows of the (L, Q) angles) applies per-qubit
     RY rotations followed by a CNOT ring q -> q+1 mod Q (skipped when
-    Q = 1). Logits are Pauli-Z expectations, so each lies in [-1, 1].
+    Q = 1). Logits are Pauli-Z expectations, so each lies in [-1, 1]. An
+    (n, Q) embedding batch gives (n, C) logits.
     """
-    emb, angles, c = _circuit_inputs(embedding, angles, n_classes)
-    return _z_expectations(_run_circuit(np.pi * emb, angles))[:c]
+    rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
+    return _z_expectations(_simulate(rotations), c).reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -222,45 +225,44 @@ def param_shift_grad(
     """Exact circuit gradients contracted with an upstream dLoss/dLogits.
 
     Every rotation angle theta obeys d<Z>/dtheta =
-    (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2, evaluated by re-running
-    the circuit twice per parameter. The embedding gradient additionally
-    carries the pi factor of the encoding map e -> RY(pi * e). The angle
-    gradient has the (L, Q) shape of the angles.
+    (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2, evaluated by running the
+    circuit twice per parameter; the 2 * (L * Q + Q) shifted circuits of
+    every sample run as one batch. The embedding gradient additionally
+    carries the pi factor of the encoding map e -> RY(pi * e). For an
+    (n, Q) embedding batch with (n, C) upstream rows, the angle gradient
+    (of the angles' (L, Q) shape) is summed over the rows and the
+    embedding gradient keeps one row per sample.
     """
-    emb, angles, c = _circuit_inputs(embedding, angles, n_classes)
+    rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (c,):
-        raise ParameterError(f"expected a length-{c} upstream gradient")
-
-    def shift_rule(encoding, var, shifted):
-        # shifted is a flat view of encoding or of var; every entry is shifted in turn
-        grad = np.empty(len(shifted))
-        for k in range(len(shifted)):
-            original = shifted[k]
-            shifted[k] = original + HALF_PI
-            plus = _z_expectations(_run_circuit(encoding, var))[:c]
-            shifted[k] = original - HALF_PI
-            minus = _z_expectations(_run_circuit(encoding, var))[:c]
-            shifted[k] = original
-            grad[k] = upstream @ (plus - minus) * 0.5
-        return grad
-
-    encoding = np.pi * emb
-    var = angles.copy()
-    grad_var = shift_rule(encoding, var, var.reshape(-1)).reshape(angles.shape)
-    shifted_encoding = encoding.copy()
-    grad_emb = np.pi * shift_rule(shifted_encoding, angles, shifted_encoding)
-    return grad_var, grad_emb
+    if upstream.shape != (*lead, c):
+        raise ParameterError(f"expected a length-{c} upstream gradient per sample")
+    n, depth, q = rotations.shape
+    k = depth * q
+    # circuit (i, s, j) shifts rotation j of sample i by +pi/2 (s = 0) or -pi/2 (s = 1)
+    shifted = rotations.reshape(n, 1, 1, k) + HALF_PI * np.stack([np.eye(k), -np.eye(k)])
+    z = _z_expectations(_simulate(shifted.reshape(-1, depth, q)), c).reshape(n, 2, k, c)
+    grad = ((z[:, 0] - z[:, 1]) @ upstream.reshape(n, c, 1))[..., 0] * 0.5
+    grad_var = grad[:, q:].sum(axis=0).reshape(depth - 1, q)
+    grad_emb = np.pi * grad[:, :q]
+    return grad_var, grad_emb.reshape(*lead, q)
 
 
-def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Loss -log softmax(logits)[label] and its gradient w.r.t. the logits."""
-    z = logits - logits.max()
-    expz = np.exp(z)
-    probs = expz / expz.sum()
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return -float(np.log(probs[label])), grad
+def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
+    """Loss -log softmax(logits)[label] and its gradient w.r.t. the logits.
+
+    For (n, C) logits and n labels, the losses are an (n,) array and the
+    gradients (n, C) rows.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    label = np.asarray(label, dtype=np.int64)
+    if label.shape != logits.shape[:-1]:
+        raise ParameterError("expected one label per row of logits")
+    expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = expz / expz.sum(axis=-1, keepdims=True)
+    loss = -np.log(np.take_along_axis(probs, label[..., None], axis=-1)[..., 0])
+    one_hot = np.arange(logits.shape[-1]) == label[..., None]
+    return (float(loss) if logits.ndim == 1 else loss), probs - one_hot
 
 
 def hybrid_loss_and_grads(
@@ -287,18 +289,13 @@ def hybrid_loss_and_grads(
     dense, angles = layout.dense(params), layout.angles(params)
     grad = np.zeros(layout.size)
     grad_dense, grad_angles = layout.dense(grad), layout.angles(grad)
-    loss = 0.0
-    for x, y in zip(features, labels):
-        emb, cache = mlp_forward(dense, x)
-        logits = circuit_forward(emb, angles, n_classes)
-        sample_loss, upstream = softmax_cross_entropy(logits, int(y))
-        gq, gemb = param_shift_grad(emb, angles, upstream, n_classes)
-        mlp_backward(dense, cache, gemb, grad_dense)
-        loss += sample_loss
-        grad_angles += gq
-    n = float(len(labels))
-    loss /= n
-    grad /= n
+    embeddings, cache = mlp_forward(dense, features)
+    losses, upstream = softmax_cross_entropy(circuit_forward(embeddings, angles, n_classes), labels)
+    grad_var, grad_embeddings = param_shift_grad(embeddings, angles, upstream, n_classes)
+    mlp_backward(dense, cache, grad_embeddings, grad_dense)
+    grad_angles += grad_var
+    loss = float(losses.mean())
+    grad /= len(labels)
     if prox_mu > 0.0 and prox_anchor is not None:
         diff = params - prox_anchor
         # two dot products rather than one over diff: the summation order fixes the loss's last bits

@@ -57,7 +57,7 @@ from .model import (
     circuit_forward,
     init_params,
     local_train,
-    mlp_forward_batch,
+    mlp_forward,
     softmax_cross_entropy,
 )
 
@@ -246,17 +246,11 @@ def _score_model(classical, angles, xs, ys, n_classes) -> tuple[float, float]:
     features = xs.shape[1]
     hidden = (len(classical) - qubits) // (features + 1 + qubits)
     dense = ParamLayout(features, hidden, qubits, layers).dense(classical)
-    embeddings = mlp_forward_batch(dense, xs)
-    correct = 0
-    loss = 0.0
-    for emb, y in zip(embeddings, ys):
-        logits = circuit_forward(emb, angles, n_classes)
-        sample_loss, _ = softmax_cross_entropy(logits, int(y))
-        loss += sample_loss
-        if int(np.argmax(logits)) == int(y):
-            correct += 1
-    n = len(ys)
-    return correct / n, loss / n
+    embeddings, _ = mlp_forward(dense, xs)
+    logits = circuit_forward(embeddings, angles, n_classes)
+    losses, _ = softmax_cross_entropy(logits, ys)
+    correct = np.count_nonzero(np.argmax(logits, axis=1) == ys)
+    return correct / len(ys), float(losses.mean())
 
 
 def evaluate(

@@ -310,6 +310,17 @@ class TestFedadamUpdate:
         np.testing.assert_allclose(trajectory, expected, atol=1e-12)
         assert all(late < early for early, late in zip(gaps, gaps[1:]))
 
+    def test_branch_cut_gap_closes(self):
+        # 0.02 rad apart across the -pi/pi cut: the step must move toward the
+        # aggregate, exactly as for the same pair rotated away from the cut
+        phi, state = np.array([math.pi - 0.01]), AdamState.zeros(1)
+        rotated, rotated_state = np.array([-0.01]), AdamState.zeros(1)
+        for _ in range(5):
+            phi, state = fedadam_update(phi, np.array([-math.pi + 0.01]), state, eta=0.05)
+            rotated, rotated_state = fedadam_update(rotated, np.array([0.01]), rotated_state, eta=0.05)
+        assert abs(wrap_angle(phi[0] - math.pi - rotated[0])) < 1e-12
+        assert abs(wrap_angle(phi[0] - (-math.pi + 0.01))) < 0.02
+
     def test_output_wrapped(self):
         phi_t = np.array([math.pi])
         phi_bar = np.array([-math.pi + 0.5])

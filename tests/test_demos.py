@@ -1,8 +1,8 @@
 """The narrative demos run to completion against the current API.
 
 Each demo runs as a subprocess with the source tree on PYTHONPATH, the way
-a reader would run it from a checkout. Demo 05 is left out: it runs the
-criterion-07 convergence config twice, which criterion 07 already covers.
+a reader would run it from a checkout. All five run, demo 05 (the
+criterion-07 convergence config, twice) included.
 """
 
 import os
@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def test_all_quick_demos_found():
-    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04"]
+    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

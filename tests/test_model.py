@@ -15,7 +15,6 @@ from fedsim.model import (
     init_params,
     local_train,
     mlp_forward,
-    mlp_forward_batch,
     param_shift_grad,
     softmax_cross_entropy,
     statevector,
@@ -99,7 +98,8 @@ class TestMlp:
     def test_batch_forward_agrees(self, rng):
         dense = random_dense(rng)
         xs = rng.uniform(-1, 1, (6, 4))
-        batch = mlp_forward_batch(dense, xs)
+        batch, _ = mlp_forward(dense, xs)
+        assert batch.shape == (6, 3)
         for i in range(6):
             np.testing.assert_allclose(batch[i], mlp_forward(dense, xs[i])[0], atol=1e-14)
 
@@ -173,10 +173,13 @@ class TestCircuit:
             n = int(rng.integers(1, 6))
             layers = int(rng.integers(1, 4))
             angles = rng.uniform(-math.pi, math.pi, (layers, n))
-            embedding = rng.uniform(-1, 1, n)
-            got = statevector(embedding, angles)
-            want = dense_oracle_state(embedding, angles)
-            assert np.max(np.abs(got - want)) < 1e-10
+            embeddings = rng.uniform(-1, 1, (3, n))
+            batch = statevector(embeddings, angles)
+            assert batch.shape == (3, 2**n)
+            for embedding, row in zip(embeddings, batch):
+                want = dense_oracle_state(embedding, angles)
+                assert np.max(np.abs(statevector(embedding, angles) - want)) < 1e-10
+                assert np.max(np.abs(row - want)) < 1e-10
 
     def test_norm_preserved(self, rng):
         psi = statevector(rng.uniform(-1, 1, 4), rng.uniform(-math.pi, math.pi, (2, 4)))
@@ -191,9 +194,15 @@ class TestCircuit:
 
     def test_logit_bounds(self, rng):
         for _ in range(20):
-            logits = circuit_forward(rng.uniform(-1, 1, 4), rng.uniform(-math.pi, math.pi, (2, 4)), 4)
+            embeddings = rng.uniform(-1, 1, (5, 4))
+            angles = rng.uniform(-math.pi, math.pi, (2, 4))
+            logits = circuit_forward(embeddings, angles, 4)
+            assert logits.shape == (5, 4)
             assert np.all(logits <= 1.0 + 1e-12)
             assert np.all(logits >= -1.0 - 1e-12)
+            # a batch equals its row-wise calls
+            for embedding, row in zip(embeddings, logits):
+                np.testing.assert_allclose(row, circuit_forward(embedding, angles, 4), rtol=0, atol=1e-15)
 
     def test_too_many_classes(self):
         with pytest.raises(ParameterError):
@@ -213,13 +222,24 @@ class TestParamShift:
         grad_var, _ = param_shift_grad(np.zeros(1), np.array([[0.0]]), np.ones(1), 1)
         assert grad_var[0, 0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_batch_sums_angle_gradients_and_keeps_embedding_rows(self, rng):
+        angles = rng.uniform(-math.pi, math.pi, (2, 4))
+        embeddings = rng.uniform(-0.9, 0.9, (5, 4))
+        upstream = rng.standard_normal((5, 3))
+        grad_var, grad_emb = param_shift_grad(embeddings, angles, upstream, 3)
+        assert grad_var.shape == angles.shape and grad_emb.shape == embeddings.shape
+        rows = [param_shift_grad(e, angles, u, 3) for e, u in zip(embeddings, upstream)]
+        np.testing.assert_allclose(grad_var, sum(g for g, _ in rows), rtol=0, atol=1e-14)
+        for got, (_, want) in zip(grad_emb, rows):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
     def test_matches_finite_differences(self, rng):
         n, layers, classes = 4, 2, 4
         angles = rng.uniform(-math.pi, math.pi, (layers, n))
         embedding = rng.uniform(-0.9, 0.9, n)
         upstream = rng.standard_normal(classes)
         grad_var, grad_emb = param_shift_grad(embedding, angles, upstream, classes)
-        assert grad_var.shape == angles.shape
+        assert grad_var.shape == angles.shape and grad_emb.shape == embedding.shape
 
         h = 1e-5
 
@@ -247,6 +267,27 @@ class TestHybridLoss:
         loss, grad = softmax_cross_entropy(np.zeros(4), 2)
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
         np.testing.assert_allclose(grad, [0.25, 0.25, -0.75, 0.25], atol=1e-12)
+
+    def test_softmax_batch_equals_row_wise_calls(self, rng):
+        logits = rng.uniform(-1, 1, (6, 4))
+        labels = rng.integers(0, 4, 6)
+        losses, grads = softmax_cross_entropy(logits, labels)
+        assert losses.shape == (6,) and grads.shape == (6, 4)
+        for row, label, loss, grad in zip(logits, labels, losses, grads):
+            want_loss, want_grad = softmax_cross_entropy(row, int(label))
+            assert loss == want_loss
+            np.testing.assert_array_equal(grad, want_grad)
+        with pytest.raises(ParameterError):
+            softmax_cross_entropy(logits, labels[:5])
+
+    def test_batch_is_the_mean_of_single_sample_calls(self, rng):
+        layout, params = random_hybrid(rng, f=4, h=5, q=3, layers=2)
+        xs = rng.uniform(-1, 1, (32, 4))
+        ys = rng.integers(0, 3, 32)
+        loss, grad = hybrid_loss_and_grads(xs, ys, params, layout, 3)
+        singles = [hybrid_loss_and_grads(xs[i:i + 1], ys[i:i + 1], params, layout, 3) for i in range(32)]
+        assert loss == pytest.approx(np.mean([one for one, _ in singles]), rel=0, abs=1e-12)
+        np.testing.assert_allclose(grad, np.mean([g for _, g in singles], axis=0), rtol=0, atol=1e-12)
 
     def test_prox_zero_matches_no_anchor(self, rng):
         layout, params = random_hybrid(rng)
