@@ -2,9 +2,9 @@
 
 Clients are compared through their class distributions; the resulting
 similarity graph is cut with a normalized-Laplacian spectral embedding
-followed by seeded k-means. The eigensolver is a cyclic Jacobi sweep,
-which is plenty for the few-hundred-client matrices this simulator sees
-and is robustly accurate on symmetric input.
+followed by seeded k-means. Eigenpairs come from LAPACK's symmetric
+solver (`np.linalg.eigh`), with a sign convention that makes them
+deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-JACOBI_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 100
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
 
@@ -33,6 +31,8 @@ def js_divergence(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ParameterError("p and q must be vectors of equal length")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ParameterError("probabilities must be finite")
     if np.any(p < 0) or np.any(q < 0):
         raise ParameterError("probabilities must be non-negative")
     if abs(float(p.sum()) - 1.0) > 1e-9 or abs(float(q.sum()) - 1.0) > 1e-9:
@@ -46,6 +46,17 @@ def js_divergence(p, q) -> float:
     return half_kl(p) + half_kl(q)
 
 
+def _half_kl_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """KL(a_r || m_r) / 2 for every row r of m; `a` may be one broadcast row.
+
+    Zero entries of `a` contribute nothing (their ratio is taken as 1), as
+    in `js_divergence`.
+    """
+    a = np.broadcast_to(a, m.shape)
+    ratio = np.divide(a, m, out=np.ones_like(m), where=a > 0)
+    return 0.5 * np.sum(a * np.log(ratio), axis=1)
+
+
 @dataclass
 class SimilarityMatrix:
     """Pairwise client similarity; symmetric, unit diagonal, entries in (0, 1]."""
@@ -56,6 +67,8 @@ class SimilarityMatrix:
         e = np.asarray(self.entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] < 1:
             raise ParameterError("similarity matrix must be square and non-empty")
+        if not np.all(np.isfinite(e)):
+            raise ParameterError("similarity entries must be finite")
         if float(np.max(np.abs(e - e.T))) > 1e-12:
             raise ParameterError("similarity matrix must be symmetric")
         if np.any(np.diagonal(e) != 1.0):
@@ -74,20 +87,27 @@ def similarity_matrix(dists, lambda1: float = 1.0, lambda2: float = 1.0) -> Simi
 
     The first exponent term penalizes diverging class mixes, the second
     penalizes mismatched sample counts; lambda1/lambda2 weight the two.
-    The diagonal is exactly 1 (both terms vanish for i = j).
+    The diagonal is exactly 1 (both terms vanish for i = j). Entries are
+    computed one row at a time, so temporaries stay O(n * C) rather than
+    O(n^2 * C); `js_divergence` is the scalar reference for each entry.
     """
     if lambda1 < 0 or lambda2 < 0:
         raise ParameterError("lambda1 and lambda2 must be >= 0")
     n = len(dists)
     if n < 1:
         raise ParameterError("need at least one client distribution")
-    counts = [d.count for d in dists]
+    try:
+        props = np.stack([d.proportions for d in dists])
+    except ValueError as exc:
+        raise ParameterError("class distributions must have equal length") from exc
+    counts = np.array([d.count for d in dists], dtype=np.int64)
     s = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            div = js_divergence(dists[i].proportions, dists[j].proportions)
-            size_gap = abs(counts[i] - counts[j]) / (counts[i] + counts[j])
-            s[i, j] = s[j, i] = math.exp(-lambda1 * div - lambda2 * size_gap)
+    for i in range(n - 1):
+        rest = props[i + 1:]
+        m = 0.5 * (props[i] + rest)
+        div = _half_kl_rows(props[i], m) + _half_kl_rows(rest, m)
+        size_gap = np.abs(counts[i] - counts[i + 1:]) / (counts[i] + counts[i + 1:])
+        s[i, i + 1:] = s[i + 1:, i] = np.exp(-lambda1 * div - lambda2 * size_gap)
     return SimilarityMatrix(s)
 
 
@@ -106,65 +126,26 @@ def normalized_laplacian(similarity: SimilarityMatrix) -> np.ndarray:
     return 0.5 * (lap + lap.T)
 
 
-def symmetric_eig(matrix: np.ndarray, tol: float = JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-    Sweeps rotate away every off-diagonal element until the off-diagonal
-    Frobenius norm drops below `tol` (NumericError after JACOBI_MAX_SWEEPS).
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvectors as columns. Each eigenvector is sign-normalized so its
     first component larger than 1e-12 in magnitude is positive, making the
-    output deterministic.
+    output deterministic. A LAPACK convergence failure raises NumericError.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError("matrix must be square")
-    if tol <= 0:
-        raise ParameterError("tol must be > 0")
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("matrix entries must be finite")
     n = a.shape[0]
     if n and float(np.max(np.abs(a - a.T))) > 1e-10:
         raise ParameterError("matrix must be symmetric")
-    a = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    if n > 1:
-        for _ in range(JACOBI_MAX_SWEEPS):
-            off = math.sqrt(2.0 * float(np.sum(np.tril(a, -1) ** 2)))
-            if off < tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    diff = a[q, q] - a[p, p]
-                    if abs(apq) < 1e-36 * abs(diff):
-                        t = apq / diff
-                    else:
-                        phi = diff / (2.0 * apq)
-                        t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                        if phi < 0.0:
-                            t = -t
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    app, aqq = a[p, p], a[q, q]
-                    idx = np.r_[0:p, p + 1:q, q + 1:n]
-                    aip = a[idx, p].copy()
-                    aiq = a[idx, q].copy()
-                    a[idx, p] = a[p, idx] = c * aip - s * aiq
-                    a[idx, q] = a[q, idx] = s * aip + c * aiq
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = a[q, p] = 0.0
-                    vp = vecs[:, p].copy()
-                    vq = vecs[:, q].copy()
-                    vecs[:, p] = c * vp - s * vq
-                    vecs[:, q] = s * vp + c * vq
-        else:
-            raise NumericError(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    values = np.diagonal(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
+    try:
+        values, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigendecomposition failed: {exc}") from exc
     for k in range(n):
         nz = np.flatnonzero(np.abs(vecs[:, k]) > 1e-12)
         if len(nz) and vecs[nz[0], k] < 0:

@@ -76,6 +76,8 @@ class ClassDistribution:
             raise ParameterError("proportions must be a vector")
         if self.count < 1:
             raise ParameterError("count must be >= 1")
+        if not np.all(np.isfinite(self.proportions)):
+            raise ParameterError("proportions must be finite")
         if np.any(self.proportions < 0):
             raise ParameterError("proportions must be non-negative")
         if abs(float(self.proportions.sum()) - 1.0) > 1e-9:

@@ -256,6 +256,14 @@ class TestEigengapCommand:
         assert "eigenvalue" in out
         assert len(out.splitlines()) >= 6
 
+    def test_eigensolver_failure_exits_4(self, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["eigengap", "--clients", "4", "--seed", "3"]) == 4
+        assert "numeric error" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_config_error(self, capsys):

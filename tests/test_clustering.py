@@ -18,7 +18,7 @@ from fedsim.clustering import (
     symmetric_eig,
 )
 from fedsim.data import ClassDistribution
-from fedsim.errors import ParameterError
+from fedsim.errors import NumericError, ParameterError
 
 LN2 = math.log(2.0)
 
@@ -50,6 +50,10 @@ class TestJsDivergence:
             js_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
         with pytest.raises(ParameterError):
             js_divergence([1.2, -0.2], [0.5, 0.5])
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ParameterError):
+            js_divergence([math.nan, 0.5, 0.5], [0.25, 0.25, 0.5])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -103,6 +107,35 @@ class TestSimilarityMatrix:
         with pytest.raises(ParameterError):
             SimilarityMatrix(np.array([[0.9, 0.2], [0.2, 0.9]]))
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ParameterError):
+            SimilarityMatrix(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+    @pytest.mark.parametrize("n_classes", [2, 4, 10, 16])
+    def test_matches_scalar_reference(self, n_classes):
+        # C >= 8 sums through numpy's unrolled pairwise loop, whose order
+        # differs from the masked 1-D sum in js_divergence
+        rng = np.random.default_rng(n_classes)
+        props = rng.dirichlet(np.full(n_classes, 0.5), size=25)
+        props[rng.random(props.shape) < 0.3] = 0.0
+        props[props.sum(axis=1) == 0.0, 0] = 1.0
+        props /= props.sum(axis=1, keepdims=True)
+        counts = rng.integers(1, 400, size=25)
+        assert np.any(props == 0.0) and len(set(counts.tolist())) > 1
+        lambda1, lambda2 = 1.7, 0.6
+        sim = similarity_matrix([dist(p, int(c)) for p, c in zip(props, counts)], lambda1, lambda2)
+        for i in range(25):
+            for j in range(25):
+                gap = abs(int(counts[i]) - int(counts[j])) / int(counts[i] + counts[j])
+                expected = math.exp(-lambda1 * js_divergence(props[i], props[j]) - lambda2 * gap)
+                assert sim.entries[i, j] == pytest.approx(expected, rel=1e-15, abs=0.0)
+        np.testing.assert_array_equal(sim.entries, sim.entries.T)
+        np.testing.assert_array_equal(np.diagonal(sim.entries), np.ones(25))
+
+    def test_rejects_distributions_of_different_length(self):
+        with pytest.raises(ParameterError):
+            similarity_matrix([dist([0.5, 0.5]), dist([0.2, 0.3, 0.5])])
+
 
 class TestNormalizedLaplacian:
     def test_single_client(self):
@@ -154,17 +187,31 @@ class TestSymmetricEig:
     def test_residuals_and_orthonormality(self, rng):
         a = rng.standard_normal((20, 20))
         a = 0.5 * (a + a.T)
-        tol = 1e-10
-        values, vectors = symmetric_eig(a, tol)
+        values, vectors = symmetric_eig(a)
         for k in range(20):
             assert np.linalg.norm(a @ vectors[:, k] - values[k] * vectors[:, k]) < 1e-8
         assert np.max(np.abs(vectors.T @ vectors - np.eye(20))) < 1e-8
 
-    def test_agrees_with_numpy_eigenvalues(self, rng):
-        a = rng.standard_normal((15, 15))
+    def test_constructed_spectrum_oracle(self):
+        # A = Q diag(lam) Q^T with a known spectrum; the triple eigenvalue 0.2
+        # has no unique eigenvectors, so its eigenspace is compared by projector
+        lam = np.array([-3.0, -1.5, 0.2, 0.2, 0.2, 1.0, 2.5, 4.0, 5.5, 7.0])
+        q, _ = np.linalg.qr(np.random.default_rng(2024).standard_normal((10, 10)))
+        a = q @ np.diag(lam) @ q.T
         a = 0.5 * (a + a.T)
-        values, _ = symmetric_eig(a)
-        np.testing.assert_allclose(values, np.linalg.eigvalsh(a), atol=1e-9)
+        values, vectors = symmetric_eig(a)
+        np.testing.assert_allclose(values, lam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(10), rtol=0, atol=1e-12)
+        for k in (0, 1, 5, 6, 7, 8, 9):
+            aligned = vectors[:, k] * np.sign(vectors[:, k] @ q[:, k])
+            np.testing.assert_allclose(aligned, q[:, k], rtol=0, atol=1e-10)
+        repeated = slice(2, 5)
+        np.testing.assert_allclose(
+            vectors[:, repeated] @ vectors[:, repeated].T,
+            q[:, repeated] @ q[:, repeated].T,
+            rtol=0,
+            atol=1e-10,
+        )
 
     def test_sign_convention(self, rng):
         a = rng.standard_normal((6, 6))
@@ -177,6 +224,19 @@ class TestSymmetricEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError):
+            symmetric_eig(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            symmetric_eig(np.eye(3))
 
 
 class TestKmeans:

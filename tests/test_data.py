@@ -225,3 +225,7 @@ class TestClassDistribution:
             ClassDistribution(np.array([-0.1, 1.1]), 10)
         with pytest.raises(ParameterError):
             ClassDistribution(np.array([0.5, 0.5]), 0)
+
+    def test_non_finite_proportions_rejected(self):
+        with pytest.raises(ParameterError):
+            ClassDistribution(np.array([np.nan, 0.5, 0.5]), 10)
