@@ -190,6 +190,14 @@ def dirichlet_partition(
     entire partition is redrawn from seed + attempt, up to
     MAX_PARTITION_ATTEMPTS times, preserving the Dirichlet marginals.
 
+    When every attempt leaves a client empty, as it does for small alpha
+    and many clients, the first complete draw (attempt 0's, unless its gamma
+    variates underflowed) is repaired instead: each empty client, in id
+    order, takes the highest-index sample of the currently largest client,
+    the lowest id winning ties. PartitionError is raised only when the pool
+    holds fewer samples than there are clients, or when no attempt drew
+    finite Dirichlet shares at all.
+
     `indices` restricts the partition to a sample pool (normally the train
     split); by default the whole dataset is partitioned.
     """
@@ -198,7 +206,10 @@ def dirichlet_partition(
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
     pool = np.arange(len(dataset), dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
+    if len(pool) < n_clients:
+        raise PartitionError(f"cannot give each of {n_clients} clients a sample from a pool of {len(pool)}")
     pool_labels = dataset.labels[pool]
+    first_draw = None
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         assigned: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
@@ -225,10 +236,29 @@ def dirichlet_partition(
                 ClientDataset(client_id, np.sort(np.concatenate(parts)))
                 for client_id, parts in enumerate(assigned)
             ]
-    raise PartitionError(
-        f"could not give every one of {n_clients} clients a sample after "
-        f"{MAX_PARTITION_ATTEMPTS} attempts (alpha={alpha})"
-    )
+        if first_draw is None:
+            first_draw = [np.sort(np.concatenate(parts)) if parts else pool[:0] for parts in assigned]
+    if first_draw is None:
+        raise PartitionError(
+            f"the Dirichlet shares underflowed in all {MAX_PARTITION_ATTEMPTS} attempts (alpha={alpha})"
+        )
+    return [ClientDataset(client_id, held) for client_id, held in enumerate(_fill_empty_clients(first_draw))]
+
+
+def _fill_empty_clients(held: list[np.ndarray]) -> list[np.ndarray]:
+    """Give each empty client, in id order, the highest-index sample of the currently largest client.
+
+    `held` lists every client's sorted sample indices; ties for the largest
+    go to the lowest id. With at least as many samples as clients, the
+    largest client holds two or more whenever one is empty, so no donor is
+    left empty.
+    """
+    held = list(held)
+    for client_id in range(len(held)):
+        if len(held[client_id]) == 0:
+            donor = int(np.argmax([len(h) for h in held]))
+            held[client_id], held[donor] = held[donor][-1:], held[donor][:-1]
+    return held
 
 
 def class_distribution(client: ClientDataset, dataset: Dataset) -> ClassDistribution:

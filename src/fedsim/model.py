@@ -11,10 +11,24 @@ zero-copy views of its dense-layer blocks and of its (L, Q) angle block.
 Gradients share that layout, so Adam steps, the proximal term and server
 aggregation all work on plain vectors.
 
-There is one simulation path, and it works on a batch: n statevectors are
-one (n, 2^Q) array, each RY layer a broadcast 2x2 update, the CNOT ring
-one index permutation and <Z> one product against a +-1 sign table. A
-single sample is a one-row batch.
+There is one simulation path, and it works on blocks of batches: the
+statevectors of G blocks of n circuits are one amplitude-major
+(G, 2^Q, n) array, each RY layer a broadcast 2x2 update, the CNOT ring
+one index permutation and <Z> one product per block against a +-1 sign
+table. A single sample is a one-row batch, a single batch a one-block
+stack.
+
+Clients train as a cohort. Parameters, gradients and Adam moments of G
+clients stack on a leading client axis as (G, P) arrays, and G equal-size
+batches run as one (G, n, ·) stack through the MLP, the circuits, the
+softmax and the Adam step; a single client is a one-client cohort. A
+stacked result is bit-identical to G separate calls because every BLAS
+product keeps its per-client operand shape and layout: the dense layers
+are (G, n, ·) @ (G, ·, ·) products, <Z> is taken per (rows, 2^Q) block
+rather than over the flattened stack (a one-row block must stay a gemv),
+and the proximal term is a (G, 1, k) @ (G, k, 1) product, one ddot per
+client. Everything else is elementwise or a reduction along a client's
+own rows.
 
 Gradients are exact: backprop through the dense layers and the two-point
 shift rule through every rotation gate (two circuit evaluations per
@@ -26,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,20 +81,32 @@ class ParamLayout:
         return self.n_classical + self.layers * self.qubits
 
     def dense(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Views (w1, b1, w2, b2) of a full parameter vector or of its classical part."""
-        if params.shape not in ((self.n_classical,), (self.size,)):
+        """Views (w1, b1, w2, b2) of a full parameter vector or of its classical part.
+
+        A (G, P) stack of G such vectors gives (G, H, F), (G, 1, H), (G, Q, H)
+        and (G, 1, Q) views: the biases keep a row axis so that they
+        broadcast over each client's (G, n, ·) batch.
+        """
+        if params.ndim not in (1, 2) or params.shape[-1] not in (self.n_classical, self.size):
             raise ParameterError("parameter vector length does not match the layout")
         f, h, q = self.features, self.hidden, self.qubits
         o1 = h * f
         o2 = o1 + h
         o3 = o2 + q * h
-        return params[:o1].reshape(h, f), params[o1:o2], params[o2:o3].reshape(q, h), params[o3:self.n_classical]
+        lead = params.shape[:-1]
+        row = (*lead, 1) if lead else ()
+        return (
+            params[..., :o1].reshape(*lead, h, f),
+            params[..., o1:o2].reshape(*row, h),
+            params[..., o2:o3].reshape(*lead, q, h),
+            params[..., o3:self.n_classical].reshape(*row, q),
+        )
 
     def angles(self, params: np.ndarray) -> np.ndarray:
-        """The (L, Q) view of a full parameter vector's variational angles."""
-        if params.shape != (self.size,):
+        """The (L, Q) view of a full parameter vector's variational angles; (G, L, Q) for a (G, P) stack."""
+        if params.ndim not in (1, 2) or params.shape[-1] != self.size:
             raise ParameterError("parameter vector length does not match the layout")
-        return params[self.n_classical:].reshape(self.layers, self.qubits)
+        return params[..., self.n_classical:].reshape(*params.shape[:-1], self.layers, self.qubits)
 
 
 @dataclass
@@ -100,19 +126,31 @@ class MlpCache(NamedTuple):
     embedding: np.ndarray
 
 
+def _transpose(a: np.ndarray) -> np.ndarray:
+    """Swap the last two axes: a matrix's transpose, or every matrix's in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def mlp_forward(dense, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     """Embedding tanh(W2 tanh(W1 x + b1) + b2) plus the activations backprop needs.
 
     `dense` is the (w1, b1, w2, b2) tuple of ParamLayout.dense. x is one
     length-F feature vector or an (n, F) batch of them; the embedding is a
-    length-Q vector or an (n, Q) batch to match.
+    length-Q vector or an (n, Q) batch to match. With the views of a (G, P)
+    stack, x is a (G, n, F) stack of batches, client g's rows meeting
+    client g's weights, and the embedding is (G, n, Q).
     """
     w1, b1, w2, b2 = dense
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != w1.shape[1]:
-        raise ParameterError(f"expected a length-{w1.shape[1]} feature vector or an (n, {w1.shape[1]}) batch")
-    hidden = np.tanh(x @ w1.T + b1)
-    embedding = np.tanh(hidden @ w2.T + b2)
+    f = w1.shape[-1]
+    if w1.ndim == 3:
+        shape_ok = x.ndim == 3 and len(x) == len(w1)
+    else:
+        shape_ok = x.ndim in (1, 2)
+    if not shape_ok or x.shape[-1] != f:
+        raise ParameterError(f"expected a length-{f} feature vector or an (n, {f}) batch, one per client of a stack")
+    hidden = np.tanh(x @ _transpose(w1) + b1)
+    embedding = np.tanh(hidden @ _transpose(w2) + b2)
     return embedding, MlpCache(x, hidden, embedding)
 
 
@@ -121,26 +159,31 @@ def mlp_backward(dense, cache: MlpCache, grad_embedding: np.ndarray, grad_dense)
 
     cache comes from mlp_forward on an (n, F) batch; the gradients are
     summed over its rows. grad_dense is the (w1, b1, w2, b2) view tuple of
-    the flat gradient.
+    the flat gradient. For a (G, n, F) stack, each client's gradient is
+    summed over its own rows into its row of a (G, P) gradient stack.
     """
     _, _, w2, _ = dense
     gw1, gb1, gw2, gb2 = grad_dense
+    stacked = gw1.ndim == 3
     d_pre2 = grad_embedding * (1.0 - cache.embedding**2)
-    gw2 += d_pre2.T @ cache.hidden
+    gw2 += _transpose(d_pre2) @ cache.hidden
     d_pre1 = (d_pre2 @ w2) * (1.0 - cache.hidden**2)
-    gw1 += d_pre1.T @ cache.x
-    gb1 += d_pre1.sum(axis=0)
-    gb2 += d_pre2.sum(axis=0)
+    gw1 += _transpose(d_pre1) @ cache.x
+    gb1 += d_pre1.sum(axis=-2, keepdims=stacked)
+    gb2 += d_pre2.sum(axis=-2, keepdims=stacked)
 
 
 def _simulate(rotations: np.ndarray) -> np.ndarray:
-    """(n, 2^Q) statevectors of n circuits given their (n, L+1, Q) RY angles.
+    """(G, rows, 2^Q) statevectors of G blocks of circuits given their (G, rows, L+1, Q) RY angles.
 
     Row 0 of each circuit's angles is the encoding layer, applied to
     |0...0>; rows 1..L are the variational layers, each followed by the
-    CNOT ring (skipped when Q = 1).
+    CNOT ring (skipped when Q = 1). The state is held amplitude-major, as
+    a (G, 2^Q, rows) array, so every gate update runs over contiguous runs
+    of circuits; the result is its (G, rows, 2^Q) transposed view, which
+    lays each block out column-major.
     """
-    n, depth, n_qubits = rotations.shape
+    g, rows, depth, n_qubits = rotations.shape
     cos, sin = np.cos(0.5 * rotations), np.sin(0.5 * rotations)
     # gather index of the ring CNOT(q, q+1 mod Q), q = 0..Q-1, where qubit q owns
     # bit Q-1-q; each CNOT is its own inverse, so the gather composes them in reverse
@@ -148,56 +191,76 @@ def _simulate(rotations: np.ndarray) -> np.ndarray:
     for q in reversed(range(n_qubits)):
         control_bit, target_bit = n_qubits - 1 - q, n_qubits - 1 - (q + 1) % n_qubits
         ring ^= ((ring >> control_bit) & 1) << target_bit
-    state = np.zeros((n, 2**n_qubits))
+    state = np.zeros((g, 2**n_qubits, rows))
     state[:, 0] = 1.0
     for layer in range(depth):
         for q in range(n_qubits):
-            # axes (circuit, higher qubits, qubit q, lower qubits)
-            view = state.reshape(n, 2**q, 2, -1)
-            c, s = cos[:, layer, q, None, None], sin[:, layer, q, None, None]
+            # axes (block, higher qubits, qubit q, lower qubits, circuit)
+            view = state.reshape(g, 2**q, 2, -1, rows)
+            c, s = cos[:, None, None, :, layer, q], sin[:, None, None, :, layer, q]
             a0, a1 = view[:, :, 0].copy(), view[:, :, 1]
             view[:, :, 0] = c * a0 - s * a1
             view[:, :, 1] = s * a0 + c * a1
         if layer > 0 and n_qubits > 1:
-            state = state[:, ring]
-    return state
+            state = np.take(state, ring, axis=1)
+    return np.swapaxes(state, 1, 2)
 
 
 def _z_expectations(states: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, C) expectations <Z_0> .. <Z_{C-1}>: probabilities against a +-1 sign table."""
-    n_qubits = states.shape[1].bit_length() - 1
-    bits = np.arange(states.shape[1])[:, None] >> (n_qubits - 1 - np.arange(n_classes))
+    """(G, rows, C) expectations <Z_0> .. <Z_{C-1}> of (G, rows, 2^Q) statevector blocks.
+
+    One product per block of its probabilities against a +-1 sign table.
+    The probabilities keep the simulator's column-major block layout, so
+    BLAS sees, for every block of a stack, the same call (gemm, or gemv
+    for a one-row block) on the same operand layout as for that block
+    alone, and the results are bit-identical. Flattening the stack into
+    one (G * rows, 2^Q) product would not be: a one-row block would go
+    through gemm instead of gemv.
+    """
+    n_qubits = states.shape[-1].bit_length() - 1
+    bits = np.arange(states.shape[-1])[:, None] >> (n_qubits - 1 - np.arange(n_classes))
     return states**2 @ (1.0 - 2.0 * (bits & 1))
 
 
 def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, tuple, int]:
-    """Validated per-circuit (n, L+1, Q) RY angles, the embedding's leading shape, and the class count.
+    """Validated (G, n, L+1, Q) RY angles per circuit, the embedding's leading shape, and the class count.
 
-    Q and L come from the (L, Q) angles' shape. The embedding is one
-    length-Q vector (leading shape ()) or an (n, Q) batch; each circuit's
-    rotations are its encoding pi * e followed by the shared angles.
+    Q and L come from the angles' shape. Either the angles are one (L, Q)
+    array and the embedding one length-Q vector (leading shape ()) or an
+    (n, Q) batch, with G = 1; or they are a (G, L, Q) stack and the
+    embedding a (G, n, Q) stack, client g's rows meeting client g's angles.
+    Each circuit's rotations are its encoding pi * e followed by the
+    angles of its client.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim != 2:
-        raise ParameterError("angles must have shape (layers, qubits)")
-    q = angles.shape[1]
+    if angles.ndim not in (2, 3):
+        raise ParameterError("angles must have shape (layers, qubits) or (clients, layers, qubits)")
+    q = angles.shape[-1]
     c = q if n_classes is None else n_classes
     if c > q:
         raise ParameterError(f"need n_classes <= {q} qubits")
     emb = np.asarray(embedding, dtype=np.float64)
-    if emb.ndim not in (1, 2) or emb.shape[-1] != q:
-        raise ParameterError(f"expected a length-{q} embedding or an (n, {q}) batch")
-    rows = emb.reshape(-1, q)
-    shared = np.broadcast_to(angles, (len(rows), *angles.shape))
-    return np.concatenate([np.pi * rows[:, None, :], shared], axis=1), emb.shape[:-1], c
+    if angles.ndim == 3:
+        g = len(angles)
+        if emb.ndim != 3 or len(emb) != g or emb.shape[-1] != q:
+            raise ParameterError(f"expected a ({g}, n, {q}) stack of embedding batches")
+    else:
+        g = 1
+        if emb.ndim not in (1, 2) or emb.shape[-1] != q:
+            raise ParameterError(f"expected a length-{q} embedding or an (n, {q}) batch")
+    rows = emb.reshape(g, -1, q)
+    per_client = angles.reshape(g, 1, *angles.shape[-2:])
+    shared = np.broadcast_to(per_client, (g, rows.shape[1], *angles.shape[-2:]))
+    return np.concatenate([np.pi * rows[:, :, None, :], shared], axis=2), emb.shape[:-1], c
 
 
 def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Flat 2^Q statevector after encoding and all variational layers.
 
     Qubit 0 owns the most significant bit of the flat index. An (n, Q)
-    embedding batch gives (n, 2^Q) rows. Exposed so the simulator can be
-    checked against dense matrix products.
+    embedding batch gives (n, 2^Q) rows, a (G, n, Q) stack with (G, L, Q)
+    angles (G, n, 2^Q). Exposed so the simulator can be checked against
+    dense matrix products.
     """
     rotations, lead, _ = _circuit_inputs(embedding, angles, None)
     return _simulate(rotations).reshape(*lead, -1)
@@ -210,7 +273,9 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     then each of the L layers (rows of the (L, Q) angles) applies per-qubit
     RY rotations followed by a CNOT ring q -> q+1 mod Q (skipped when
     Q = 1). Logits are Pauli-Z expectations, so each lies in [-1, 1]. An
-    (n, Q) embedding batch gives (n, C) logits.
+    (n, Q) embedding batch gives (n, C) logits; a (G, n, Q) stack with a
+    (G, L, Q) angle stack gives (G, n, C), each client's rows run through
+    its own angles, bit-identical to G separate calls.
     """
     rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
     return _z_expectations(_simulate(rotations), c).reshape(*lead, c)
@@ -231,28 +296,31 @@ def param_shift_grad(
     carries the pi factor of the encoding map e -> RY(pi * e). For an
     (n, Q) embedding batch with (n, C) upstream rows, the angle gradient
     (of the angles' (L, Q) shape) is summed over the rows and the
-    embedding gradient keeps one row per sample.
+    embedding gradient keeps one row per sample. A (G, n, Q) stack with
+    (G, L, Q) angles and (G, n, C) upstream rows gives a (G, L, Q) angle
+    gradient, each client's summed over its own rows.
     """
     rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (*lead, c):
         raise ParameterError(f"expected a length-{c} upstream gradient per sample")
-    n, depth, q = rotations.shape
+    g, n, depth, q = rotations.shape
     k = depth * q
-    # circuit (i, s, j) shifts rotation j of sample i by +pi/2 (s = 0) or -pi/2 (s = 1)
-    shifted = rotations.reshape(n, 1, 1, k) + HALF_PI * np.stack([np.eye(k), -np.eye(k)])
-    z = _z_expectations(_simulate(shifted.reshape(-1, depth, q)), c).reshape(n, 2, k, c)
-    grad = ((z[:, 0] - z[:, 1]) @ upstream.reshape(n, c, 1))[..., 0] * 0.5
-    grad_var = grad[:, q:].sum(axis=0).reshape(depth - 1, q)
-    grad_emb = np.pi * grad[:, :q]
+    # circuit (i, s, j) of a client shifts rotation j of its sample i by +pi/2 (s = 0) or -pi/2 (s = 1)
+    shifted = rotations.reshape(g, n, 1, 1, k) + HALF_PI * np.stack([np.eye(k), -np.eye(k)])
+    states = _simulate(shifted.reshape(g, n * 2 * k, depth, q))
+    z = _z_expectations(states, c).reshape(g, n, 2, k, c)
+    grad = ((z[:, :, 0] - z[:, :, 1]) @ upstream.reshape(g, n, c, 1))[..., 0] * 0.5
+    grad_var = grad[..., q:].sum(axis=1).reshape(np.shape(angles))
+    grad_emb = np.pi * grad[..., :q]
     return grad_var, grad_emb.reshape(*lead, q)
 
 
 def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
     """Loss -log softmax(logits)[label] and its gradient w.r.t. the logits.
 
-    For (n, C) logits and n labels, the losses are an (n,) array and the
-    gradients (n, C) rows.
+    For (..., C) logits and labels of shape (...), the losses have shape
+    (...) and the gradients (..., C); one row of logits gives a float.
     """
     logits = np.asarray(logits, dtype=np.float64)
     label = np.asarray(label, dtype=np.int64)
@@ -273,41 +341,62 @@ def hybrid_loss_and_grads(
     n_classes: int,
     prox_mu: float = 0.0,
     prox_anchor: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Batch-mean cross-entropy loss and its exact gradient, a vector laid out like params.
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Batch-mean cross-entropy loss and its exact gradient, laid out like params.
 
-    When prox_mu > 0 and an anchor is given, adds the proximal penalty
-    (prox_mu / 2) * ||params - anchor||^2 over all parameters, classical
-    and quantum alike. prox_mu = 0 skips the penalty entirely so the result
-    is bit-identical with or without an anchor.
+    params is one vector, or a (G, P) stack of G clients' vectors that all
+    train on batches of the same size n: features are then (G * n, F) rows
+    and labels (G * n,), client g owning rows g * n .. g * n + n - 1, and
+    the result is a (G,) array of losses and a (G, P) gradient stack, each
+    client's bit-identical to a call with its vector alone.
+
+    When prox_mu > 0 and an anchor (laid out like params) is given, adds the
+    proximal penalty (prox_mu / 2) * ||params - anchor||^2 over all
+    parameters, classical and quantum alike. prox_mu = 0 skips the penalty
+    entirely so the result is bit-identical with or without an anchor.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     params = np.asarray(params, dtype=np.float64)
     if len(labels) == 0:
         raise ParameterError("batch must be non-empty")
-    dense, angles = layout.dense(params), layout.angles(params)
-    grad = np.zeros(layout.size)
+    if params.ndim not in (1, 2):
+        raise ParameterError("params must be one vector or a (clients, size) stack")
+    stack = np.atleast_2d(params)
+    g = len(stack)
+    if labels.ndim != 1 or features.shape != (len(labels), layout.features) or len(labels) % g:
+        raise ParameterError(f"expected one length-{layout.features} feature row per label, n per client")
+    n = len(labels) // g
+    dense, angles = layout.dense(stack), layout.angles(stack)
+    grad = np.zeros(stack.shape)
     grad_dense, grad_angles = layout.dense(grad), layout.angles(grad)
-    embeddings, cache = mlp_forward(dense, features)
-    losses, upstream = softmax_cross_entropy(circuit_forward(embeddings, angles, n_classes), labels)
+    embeddings, cache = mlp_forward(dense, features.reshape(g, n, -1))
+    losses, upstream = softmax_cross_entropy(circuit_forward(embeddings, angles, n_classes), labels.reshape(g, n))
     grad_var, grad_embeddings = param_shift_grad(embeddings, angles, upstream, n_classes)
     mlp_backward(dense, cache, grad_embeddings, grad_dense)
     grad_angles += grad_var
-    loss = float(losses.mean())
-    grad /= len(labels)
+    loss = losses.mean(axis=1)
+    grad /= n
     if prox_mu > 0.0 and prox_anchor is not None:
-        diff = params - prox_anchor
-        # two dot products rather than one over diff: the summation order fixes the loss's last bits
-        diff_c, diff_q = diff[:layout.n_classical], diff[layout.n_classical:]
-        loss += 0.5 * prox_mu * (float(diff_c @ diff_c) + float(diff_q @ diff_q))
+        diff = stack - np.asarray(prox_anchor, dtype=np.float64).reshape(stack.shape)
+        # two dot products rather than one over diff: the summation order fixes the loss's last bits;
+        # a (G, 1, k) @ (G, k, 1) product makes the same ddot call per client that a vector product does
+        diff_c, diff_q = diff[:, None, :layout.n_classical], diff[:, None, layout.n_classical:]
+        squares = diff_c @ _transpose(diff_c) + diff_q @ _transpose(diff_q)
+        loss += 0.5 * prox_mu * squares[:, 0, 0]
         grad += prox_mu * diff
+    if params.ndim == 1:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 
 @dataclass
 class AdamState:
-    """Adam's first/second moment vectors and step counter, for client and server alike."""
+    """Adam's first/second moments and step counter, for client and server alike.
+
+    The moments are vectors, or (G, P) stacks for a cohort of G clients
+    that step together and so share the counter.
+    """
 
     m: np.ndarray
     v: np.ndarray
@@ -316,16 +405,16 @@ class AdamState:
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
         self.v = np.asarray(self.v, dtype=np.float64)
-        if self.m.shape != self.v.shape or self.m.ndim != 1:
-            raise ParameterError("moment buffers must be vectors of equal length")
+        if self.m.shape != self.v.shape or self.m.ndim not in (1, 2):
+            raise ParameterError("moment buffers must be vectors or (clients, size) stacks of equal shape")
         if np.any(self.v < 0):
             raise ParameterError("second moments must be non-negative")
         if self.t < 0:
             raise ParameterError("step counter must be >= 0")
 
     @classmethod
-    def zeros(cls, size: int) -> "AdamState":
-        return cls(np.zeros(size), np.zeros(size), 0)
+    def zeros(cls, shape: int | tuple[int, int]) -> "AdamState":
+        return cls(np.zeros(shape), np.zeros(shape), 0)
 
 
 def adam_step(
@@ -337,7 +426,7 @@ def adam_step(
     beta2: float,
     eps: float,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam step on a parameter vector; the client and server steps share it."""
+    """One bias-corrected Adam step on a parameter vector or a (G, P) stack; client and server share it."""
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grads
     v = beta2 * state.v + (1.0 - beta2) * grads**2
@@ -355,7 +444,7 @@ def adam_local_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One client-side Adam step over the flat hybrid parameters."""
+    """One client-side Adam step over the flat hybrid parameters (or a cohort's (G, P) stack)."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape:
         raise ParameterError("gradient length does not match parameter count")
@@ -375,49 +464,87 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.
 
 
 def local_train(
-    client: ClientDataset,
+    clients: Sequence[ClientDataset],
     dataset: Dataset,
-    init: np.ndarray,
+    inits: np.ndarray,
     layout: ParamLayout,
     epochs: int,
     batch_size: int,
     lr: float,
     prox_mu: float,
-    seed: int,
-) -> ClientUpdate:
-    """Mini-batch Adam over the client's samples, from a fresh optimizer state.
+    seeds: Sequence[int],
+) -> list[ClientUpdate]:
+    """Mini-batch Adam for a cohort of clients in lockstep, each from a fresh optimizer state.
 
-    Sample order reshuffles every epoch from the seeded generator. When
-    prox_mu > 0 the received model is the proximal anchor, which keeps the
-    local objective from drifting far from the broadcast parameters. The
-    returned update carries quantum angles wrapped to (-pi, pi], the
-    client's class distribution, and the mean loss of the final epoch.
-    A step that leaves any parameter non-finite raises NumericError naming
-    the client, before the circuit could see an infinite angle.
+    Client g starts from row g of the (G, P) `inits` and reshuffles its
+    samples every epoch from a generator seeded with seeds[g]. It keeps its own Adam moments and loss totals; its step
+    count is the cohort's step index s, so every client that still has a
+    batch at step s takes its step together with the others. Those whose
+    batches hold the same number n of samples share one
+    hybrid_loss_and_grads call and one Adam step, batch_size // n clients
+    at a time, so no call holds more than batch_size samples. Every update
+    is bit-identical to training its client alone, as a one-client cohort.
+
+    When prox_mu > 0 the received model is the proximal anchor, which keeps
+    the local objective from drifting far from the broadcast parameters.
+    Each returned update (in cohort order) carries quantum angles wrapped
+    to (-pi, pi], the client's class distribution, and the mean loss of its
+    final epoch. A step that leaves any of a client's parameters
+    non-finite stops that client before the circuit could see an infinite
+    angle; NumericError then names the first such client in cohort order.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
-    rng = np.random.default_rng(seed)
-    params = np.asarray(init, dtype=np.float64)
-    state = AdamState.zeros(layout.size)
-    anchor = params if prox_mu > 0.0 else None
-    xs = dataset.features[client.indices]
-    ys = dataset.labels[client.indices]
-    n = len(ys)
-    last_epoch_loss = math.nan
-    for _ in range(epochs):
-        total = 0.0
-        for batch in epoch_batches(n, batch_size, rng):
-            loss, grad = hybrid_loss_and_grads(
-                xs[batch], ys[batch], params, layout, dataset.n_classes, prox_mu, anchor
-            )
-            params, state = adam_local_step(params, grad, state, lr)
-            if not np.all(np.isfinite(params)):
-                raise NumericError(f"client {client.client_id}: local training diverged to non-finite parameters")
-            total += loss * len(batch)
-        last_epoch_loss = total / n
-    trained = np.concatenate([params[:layout.n_classical], wrap_angles(params[layout.n_classical:])])
-    return ClientUpdate(client.client_id, trained, layout, class_distribution(client, dataset), last_epoch_loss)
+    if len(seeds) != len(clients):
+        raise ParameterError("expected one seed per client")
+    inits = np.asarray(inits, dtype=np.float64)
+    if inits.shape != (len(clients), layout.size):
+        raise ParameterError("expected one initial parameter vector per client")
+    params = inits.copy()
+    anchors = inits if prox_mu > 0.0 else None
+    m, v = np.zeros(params.shape), np.zeros(params.shape)
+    # each client's batches, as dataset indices, for all of its epochs in order
+    schedules = []
+    for client, seed in zip(clients, seeds):
+        rng = np.random.default_rng(seed)
+        epoch = [epoch_batches(len(client), batch_size, rng) for _ in range(epochs)]
+        schedules.append([client.indices[batch] for batches in epoch for batch in batches])
+    per_epoch = np.array([len(s) // epochs for s in schedules])
+    sizes = np.array([len(client) for client in clients])
+    totals = np.zeros(len(clients))
+    last_epoch_loss = np.full(len(clients), math.nan)
+    diverged = np.zeros(len(clients), dtype=bool)
+    for step in range(max(map(len, schedules), default=0)):
+        active = [g for g, schedule in enumerate(schedules) if step < len(schedule) and not diverged[g]]
+        if not active:
+            break
+        totals[[g for g in active if step % per_epoch[g] == 0]] = 0.0
+        by_size: dict[int, list[int]] = {}
+        for g in active:
+            by_size.setdefault(len(schedules[g][step]), []).append(g)
+        for n, members in by_size.items():
+            per_call = batch_size // n
+            for start in range(0, len(members), per_call):
+                pack = members[start:start + per_call]
+                batch = np.concatenate([schedules[g][step] for g in pack])
+                loss, grads = hybrid_loss_and_grads(
+                    dataset.features[batch], dataset.labels[batch], params[pack], layout,
+                    dataset.n_classes, prox_mu, None if anchors is None else anchors[pack],
+                )
+                stepped, state = adam_local_step(params[pack], grads, AdamState(m[pack], v[pack], step), lr)
+                params[pack], m[pack], v[pack] = stepped, state.m, state.v
+                diverged[pack] = ~np.all(np.isfinite(stepped), axis=1)
+                totals[pack] += loss * n
+        done = [g for g in active if step % per_epoch[g] == per_epoch[g] - 1]
+        last_epoch_loss[done] = totals[done] / sizes[done]
+    if diverged.any():
+        first = clients[int(np.argmax(diverged))]
+        raise NumericError(f"client {first.client_id}: local training diverged to non-finite parameters")
+    params[:, layout.n_classical:] = wrap_angles(params[:, layout.n_classical:])
+    return [
+        ClientUpdate(client.client_id, params[g], layout, class_distribution(client, dataset), float(last_epoch_loss[g]))
+        for g, client in enumerate(clients)
+    ]
 
 
 def init_params(layout: ParamLayout, seed: int) -> np.ndarray:

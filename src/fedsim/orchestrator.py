@@ -322,39 +322,36 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     Client i trains from its cluster's classical parameters when a
     fedcompass assignment exists, otherwise from the single global model;
     everyone receives the same global quantum parameters, and a broadcast
-    is the concatenation of the two. Per-client seeds derive from (master
-    seed, round, client id), so a round is reproducible regardless of
-    scheduling. A client whose training diverges raises NumericError
-    naming the round and the client.
+    is the concatenation of the two. The clients train as one cohort, in
+    one local_train call. Per-client seeds derive from (master seed, round,
+    client id), so a round is reproducible regardless of scheduling. A
+    client whose training diverges raises NumericError naming the round and
+    the client.
     """
     start = time.perf_counter()
     round_index = state.round_index + 1
     strategy = config.strategy
     layout = _layout(config, context)
 
-    updates = []
-    for position, client in enumerate(context.clients):
-        if strategy == "fedcompass" and state.assignment is not None:
-            classical = state.cluster_models[int(state.assignment.labels[position])]
-        else:
-            classical = state.cluster_models[0]
-        broadcast = np.concatenate([classical, state.quantum.reshape(-1)])
-        prox_mu = config.prox_mu if strategy == "fedprox" else 0.0
-        try:
-            update = local_train(
-                client,
-                context.dataset,
-                broadcast,
-                layout,
-                config.local_epochs,
-                config.batch_size,
-                config.local_lr,
-                prox_mu,
-                derived_seed(config.seed, _SEED_CLIENT, round_index, client.client_id),
-            )
-        except NumericError as exc:
-            raise NumericError(f"round {round_index}, {exc}") from exc
-        updates.append(update)
+    if strategy == "fedcompass" and state.assignment is not None:
+        models = state.assignment.labels
+    else:
+        models = np.zeros(len(context.clients), dtype=np.int64)
+    angles = state.quantum.reshape(-1)
+    try:
+        updates = local_train(
+            context.clients,
+            context.dataset,
+            np.stack([np.concatenate([state.cluster_models[int(c)], angles]) for c in models]),
+            layout,
+            config.local_epochs,
+            config.batch_size,
+            config.local_lr,
+            config.prox_mu if strategy == "fedprox" else 0.0,
+            [derived_seed(config.seed, _SEED_CLIENT, round_index, c.client_id) for c in context.clients],
+        )
+    except NumericError as exc:
+        raise NumericError(f"round {round_index}, {exc}") from exc
     updates.sort(key=lambda u: u.client_id)
 
     eigengaps = None

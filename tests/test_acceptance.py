@@ -377,13 +377,14 @@ def test_criterion_08_ablation_direction():
     context = build_context(probe)
     state = branch_cut_state()
     uploads = np.stack([
-        local_train(
-            client, context.dataset,
-            np.concatenate([state.cluster_models[0], state.quantum.ravel()]), ParamLayout(2, 2, 2, 1),
+        update.params[-2:]
+        for update in local_train(
+            context.clients, context.dataset,
+            np.tile(np.concatenate([state.cluster_models[0], state.quantum.ravel()]), (len(context.clients), 1)),
+            ParamLayout(2, 2, 2, 1),
             probe.local_epochs, probe.batch_size, probe.local_lr, 0.0,
-            derived_seed(probe.seed, 4, 1, client.client_id),
-        ).params[-2:]
-        for client in context.clients
+            [derived_seed(probe.seed, 4, 1, client.client_id) for client in context.clients],
+        )
     ])
     straddling = [j for j in range(2) if uploads[:, j].max() > 3.0 and uploads[:, j].min() < -3.0]
     assert straddling, "constructed scenario must put client angles on both sides of the cut"

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from fedsim.clustering import js_divergence
 from fedsim.data import (
+    MAX_PARTITION_ATTEMPTS,
     ClassDistribution,
     ClientDataset,
     class_distribution,
+    _fill_empty_clients,
     dirichlet_partition,
     generate_synthetic,
     load_idx,
@@ -113,6 +115,31 @@ class TestStratifiedSplit:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def redraw_only_partition(dataset, n_clients, alpha, seed):
+    """Reference: the redraw loop alone, as it ran before the repair existed; None when it gives up."""
+    pool = np.arange(len(dataset))
+    for attempt in range(MAX_PARTITION_ATTEMPTS):
+        rng = np.random.default_rng(seed + attempt)
+        assigned = [[] for _ in range(n_clients)]
+        ok = True
+        for c in range(dataset.n_classes):
+            class_pool = rng.permutation(pool[dataset.labels == c])
+            if len(class_pool) == 0:
+                continue
+            gammas = rng.gamma(alpha, 1.0, n_clients)
+            total = gammas.sum()
+            if not np.isfinite(total) or total <= 0.0:
+                ok = False
+                break
+            cuts = np.floor(np.cumsum(gammas / total)[:-1] * len(class_pool)).astype(int)
+            for client_id, piece in enumerate(np.split(class_pool, cuts)):
+                if len(piece):
+                    assigned[client_id].append(piece)
+        if ok and all(assigned):
+            return [np.sort(np.concatenate(parts)) for parts in assigned]
+    return None
+
+
 class TestDirichletPartition:
     def test_partition_property(self):
         data = generate_synthetic(4, 3, 60, 0.3, 9)
@@ -147,6 +174,54 @@ class TestDirichletPartition:
         b = dirichlet_partition(data, 10, 0.3, 42)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.indices, cb.indices)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        classes=st.integers(min_value=2, max_value=4),
+        per_class=st.integers(min_value=1, max_value=15),
+        n_clients=st.integers(min_value=1, max_value=40),
+        alpha=st.floats(min_value=0.01, max_value=5.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_repair_gives_a_disjoint_cover_without_empty_clients(self, classes, per_class, n_clients, alpha, seed):
+        data = generate_synthetic(classes, 2, per_class, 0.3, 1)
+        if len(data) < n_clients:
+            with pytest.raises(PartitionError):
+                dirichlet_partition(data, n_clients, alpha, seed)
+            return
+        clients = dirichlet_partition(data, n_clients, alpha, seed)
+        assert [c.client_id for c in clients] == list(range(n_clients))
+        combined = np.concatenate([c.indices for c in clients])
+        np.testing.assert_array_equal(np.sort(combined), np.arange(len(data)))
+        assert all(len(c) >= 1 for c in clients)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_clients=st.integers(min_value=1, max_value=20),
+        alpha=st.floats(min_value=0.05, max_value=5.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_partitions_the_redraw_loop_finds_are_unchanged(self, n_clients, alpha, seed):
+        data = generate_synthetic(3, 2, 12, 0.3, 1)
+        reference = redraw_only_partition(data, n_clients, alpha, seed)
+        clients = dirichlet_partition(data, n_clients, alpha, seed)
+        if reference is not None:
+            for client, want in zip(clients, reference):
+                np.testing.assert_array_equal(client.indices, want)
+
+    def test_repair_rule(self):
+        # each empty client, in id order, takes the highest index of the largest client (lowest id on ties)
+        held = [np.array(h, dtype=np.int64) for h in ([], [3, 5, 9], [], [1, 2, 4], [])]
+        repaired = _fill_empty_clients(held)
+        assert [r.tolist() for r in repaired] == [[9], [3], [4], [1, 2], [5]]
+
+    def test_paper_regime_partitions_at_scale(self):
+        # 200 clients at alpha 0.3: every one of the 100 redraws leaves clients empty
+        data = generate_synthetic(4, 2, 100, 0.3, 0)
+        assert redraw_only_partition(data, 200, 0.3, 42) is None
+        clients = dirichlet_partition(data, 200, 0.3, 42)
+        assert min(len(c) for c in clients) == 1
+        np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
 
     def test_retries_exhausted_raises(self):
         # 2 samples over 3 clients can never give everyone a sample

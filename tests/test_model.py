@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.data import ClientDataset, generate_synthetic
+from fedsim.data import ClientDataset, Dataset, generate_synthetic
 from fedsim.errors import NumericError, ParameterError
 from fedsim.model import (
     AdamState,
@@ -289,6 +289,20 @@ class TestHybridLoss:
         assert loss == pytest.approx(np.mean([one for one, _ in singles]), rel=0, abs=1e-12)
         np.testing.assert_allclose(grad, np.mean([g for _, g in singles], axis=0), rtol=0, atol=1e-12)
 
+    def test_prox_penalty_is_two_vector_dot_products(self, rng):
+        # classical block, then angles, each one BLAS dot; an einsum or a stacked reduction differs in the last bits
+        layout = ParamLayout(4, 5, 3, 2)
+        xs = rng.uniform(-1, 1, (2, 4))
+        ys = rng.integers(0, 3, 2)
+        for seed in range(20):
+            params = init_params(layout, seed)
+            anchors = np.stack([init_params(layout, 100 + seed), params + 0.1 * rng.standard_normal(layout.size)])
+            for anchor in anchors:
+                plain, _ = hybrid_loss_and_grads(xs, ys, params, layout, 3)
+                loss, _ = hybrid_loss_and_grads(xs, ys, params, layout, 3, 2.0, anchor)
+                diff_c, diff_q = np.split(params - anchor, [layout.n_classical])
+                assert loss == plain + 0.5 * 2.0 * (float(diff_c @ diff_c) + float(diff_q @ diff_q))
+
     def test_prox_zero_matches_no_anchor(self, rng):
         layout, params = random_hybrid(rng)
         _, anchor = random_hybrid(rng)
@@ -384,16 +398,28 @@ class TestAdamLocalStep:
 
 class TestAdamState:
     def test_moments_must_be_equal_length_vectors(self):
+        # a (clients, size) stack of equal shape is allowed; mismatched shapes, 0-d and 3-d moments are not
         with pytest.raises(ParameterError):
             AdamState(np.zeros(2), np.zeros(3))
         with pytest.raises(ParameterError):
-            AdamState(np.zeros((2, 2)), np.zeros((2, 2)))
+            AdamState(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ParameterError):
+            AdamState(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(ParameterError):
+            AdamState(np.zeros(()), np.zeros(()))
+        assert AdamState.zeros((3, 5)).m.shape == (3, 5)
 
     def test_negative_second_moment_or_step_rejected(self):
         with pytest.raises(ParameterError):
             AdamState(np.zeros(2), np.array([0.0, -1e-3]))
         with pytest.raises(ParameterError):
             AdamState(np.zeros(2), np.zeros(2), -1)
+
+
+def train_alone(client, dataset, init, layout, epochs, batch_size, lr, prox_mu, seed):
+    """local_train on a one-client cohort."""
+    (update,) = local_train([client], dataset, init[None], layout, epochs, batch_size, lr, prox_mu, [seed])
+    return update
 
 
 class TestLocalTrain:
@@ -405,14 +431,14 @@ class TestLocalTrain:
 
     def test_zero_lr_returns_init(self):
         data, client, layout, params = self.toy_setup()
-        update = local_train(client, data, params, layout, epochs=2, batch_size=8, lr=0.0, prox_mu=0.0, seed=3)
+        update = train_alone(client, data, params, layout, epochs=2, batch_size=8, lr=0.0, prox_mu=0.0, seed=3)
         np.testing.assert_array_equal(update.params, params)
         assert update.layout == layout
 
     def test_prox_changes_result_only_when_positive(self):
         data, client, layout, params = self.toy_setup()
-        plain = local_train(client, data, params, layout, 2, 8, 0.05, 0.0, seed=3)
-        regularized = local_train(client, data, params, layout, 2, 8, 0.05, 0.5, seed=3)
+        plain = train_alone(client, data, params, layout, 2, 8, 0.05, 0.0, seed=3)
+        regularized = train_alone(client, data, params, layout, 2, 8, 0.05, 0.5, seed=3)
         assert not np.array_equal(plain.params, regularized.params)
         # the proximal pull keeps the trained model closer to the broadcast
         gap_plain = np.linalg.norm(plain.params - params)
@@ -421,19 +447,19 @@ class TestLocalTrain:
 
     def test_training_reduces_loss(self):
         data, client, layout, params = self.toy_setup(seed=4)
-        first = local_train(client, data, params, layout, 1, 8, 0.05, 0.0, seed=9)
-        final = local_train(client, data, params, layout, 5, 8, 0.05, 0.0, seed=9)
+        first = train_alone(client, data, params, layout, 1, 8, 0.05, 0.0, seed=9)
+        final = train_alone(client, data, params, layout, 5, 8, 0.05, 0.0, seed=9)
         assert final.train_loss < first.train_loss
 
     def test_determinism(self):
         data, client, layout, params = self.toy_setup(seed=2)
-        a = local_train(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
-        b = local_train(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
+        a = train_alone(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
+        b = train_alone(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
         np.testing.assert_array_equal(a.params, b.params)
 
     def test_angles_wrapped(self):
         data, client, layout, params = self.toy_setup(seed=6)
-        update = local_train(client, data, params, layout, 4, 4, 0.5, 0.0, seed=1)
+        update = train_alone(client, data, params, layout, 4, 4, 0.5, 0.0, seed=1)
         angles = layout.angles(update.params)
         assert np.all(angles > -math.pi)
         assert np.all(angles <= math.pi)
@@ -441,20 +467,131 @@ class TestLocalTrain:
     def test_init_left_untouched(self):
         data, client, layout, params = self.toy_setup(seed=3)
         before = params.copy()
-        local_train(client, data, params, layout, 2, 8, 0.05, 0.1, seed=4)
+        train_alone(client, data, params, layout, 2, 8, 0.05, 0.1, seed=4)
         np.testing.assert_array_equal(params, before)
 
     def test_divergence_raises_numeric_error(self):
         # steps of ~1e308 overflow the angles to inf; the circuit must never see them
         data, client, layout, params = self.toy_setup()
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="client 0"):
-            local_train(client, data, params, layout, 3, 4, 1e308, 0.0, seed=0)
+            train_alone(client, data, params, layout, 3, 4, 1e308, 0.0, seed=0)
 
     def test_distribution_reported(self):
         data, client, layout, params = self.toy_setup(seed=1)
-        update = local_train(client, data, params, layout, 1, 8, 0.01, 0.0, seed=2)
+        update = train_alone(client, data, params, layout, 1, 8, 0.01, 0.0, seed=2)
         assert update.distribution.count == len(client)
         assert update.client_id == 0
+
+
+class TestCohortStacking:
+    """A stacked call gives every client exactly (array_equal) what a call of its own gives."""
+
+    @pytest.mark.parametrize("qubits,layers,classes", [(2, 1, 2), (3, 2, 3), (4, 2, 4), (5, 3, 3)])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_circuit_forward_stack_equals_per_client_calls(self, rng, qubits, layers, classes, rows):
+        angles = rng.uniform(-math.pi, math.pi, (4, layers, qubits))
+        embeddings = rng.uniform(-1, 1, (4, rows, qubits))
+        logits = circuit_forward(embeddings, angles, classes)
+        assert logits.shape == (4, rows, classes)
+        for g in range(4):
+            np.testing.assert_array_equal(logits[g], circuit_forward(embeddings[g], angles[g], classes))
+            if rows == 1:
+                np.testing.assert_array_equal(logits[g, 0], circuit_forward(embeddings[g, 0], angles[g], classes))
+
+    def test_stacked_circuit_rejects_mismatched_client_counts(self, rng):
+        with pytest.raises(ParameterError):
+            circuit_forward(np.zeros((3, 2, 4)), np.zeros((2, 1, 4)), 4)
+        with pytest.raises(ParameterError):
+            circuit_forward(np.zeros((2, 4)), np.zeros((2, 1, 4)), 4)
+
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_hybrid_stack_equals_per_client_calls(self, rng, prox_mu, rows):
+        layout = ParamLayout(4, 5, 3, 2)
+        clients = 3
+        params = np.stack([init_params(layout, 10 + g) for g in range(clients)])
+        anchors = np.stack([init_params(layout, 20 + g) for g in range(clients)])
+        xs = rng.uniform(-1, 1, (clients * rows, 4))
+        ys = rng.integers(0, 3, clients * rows)
+        losses, grads = hybrid_loss_and_grads(xs, ys, params, layout, 3, prox_mu, anchors)
+        assert losses.shape == (clients,) and grads.shape == params.shape
+        for g in range(clients):
+            own = slice(g * rows, (g + 1) * rows)
+            loss, grad = hybrid_loss_and_grads(xs[own], ys[own], params[g], layout, 3, prox_mu, anchors[g])
+            assert losses[g] == loss
+            np.testing.assert_array_equal(grads[g], grad)
+
+    def test_hybrid_stack_needs_equal_batches(self, rng):
+        layout = ParamLayout(4, 5, 3, 2)
+        params = np.stack([init_params(layout, g) for g in range(2)])
+        with pytest.raises(ParameterError):
+            hybrid_loss_and_grads(np.zeros((3, 4)), np.zeros(3, dtype=int), params, layout, 3)
+        with pytest.raises(ParameterError):
+            hybrid_loss_and_grads(np.zeros((4, 4)), np.zeros((2, 2), dtype=int), params, layout, 3)
+
+    def test_adam_step_on_a_stack_equals_row_wise_steps(self, rng):
+        params = rng.standard_normal((5, 7))
+        grads = rng.standard_normal((5, 7))
+        state = AdamState(rng.standard_normal((5, 7)), rng.uniform(0, 2, (5, 7)), 3)
+        stepped, after = adam_local_step(params, grads, state, 0.02)
+        assert after.t == 4
+        for g in range(5):
+            row, row_state = adam_local_step(params[g], grads[g], AdamState(state.m[g], state.v[g], 3), 0.02)
+            np.testing.assert_array_equal(stepped[g], row)
+            np.testing.assert_array_equal(after.m[g], row_state.m)
+            np.testing.assert_array_equal(after.v[g], row_state.v)
+
+    @staticmethod
+    def mixed_cohort(sizes=(1, 7, 1, 3, 12, 5, 2, 9)):
+        data = generate_synthetic(3, 4, 30, 0.3, 8)
+        order = np.random.default_rng(2).permutation(len(data))
+        bounds = np.cumsum((0, *sizes))
+        clients = [ClientDataset(10 + g, np.sort(order[a:b])) for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        layout = ParamLayout(4, 5, 3, 2)
+        inits = np.stack([init_params(layout, 30 + g) for g in range(len(clients))])
+        return data, clients, layout, inits
+
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.2])
+    @pytest.mark.parametrize("batch_size", [1, 4, 8])
+    def test_mixed_cohort_equals_one_client_cohorts(self, batch_size, prox_mu):
+        # unequal sizes, 1-sample clients, 3 epochs, and batches of every size from 1 to batch_size
+        data, clients, layout, inits = self.mixed_cohort()
+        seeds = [100 + g for g in range(len(clients))]
+        updates = local_train(clients, data, inits, layout, 3, batch_size, 0.05, prox_mu, seeds)
+        assert [u.client_id for u in updates] == [c.client_id for c in clients]
+        for client, init, seed, update in zip(clients, inits, seeds, updates):
+            alone = train_alone(client, data, init, layout, 3, batch_size, 0.05, prox_mu, seed)
+            np.testing.assert_array_equal(update.params, alone.params)
+            assert update.train_loss == alone.train_loss
+            assert update.distribution.count == len(client)
+
+    def test_one_seed_and_one_init_per_client(self):
+        data, clients, layout, inits = self.mixed_cohort()
+        seeds = list(range(len(clients)))
+        with pytest.raises(ParameterError):
+            local_train(clients, data, inits, layout, 1, 4, 0.05, 0.0, seeds[:1])
+        with pytest.raises(ParameterError):
+            local_train(clients, data, inits[0], layout, 1, 4, 0.05, 0.0, seeds)
+
+    def test_divergence_names_the_first_diverged_client_in_cohort_order(self):
+        # a NaN feature makes the gradient of any batch that holds it NaN
+        data, _, layout, inits = self.mixed_cohort()
+        features = data.features.copy()
+        features[[0, 1]] = np.nan
+        data = Dataset(features, data.labels, data.n_classes)
+        # a seed whose shuffle of the late client's [1, 2] puts NaN sample 1 second: it diverges at step 1
+        seed = next(s for s in range(100) if np.random.default_rng(s).permutation(2)[0] == 1)
+        healthy = ClientDataset(0, [5, 6, 7])
+        late = ClientDataset(1, [1, 2])
+        early = ClientDataset(2, [0])
+        with np.errstate(all="ignore"):
+            for cohort, first in (([healthy, late, early], "client 1"), ([healthy, early, late], "client 2")):
+                with pytest.raises(NumericError, match=f"^{first}:"):
+                    local_train(cohort, data, inits[:3], layout, 1, 1, 0.05, 0.0, [seed] * 3)
+            # as the client-by-client loop saw it: the late client trains first, alone, and diverges at step 1
+            with pytest.raises(NumericError, match="^client 1:"):
+                train_alone(late, data, inits[1], layout, 1, 1, 0.05, 0.0, seed)
+            train_alone(healthy, data, inits[0], layout, 1, 1, 0.05, 0.0, seed)
 
 
 class TestEpochBatches:

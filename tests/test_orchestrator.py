@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import fedsim.orchestrator as orch
 from fedsim.aggregation import aggregate_quantum, fedadam_update
+from fedsim.cli import metrics_rows
 from fedsim.errors import ConfigError, NumericError, ParameterError
 from fedsim.model import ParamLayout
 from fedsim.orchestrator import (
@@ -88,16 +90,16 @@ class TestSingleClientRound:
 
         from fedsim.model import local_train
 
-        update = local_train(
-            context.clients[0],
+        (update,) = local_train(
+            context.clients,
             context.dataset,
-            broadcast(state),
+            broadcast(state)[None],
             layout_of(config, context),
             config.local_epochs,
             config.batch_size,
             config.local_lr,
             0.0,
-            derived_seed(config.seed, 4, 1, 0),
+            [derived_seed(config.seed, 4, 1, 0)],
         )
         n_classical = len(state.cluster_models[0])
         np.testing.assert_array_equal(new_state.cluster_models[0], update.params[:n_classical])
@@ -134,18 +136,19 @@ class TestFedavgAggregationOracle:
 
         from fedsim.model import local_train
 
+        # one-client cohorts, one per client, independent of the round's cohort call
         updates = [
             local_train(
-                client,
+                [client],
                 context.dataset,
-                broadcast(state),
+                broadcast(state)[None],
                 layout_of(config, context),
                 config.local_epochs,
                 config.batch_size,
                 config.local_lr,
                 0.0,
-                derived_seed(config.seed, 4, 1, client.client_id),
-            )
+                [derived_seed(config.seed, 4, 1, client.client_id)],
+            )[0]
             for client in context.clients
         ]
         counts = np.array([u.distribution.count for u in updates], dtype=float)
@@ -157,6 +160,41 @@ class TestFedavgAggregationOracle:
         new_state, _ = run_round(state, config, context)
         np.testing.assert_allclose(new_state.cluster_models[0], expected_classical, atol=1e-12)
         np.testing.assert_allclose(new_state.quantum.ravel(), expected_quantum, atol=1e-12)
+
+
+class TestByteStability:
+    # metrics_rows digests of the client-by-client trainer, which the cohort trainer must reproduce byte for byte
+    PINNED = {
+        # clients of 1-4 samples at batch 3: one-sample stacks of three, and batches of 1, 2 and 3
+        "53ab579c6b6410420f031232f505fbc587949d82a6e780d00fa5fea8e5f42fe1": dict(
+            strategy="fedcompass", n_clients=16, alpha=1.0, rounds=2, local_epochs=2, batch_size=3,
+            local_lr=0.05, server_lr=0.05, features=4, hidden=5, qubits=4, layers=2, classes=4,
+            per_class=10, spread=0.2, clusters=3, seed=11,
+        ),
+        "4df9dce88d74a6d49353a8c91bde4a430fb1627956eadaabbb0933b5b0f2fd77": dict(
+            strategy="fedprox", n_clients=5, alpha=0.5, rounds=2, local_epochs=2, batch_size=4,
+            local_lr=0.05, prox_mu=0.1, features=4, hidden=6, qubits=3, layers=2, classes=3,
+            per_class=16, spread=0.2, seed=3,
+        ),
+    }
+
+    @pytest.mark.parametrize("digest", sorted(PINNED))
+    def test_metrics_rows_digest_is_pinned(self, digest):
+        rows = metrics_rows(run_experiment(ExperimentConfig(**self.PINNED[digest])))
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+    def test_paper_regime_round_at_200_clients(self):
+        # alpha 0.3 at 200 clients needs the partition repair: the redraw loop alone always fails here
+        config = ExperimentConfig(
+            strategy="fedcompass", n_clients=200, alpha=0.3, rounds=1, local_epochs=1, batch_size=32,
+            local_lr=0.03, server_lr=0.05, per_class=100, clusters=4, seed=42,
+        ).validate()
+        context = build_context(config)
+        assert min(len(c) for c in context.clients) == 1
+        _, row = run_experiment(config)
+        assert sum(row.cluster_sizes) == 200
+        values = [row.accuracy, row.loss, row.mean_train_loss, *row.per_cluster_accuracy, *row.eigengaps]
+        assert all(math.isfinite(v) for v in values)
 
 
 class TestRunExperiment:
