@@ -188,15 +188,22 @@ def dirichlet_partition(
     decides how that class's (shuffled) samples are sliced across clients.
     Smaller alpha gives more skewed slices. If any client ends up empty the
     entire partition is redrawn from seed + attempt, up to
-    MAX_PARTITION_ATTEMPTS times, preserving the Dirichlet marginals.
+    MAX_PARTITION_ATTEMPTS times, preserving the Dirichlet marginals. A
+    redraw only counts each client's samples; the client index arrays are
+    built for the draw that is returned.
 
     When every attempt leaves a client empty, as it does for small alpha
-    and many clients, the first complete draw (attempt 0's, unless its gamma
-    variates underflowed) is repaired instead: each empty client, in id
-    order, takes the highest-index sample of the currently largest client,
-    the lowest id winning ties. PartitionError is raised only when the pool
-    holds fewer samples than there are clients, or when no attempt drew
-    finite Dirichlet shares at all.
+    and many clients, the first complete draw is repaired instead: each
+    empty client, in id order, takes the highest-index sample of the
+    currently largest client, the lowest id winning ties. When no attempt
+    drew finite, non-zero shares at all (alpha so small that the gamma
+    variates underflow, or so large that their sum overflows), attempt 0
+    is drawn again with the limits of a Dirichlet draw for the classes that
+    failed: a class whose variates all underflowed goes whole to one client
+    drawn uniformly from the same generator (alpha -> 0), one whose sum
+    overflowed is split evenly (alpha -> inf); the repair then follows.
+    PartitionError is raised only when the pool holds fewer samples than
+    there are clients.
 
     `indices` restricts the partition to a sample pool (normally the train
     split); by default the whole dataset is partitioned.
@@ -209,40 +216,58 @@ def dirichlet_partition(
     if len(pool) < n_clients:
         raise PartitionError(f"cannot give each of {n_clients} clients a sample from a pool of {len(pool)}")
     pool_labels = dataset.labels[pool]
+    class_pools = [pool[pool_labels == c] for c in range(dataset.n_classes)]
     first_draw = None
     for attempt in range(MAX_PARTITION_ATTEMPTS):
-        rng = np.random.default_rng(seed + attempt)
-        assigned: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
-        ok = True
-        for c in range(dataset.n_classes):
-            class_pool = rng.permutation(pool[pool_labels == c])
-            if len(class_pool) == 0:
-                continue
-            gammas = rng.gamma(alpha, 1.0, n_clients)
-            total = gammas.sum()
-            if not np.isfinite(total) or total <= 0.0:
-                ok = False  # pathological underflow for tiny alpha; redraw
-                break
-            shares = gammas / total
-            cuts = np.floor(np.cumsum(shares)[:-1] * len(class_pool)).astype(int)
-            for client_id, piece in enumerate(np.split(class_pool, cuts)):
-                if len(piece):
-                    assigned[client_id].append(piece)
-        if not ok:
-            continue
-        sizes = [sum(len(p) for p in parts) for parts in assigned]
-        if min(sizes) >= 1:
-            return [
-                ClientDataset(client_id, np.sort(np.concatenate(parts)))
-                for client_id, parts in enumerate(assigned)
-            ]
+        draw = _class_slices(class_pools, n_clients, alpha, np.random.default_rng(seed + attempt))
+        if draw is None:
+            continue  # the shares underflowed or overflowed; redraw
+        if np.sum([counts for _, counts in draw], axis=0).min() >= 1:
+            return [ClientDataset(client_id, held) for client_id, held in enumerate(_client_indices(draw, n_clients))]
         if first_draw is None:
-            first_draw = [np.sort(np.concatenate(parts)) if parts else pool[:0] for parts in assigned]
+            first_draw = draw
     if first_draw is None:
-        raise PartitionError(
-            f"the Dirichlet shares underflowed in all {MAX_PARTITION_ATTEMPTS} attempts (alpha={alpha})"
-        )
-    return [ClientDataset(client_id, held) for client_id, held in enumerate(_fill_empty_clients(first_draw))]
+        first_draw = _class_slices(class_pools, n_clients, alpha, np.random.default_rng(seed), limits=True)
+    held = _fill_empty_clients(_client_indices(first_draw, n_clients))
+    return [ClientDataset(client_id, samples) for client_id, samples in enumerate(held)]
+
+
+def _class_slices(class_pools, n_clients: int, alpha: float, rng: np.random.Generator, limits: bool = False):
+    """One Dirichlet draw per class: [(shuffled class samples, each client's count of them)] per non-empty class.
+
+    Client i gets the i-th run of the shuffled samples. None when a class's
+    gamma variates sum to zero or overflow, unless `limits` is set: such a
+    class then goes whole to one client drawn from rng (sum zero) or is
+    split evenly (overflow).
+    """
+    draw = []
+    for class_pool in class_pools:
+        class_pool = rng.permutation(class_pool)
+        if len(class_pool) == 0:
+            continue
+        gammas = rng.gamma(alpha, 1.0, n_clients)
+        with np.errstate(over="ignore"):
+            total = gammas.sum()
+        if np.isfinite(total) and total > 0.0:
+            shares = gammas / total
+        elif not limits:
+            return None
+        elif total == 0.0:
+            shares = np.zeros(n_clients)
+            shares[rng.integers(n_clients)] = 1.0
+        else:
+            shares = np.full(n_clients, 1.0 / n_clients)
+        cuts = np.floor(np.cumsum(shares)[:-1] * len(class_pool)).astype(int)
+        draw.append((class_pool, np.diff(cuts, prepend=0, append=len(class_pool))))
+    return draw
+
+
+def _client_indices(draw, n_clients: int) -> list[np.ndarray]:
+    """Each client's sorted sample indices, empty for a client that drew none, from a _class_slices draw."""
+    samples = np.concatenate([class_pool for class_pool, _ in draw])
+    owners = np.concatenate([np.repeat(np.arange(n_clients), counts) for _, counts in draw])
+    order = np.lexsort((samples, owners))
+    return np.split(samples[order], np.cumsum(np.bincount(owners, minlength=n_clients))[:-1])
 
 
 def _fill_empty_clients(held: list[np.ndarray]) -> list[np.ndarray]:

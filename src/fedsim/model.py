@@ -12,16 +12,22 @@ Gradients share that layout, so Adam steps, the proximal term and server
 aggregation all work on plain vectors.
 
 There is one simulation path, and it works on blocks of batches: the
-statevectors of G blocks of n circuits are one amplitude-major
-(G, 2^Q, n) array, each RY layer a broadcast 2x2 update, the CNOT ring
-one index permutation and <Z> one product per block against a +-1 sign
-table. A single sample is a one-row batch, a single batch a one-block
-stack.
+statevectors of G blocks of circuits are one amplitude-major
+(G, 2^Q, rows) array, each RY gate a broadcast 2x2 update in place, the
+CNOT ring one index permutation and <Z> one product per block against a
++-1 sign table. A block's circuits are its samples' base angles plus the
+rows of an offset table: one row of -0.0 for a forward pass, the +-pi/2
+shifts for the gradient. The simulator holds two state-size buffers, the
+state and one scratch array, and forms each gate's angles, cosines and
+sines only for that gate, so a stack of any size costs about twice its
+final state. A single sample is a one-row batch, a single batch a
+one-block stack.
 
 Clients train as a cohort. Parameters, gradients and Adam moments of G
 clients stack on a leading client axis as (G, P) arrays, and G equal-size
 batches run as one (G, n, ·) stack through the MLP, the circuits, the
-softmax and the Adam step; a single client is a one-client cohort. A
+softmax and the Adam step, however large G is; a single client is a
+one-client cohort. A
 stacked result is bit-identical to G separate calls because every BLAS
 product keeps its per-client operand shape and layout: the dense layers
 are (G, n, ·) @ (G, ·, ·) products, <Z> is taken per (rows, 2^Q) block
@@ -38,6 +44,7 @@ circuits of a batch simulated at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -173,37 +180,75 @@ def mlp_backward(dense, cache: MlpCache, grad_embedding: np.ndarray, grad_dense)
     gb2 += d_pre2.sum(axis=-2, keepdims=stacked)
 
 
-def _simulate(rotations: np.ndarray) -> np.ndarray:
-    """(G, rows, 2^Q) statevectors of G blocks of circuits given their (G, rows, L+1, Q) RY angles.
+@functools.lru_cache(maxsize=None)
+def _ring_gather(n_qubits: int) -> np.ndarray:
+    """Read-only gather index of the ring CNOT(q, q+1 mod Q), q = 0..Q-1, over the 2^Q amplitudes.
 
-    Row 0 of each circuit's angles is the encoding layer, applied to
-    |0...0>; rows 1..L are the variational layers, each followed by the
-    CNOT ring (skipped when Q = 1). The state is held amplitude-major, as
-    a (G, 2^Q, rows) array, so every gate update runs over contiguous runs
-    of circuits; the result is its (G, rows, 2^Q) transposed view, which
-    lays each block out column-major.
+    Qubit q owns bit Q-1-q; each CNOT is its own inverse, so the gather
+    composes them in reverse. Cached per qubit count.
     """
-    g, rows, depth, n_qubits = rotations.shape
-    cos, sin = np.cos(0.5 * rotations), np.sin(0.5 * rotations)
-    # gather index of the ring CNOT(q, q+1 mod Q), q = 0..Q-1, where qubit q owns
-    # bit Q-1-q; each CNOT is its own inverse, so the gather composes them in reverse
     ring = np.arange(2**n_qubits)
     for q in reversed(range(n_qubits)):
         control_bit, target_bit = n_qubits - 1 - q, n_qubits - 1 - (q + 1) % n_qubits
         ring ^= ((ring >> control_bit) & 1) << target_bit
-    state = np.zeros((g, 2**n_qubits, rows))
+    ring.flags.writeable = False
+    return ring
+
+
+def _simulate(rotations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(G, rows * m, 2^Q) statevectors of G blocks of circuits: base RY angles plus an offset table.
+
+    rotations holds the (G, rows, L+1, Q) base angles of each block's rows
+    and offsets an (m, (L+1) * Q) table; circuit i * m + r of block g runs
+    rotations[g, i] + offsets[r] (flattened layer-major). A forward pass is
+    a one-row table of -0.0, the identity of float addition; the shift rule
+    is the 2(L+1)Q-row table of +-pi/2 times the identity. Each gate's
+    (G, rows * m) angles, cosines and sines are formed only when that gate
+    is applied, from the same float sums a full shifted angle array would
+    hold.
+
+    Row 0 of each circuit's angles is the encoding layer, applied to
+    |0...0>; rows 1..L are the variational layers, each followed by the
+    CNOT ring (skipped when Q = 1). The state is held amplitude-major, as
+    a (G, 2^Q, rows * m) array, so every gate update runs over contiguous
+    runs of circuits; the result is its (G, rows * m, 2^Q) transposed view,
+    which lays each block out column-major.
+
+    Memory: two state-size buffers and nothing else of that size. Gates
+    update the state in place, with the scratch buffer holding their
+    temporaries; the ring gathers the state into the scratch buffer and the
+    two swap roles.
+    """
+    g, rows, depth, n_qubits = rotations.shape
+    circuits = rows * len(offsets)
+    state = np.zeros((g, 2**n_qubits, circuits))
     state[:, 0] = 1.0
+    scratch = np.empty_like(state)
     for layer in range(depth):
         for q in range(n_qubits):
+            angle = rotations[:, :, None, layer, q] + offsets[:, layer * n_qubits + q]
+            half = (0.5 * angle).reshape(g, 1, 1, circuits)
+            c, s = np.cos(half), np.sin(half)
             # axes (block, higher qubits, qubit q, lower qubits, circuit)
-            view = state.reshape(g, 2**q, 2, -1, rows)
-            c, s = cos[:, None, None, :, layer, q], sin[:, None, None, :, layer, q]
-            a0, a1 = view[:, :, 0].copy(), view[:, :, 1]
-            view[:, :, 0] = c * a0 - s * a1
-            view[:, :, 1] = s * a0 + c * a1
+            view = state.reshape(g, 2**q, 2, -1, circuits)
+            temp = scratch.reshape(g, 2**q, 2, -1, circuits)
+            a0, a1, t0, t1 = view[:, :, 0], view[:, :, 1], temp[:, :, 0], temp[:, :, 1]
+            np.multiply(s, a1, out=t0)
+            np.multiply(s, a0, out=t1)
+            a0 *= c
+            a0 -= t0  # c * a0 - s * a1
+            a1 *= c
+            a1 += t1  # s * a0 + c * a1
         if layer > 0 and n_qubits > 1:
-            state = np.take(state, ring, axis=1)
+            # mode="clip" (the index is always in range) writes straight into out; "raise" buffers it
+            np.take(state, _ring_gather(n_qubits), axis=1, out=scratch, mode="clip")
+            state, scratch = scratch, state
     return np.swapaxes(state, 1, 2)
+
+
+def _forward_offsets(rotations: np.ndarray) -> np.ndarray:
+    """The one-row offset table of a forward pass: -0.0 leaves every angle, signed zeros included, as it is."""
+    return np.full((1, rotations.shape[2] * rotations.shape[3]), -0.0)
 
 
 def _z_expectations(states: np.ndarray, n_classes: int) -> np.ndarray:
@@ -263,7 +308,7 @@ def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     dense matrix products.
     """
     rotations, lead, _ = _circuit_inputs(embedding, angles, None)
-    return _simulate(rotations).reshape(*lead, -1)
+    return _simulate(rotations, _forward_offsets(rotations)).reshape(*lead, -1)
 
 
 def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | None = None) -> np.ndarray:
@@ -278,7 +323,7 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     its own angles, bit-identical to G separate calls.
     """
     rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
-    return _z_expectations(_simulate(rotations), c).reshape(*lead, c)
+    return _z_expectations(_simulate(rotations, _forward_offsets(rotations)), c).reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -307,8 +352,7 @@ def param_shift_grad(
     g, n, depth, q = rotations.shape
     k = depth * q
     # circuit (i, s, j) of a client shifts rotation j of its sample i by +pi/2 (s = 0) or -pi/2 (s = 1)
-    shifted = rotations.reshape(g, n, 1, 1, k) + HALF_PI * np.stack([np.eye(k), -np.eye(k)])
-    states = _simulate(shifted.reshape(g, n * 2 * k, depth, q))
+    states = _simulate(rotations, HALF_PI * np.concatenate([np.eye(k), -np.eye(k)]))
     z = _z_expectations(states, c).reshape(g, n, 2, k, c)
     grad = ((z[:, :, 0] - z[:, :, 1]) @ upstream.reshape(g, n, c, 1))[..., 0] * 0.5
     grad_var = grad[..., q:].sum(axis=1).reshape(np.shape(angles))
@@ -479,11 +523,12 @@ def local_train(
     Client g starts from row g of the (G, P) `inits` and reshuffles its
     samples every epoch from a generator seeded with seeds[g]. It keeps its own Adam moments and loss totals; its step
     count is the cohort's step index s, so every client that still has a
-    batch at step s takes its step together with the others. Those whose
-    batches hold the same number n of samples share one
-    hybrid_loss_and_grads call and one Adam step, batch_size // n clients
-    at a time, so no call holds more than batch_size samples. Every update
-    is bit-identical to training its client alone, as a one-client cohort.
+    batch at step s takes its step together with the others. All of those
+    whose batches hold the same number n of samples share one
+    hybrid_loss_and_grads call and one Adam step, so a step makes one call
+    per distinct batch size; the call's memory is about twice its shift-rule
+    statevectors (see _simulate). Every update is bit-identical to training
+    its client alone, as a one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
     the local objective from drifting far from the broadcast parameters.
@@ -523,18 +568,15 @@ def local_train(
         for g in active:
             by_size.setdefault(len(schedules[g][step]), []).append(g)
         for n, members in by_size.items():
-            per_call = batch_size // n
-            for start in range(0, len(members), per_call):
-                pack = members[start:start + per_call]
-                batch = np.concatenate([schedules[g][step] for g in pack])
-                loss, grads = hybrid_loss_and_grads(
-                    dataset.features[batch], dataset.labels[batch], params[pack], layout,
-                    dataset.n_classes, prox_mu, None if anchors is None else anchors[pack],
-                )
-                stepped, state = adam_local_step(params[pack], grads, AdamState(m[pack], v[pack], step), lr)
-                params[pack], m[pack], v[pack] = stepped, state.m, state.v
-                diverged[pack] = ~np.all(np.isfinite(stepped), axis=1)
-                totals[pack] += loss * n
+            batch = np.concatenate([schedules[g][step] for g in members])
+            loss, grads = hybrid_loss_and_grads(
+                dataset.features[batch], dataset.labels[batch], params[members], layout,
+                dataset.n_classes, prox_mu, None if anchors is None else anchors[members],
+            )
+            stepped, state = adam_local_step(params[members], grads, AdamState(m[members], v[members], step), lr)
+            params[members], m[members], v[members] = stepped, state.m, state.v
+            diverged[members] = ~np.all(np.isfinite(stepped), axis=1)
+            totals[members] += loss * n
         done = [g for g in active if step % per_epoch[g] == per_epoch[g] - 1]
         last_epoch_loss[done] = totals[done] / sizes[done]
     if diverged.any():

@@ -223,6 +223,40 @@ class TestDirichletPartition:
         assert min(len(c) for c in clients) == 1
         np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
 
+    def test_tiny_alpha_partitions_on_every_seed(self):
+        # at alpha 1e-5 every redraw's gamma variates underflow, on every seed
+        data = generate_synthetic(4, 2, 100, 0.3, 0)
+        for seed in range(40):
+            assert redraw_only_partition(data, 10, 1e-5, seed) is None
+            clients = dirichlet_partition(data, 10, 1e-5, seed)
+            assert [c.client_id for c in clients] == list(range(10))
+            assert min(len(c) for c in clients) >= 1
+            np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
+
+    def test_vanishing_alpha_gives_each_class_whole_to_one_client_then_repairs(self):
+        # attempt 0's generator again: a class whose variates all underflow goes to one uniformly drawn client
+        data = generate_synthetic(3, 2, 20, 0.3, 0)
+        for seed in (0, 5, 11):
+            rng = np.random.default_rng(seed)
+            held = [np.zeros(0, dtype=np.int64) for _ in range(6)]
+            for c in range(3):
+                class_pool = rng.permutation(np.flatnonzero(data.labels == c))
+                assert not rng.gamma(1e-300, 1.0, 6).any()
+                winner = rng.integers(6)
+                held[winner] = np.sort(np.concatenate([held[winner], class_pool]))
+            clients = dirichlet_partition(data, 6, 1e-300, seed)
+            for client, want in zip(clients, _fill_empty_clients(held)):
+                np.testing.assert_array_equal(client.indices, want)
+
+    def test_overflowing_alpha_splits_each_class_evenly(self):
+        # gamma variates near 1e308 overflow their sum; the alpha -> inf limit is an even split
+        data = generate_synthetic(4, 2, 100, 0.3, 0)
+        clients = dirichlet_partition(data, 10, 1e308, 3)
+        np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
+        for client in clients:
+            counts = np.bincount(data.labels[client.indices], minlength=4)
+            assert np.all(np.abs(counts - 10) <= 1)
+
     def test_retries_exhausted_raises(self):
         # 2 samples over 3 clients can never give everyone a sample
         data = generate_synthetic(2, 2, 1, 0.1, 0)

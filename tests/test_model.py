@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fedsim import model
 from fedsim.data import ClientDataset, Dataset, generate_synthetic
 from fedsim.errors import NumericError, ParameterError
 from fedsim.model import (
+    HALF_PI,
     AdamState,
     ParamLayout,
     adam_local_step,
@@ -18,7 +22,11 @@ from fedsim.model import (
     param_shift_grad,
     softmax_cross_entropy,
     statevector,
+    _circuit_inputs,
+    _simulate,
+    _z_expectations,
 )
+from fedsim.orchestrator import ExperimentConfig, build_context, init_state, run_round
 
 
 def random_hybrid(rng, f=4, h=5, q=3, layers=1):
@@ -565,6 +573,53 @@ class TestCohortStacking:
             assert update.train_loss == alone.train_loss
             assert update.distribution.count == len(client)
 
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @pytest.mark.parametrize("batch_size", [8, 32])
+    def test_full_batch_cohort_equals_one_client_cohorts(self, batch_size, prox_mu):
+        # ten clients of two full batches each: every step stacks all ten in one call
+        data = generate_synthetic(3, 4, 7 * batch_size, 0.3, 8)
+        order = np.random.default_rng(3).permutation(len(data))
+        per_client = 2 * batch_size
+        clients = [ClientDataset(g, np.sort(order[g * per_client:(g + 1) * per_client])) for g in range(10)]
+        layout = ParamLayout(4, 5, 3, 2)
+        inits = np.stack([init_params(layout, 50 + g) for g in range(10)])
+        seeds = [300 + g for g in range(10)]
+        updates = local_train(clients, data, inits, layout, 2, batch_size, 0.05, prox_mu, seeds)
+        for client, init, seed, update in zip(clients, inits, seeds, updates):
+            alone = train_alone(client, data, init, layout, 2, batch_size, 0.05, prox_mu, seed)
+            np.testing.assert_array_equal(update.params, alone.params)
+            assert update.train_loss == alone.train_loss
+
+    def test_one_call_per_step_and_batch_size(self, monkeypatch):
+        # one round of the criterion-07 config: unequal clients, batch 8, 5 epochs
+        config = ExperimentConfig(
+            strategy="fedcompass", n_clients=10, alpha=0.3, rounds=1, local_epochs=5, batch_size=8,
+            local_lr=0.03, server_lr=0.05, features=8, spread=0.3, per_class=100, seed=42,
+        ).validate()
+        context = build_context(config)
+        calls = []
+        loss_and_grads, adam = model.hybrid_loss_and_grads, model.adam_local_step
+
+        def counted_loss_and_grads(features, labels, params, *args):
+            calls.append([len(labels) // len(params), len(params)])
+            return loss_and_grads(features, labels, params, *args)
+
+        def counted_adam(params, grads, state, lr):
+            calls[-1].append(state.t)
+            return adam(params, grads, state, lr)
+
+        monkeypatch.setattr(model, "hybrid_loss_and_grads", counted_loss_and_grads)
+        monkeypatch.setattr(model, "adam_local_step", counted_adam)
+        run_round(init_state(config, context), config, context)
+        # client sizes alone fix the batch size each client has at each step
+        expected = Counter()
+        for client in context.clients:
+            full, rest = divmod(len(client), config.batch_size)
+            epoch = [config.batch_size] * full + [rest] * (rest > 0)
+            expected.update((step, n) for step, n in enumerate(epoch * config.local_epochs))
+        assert Counter({(step, n): clients for n, clients, step in calls}) == expected
+        assert len(calls) == len(expected)
+
     def test_one_seed_and_one_init_per_client(self):
         data, clients, layout, inits = self.mixed_cohort()
         seeds = list(range(len(clients)))
@@ -592,6 +647,51 @@ class TestCohortStacking:
             with pytest.raises(NumericError, match="^client 1:"):
                 train_alone(late, data, inits[1], layout, 1, 1, 0.05, 0.0, seed)
             train_alone(healthy, data, inits[0], layout, 1, 1, 0.05, 0.0, seed)
+
+
+class TestOffsetTable:
+    """The simulator's offset table runs exactly (array_equal) the circuits of explicitly shifted angles."""
+
+    @pytest.mark.parametrize("qubits,layers", [(1, 1), (2, 1), (3, 2), (4, 2)])
+    def test_shift_rows_equal_explicitly_shifted_angles(self, rng, qubits, layers):
+        clients, rows, depth = 3, 2, layers + 1
+        k = depth * qubits
+        embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
+        angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
+        rotations, _, _ = _circuit_inputs(embeddings, angles, None)
+        table = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])
+        states = _simulate(rotations, table).reshape(clients, rows, 2 * k, -1)
+        for r, offset in enumerate(table):
+            shift = offset.reshape(depth, qubits)
+            # a one-row table of -0.0 is the forward pass
+            np.testing.assert_array_equal(states[:, :, r], _simulate(rotations + shift, np.full((1, k), -0.0)))
+            if r % k >= qubits:  # a variational angle: the public entry points can shift it too
+                shifted = angles + shift[1:]
+                np.testing.assert_array_equal(states[:, :, r], statevector(embeddings, shifted))
+                np.testing.assert_array_equal(
+                    circuit_forward(embeddings, shifted), _z_expectations(_simulate(rotations, table[r:r + 1]), qubits)
+                )
+
+    def test_shift_rule_peak_memory_is_at_most_three_states(self, rng):
+        # the simulator holds the state and one scratch buffer; the <Z> squares replace the scratch
+        clients, rows, qubits, layers = 10, 32, 4, 2
+        embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
+        angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
+        upstream = rng.standard_normal((clients, rows, qubits))
+        param_shift_grad(embeddings, angles, upstream)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            param_shift_grad(embeddings, angles, upstream)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        state_bytes = clients * rows * 2 * (layers + 1) * qubits * 2**qubits * 8
+        assert peak <= 3 * state_bytes
 
 
 class TestEpochBatches:
