@@ -13,28 +13,30 @@ aggregation all work on plain vectors.
 
 There is one simulation path, and it works on blocks of batches: the
 statevectors of G blocks of circuits are one amplitude-major
-(G, 2^Q, rows) array, each RY gate a broadcast 2x2 update in place, the
+(G, 2^Q, rows) array, the encoding layer a product state built one qubit
+at a time, each variational RY gate a broadcast 2x2 update in place, the
 CNOT ring one index permutation and <Z> one product per block against a
 +-1 sign table. A block's circuits are its samples' base angles plus the
-rows of an offset table: one row of -0.0 for a forward pass, the +-pi/2
-shifts for the gradient. The simulator holds two state-size buffers, the
-state and one scratch array, and forms each gate's angles, cosines and
-sines only for that gate, so a stack of any size costs about twice its
-final state. A single sample is a one-row batch, a single batch a
-one-block stack.
+rows of an offset table: one row of -0.0 for a forward pass; for a
+training call that row followed by the +-pi/2 shifts, so the logits and
+the shift-rule gradient come from one simulation. Cosines and sines are
+taken once per sample, gate and distinct offset, a few per gate however
+long the table, and each gate gathers its own from them. The simulator
+holds two state-size buffers, the state and one scratch array, so a stack
+of any size costs about twice its final state. A single sample is a
+one-row batch, a single batch a one-block stack.
 
 Clients train as a cohort. Parameters, gradients and Adam moments of G
 clients stack on a leading client axis as (G, P) arrays, and G equal-size
 batches run as one (G, n, ·) stack through the MLP, the circuits, the
 softmax and the Adam step, however large G is; a single client is a
-one-client cohort. A
-stacked result is bit-identical to G separate calls because every BLAS
-product keeps its per-client operand shape and layout: the dense layers
-are (G, n, ·) @ (G, ·, ·) products, <Z> is taken per (rows, 2^Q) block
-rather than over the flattened stack (a one-row block must stay a gemv),
-and the proximal term is a (G, 1, k) @ (G, k, 1) product, one ddot per
-client. Everything else is elementwise or a reduction along a client's
-own rows.
+one-client cohort. A stacked result is bit-identical to G separate calls
+because every BLAS product keeps its per-client operand shape and layout:
+the dense layers are (G, n, ·) @ (G, ·, ·) products, <Z> is taken per
+(rows, 2^Q) block rather than over the flattened stack (a one-row block
+must stay a gemv), and the proximal term is a (G, 1, k) @ (G, k, 1)
+product, one ddot per client. Everything else is elementwise or a
+reduction along a client's own rows.
 
 Gradients are exact: backprop through the dense layers and the two-point
 shift rule through every rotation gate (two circuit evaluations per
@@ -195,76 +197,138 @@ def _ring_gather(n_qubits: int) -> np.ndarray:
     return ring
 
 
-def _simulate(rotations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(G, rows * m, 2^Q) statevectors of G blocks of circuits: base RY angles plus an offset table.
+class OffsetTable(NamedTuple):
+    """An (m, K) table of angle offsets, K = (L+1) * Q, split per gate into its distinct values.
+
+    Column j of the table offsets gate j (layer j // Q, qubit j % Q). Two
+    offsets count as distinct when their bit patterns differ, so +0.0 and
+    -0.0 stay apart. Build one with _offset_table; every array is read-only.
+    """
+
+    table: np.ndarray  # (m, K)
+    distinct: np.ndarray  # (K, d) the distinct values of each column, padded with 0.0
+    lookup: np.ndarray  # (K, m) where row r's offset of gate j sits in distinct[j]
+
+
+def _offset_table(table: np.ndarray) -> OffsetTable:
+    """The OffsetTable of an (m, K) array of offsets."""
+    table = np.array(table, dtype=np.float64)
+    columns = [np.unique(column.view(np.uint64), return_inverse=True) for column in table.T]
+    distinct = np.zeros((table.shape[1], max(len(values) for values, _ in columns)))
+    lookup = np.empty(table.T.shape, dtype=np.intp)
+    for j, (values, where) in enumerate(columns):
+        distinct[j, :len(values)] = values.view(np.float64)
+        lookup[j] = where
+    for array in (table, distinct, lookup):
+        array.flags.writeable = False
+    return OffsetTable(table, distinct, lookup)
+
+
+@functools.lru_cache(maxsize=None)
+def _forward_offsets(n_gates: int) -> OffsetTable:
+    """The one-row table of a forward pass: -0.0 leaves every angle, signed zeros included, as it is. Cached per K."""
+    return _offset_table(np.full((1, n_gates), -0.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _training_offsets(n_gates: int) -> OffsetTable:
+    """The (2K+1)-row table of a training pass: the forward row, then +pi/2 I, then -pi/2 I. Cached per K."""
+    shifts = HALF_PI * np.concatenate([np.eye(n_gates), -np.eye(n_gates)])
+    return _offset_table(np.concatenate([np.full((1, n_gates), -0.0), shifts]))
+
+
+def _simulate(rotations: np.ndarray, offsets: OffsetTable) -> np.ndarray:
+    """Amplitude-major (G, 2^Q, rows * m) statevectors of G blocks of circuits: base RY angles plus an offset table.
 
     rotations holds the (G, rows, L+1, Q) base angles of each block's rows
     and offsets an (m, (L+1) * Q) table; circuit i * m + r of block g runs
-    rotations[g, i] + offsets[r] (flattened layer-major). A forward pass is
-    a one-row table of -0.0, the identity of float addition; the shift rule
-    is the 2(L+1)Q-row table of +-pi/2 times the identity. Each gate's
-    (G, rows * m) angles, cosines and sines are formed only when that gate
-    is applied, from the same float sums a full shifted angle array would
-    hold.
+    rotations[g, i] + offsets.table[r] (flattened layer-major), so column
+    i * m + r of block g is its statevector. A forward pass is a one-row
+    table of -0.0, the identity of float addition; a training pass adds the
+    2(L+1)Q rows of +-pi/2 times the identity.
 
-    Row 0 of each circuit's angles is the encoding layer, applied to
-    |0...0>; rows 1..L are the variational layers, each followed by the
-    CNOT ring (skipped when Q = 1). The state is held amplitude-major, as
-    a (G, 2^Q, rows * m) array, so every gate update runs over contiguous
-    runs of circuits; the result is its (G, rows * m, 2^Q) transposed view,
-    which lays each block out column-major.
+    Half angles, cosines and sines are taken one layer at a time, once per
+    (sample, gate, distinct offset): 0.5 * (base + offset), from the same
+    float sums as a full shifted angle array would hold. Each gate gathers
+    its (G, rows * m) cosines and sines from that small table.
 
-    Memory: two state-size buffers and nothing else of that size. Gates
-    update the state in place, with the scratch buffer holding their
-    temporaries; the ring gathers the state into the scratch buffer and the
-    two swap roles.
+    Row 0 of each circuit's angles is the encoding layer. It acts on
+    |0...0>, so its state is a product state, built one qubit at a time,
+    qubit 0 outermost: the amplitudes so far times the qubit's cosine (bit
+    clear) and sine (bit set). Each nonzero amplitude is the same product,
+    in the same order, as RY gates applied to |0...0> compute; only the sign
+    of an amplitude that is exactly zero may differ. Rows 1..L are the
+    variational layers, each a broadcast 2x2 update per qubit followed by
+    the CNOT ring (skipped when Q = 1). Holding the state amplitude-major
+    lets every update run over contiguous runs of circuits.
+
+    Memory: two state-size buffers. Gates update the state in place, with
+    the other buffer holding their temporaries; the product-state rounds
+    and the ring write into the other buffer, and the two swap roles. A
+    layer's cosines and sines add 2 * Q * d values per sample, d the most
+    distinct offsets of any gate: under a tenth of the state for a
+    training table at Q = 4 (d = 4 against 2^Q * (2K+1) amplitudes), but
+    2Q / 2^Q of it for a one-row table.
     """
     g, rows, depth, n_qubits = rotations.shape
-    circuits = rows * len(offsets)
-    state = np.zeros((g, 2**n_qubits, circuits))
-    state[:, 0] = 1.0
-    scratch = np.empty_like(state)
+    circuits = rows * len(offsets.table)
+    buffers = (np.empty((g, 2**n_qubits, circuits)), np.empty((g, 2**n_qubits, circuits)))
+    # per buffer and qubit q, the amplitudes with q's bit clear and with it set,
+    # each with axes (block, higher qubits, lower qubits, circuit)
+    halves = [
+        [(view[:, :, 0], view[:, :, 1]) for view in (b.reshape(g, 2**q, 2, -1, circuits) for q in range(n_qubits))]
+        for b in buffers
+    ]
+    now = 0
+    buffers[now][:, 0] = 1.0  # the empty product, before the encoding layer's first qubit
     for layer in range(depth):
-        for q in range(n_qubits):
-            angle = rotations[:, :, None, layer, q] + offsets[:, layer * n_qubits + q]
-            half = (0.5 * angle).reshape(g, 1, 1, circuits)
-            c, s = np.cos(half), np.sin(half)
-            # axes (block, higher qubits, qubit q, lower qubits, circuit)
-            view = state.reshape(g, 2**q, 2, -1, circuits)
-            temp = scratch.reshape(g, 2**q, 2, -1, circuits)
-            a0, a1, t0, t1 = view[:, :, 0], view[:, :, 1], temp[:, :, 0], temp[:, :, 1]
-            np.multiply(s, a1, out=t0)
-            np.multiply(s, a0, out=t1)
-            a0 *= c
-            a0 -= t0  # c * a0 - s * a1
-            a1 *= c
-            a1 += t1  # s * a0 + c * a1
+        gates = slice(layer * n_qubits, (layer + 1) * n_qubits)
+        half_angles = 0.5 * (rotations[:, :, layer, :, None] + offsets.distinct[gates])
+        trig = np.empty((2, *half_angles.shape))
+        np.cos(half_angles, out=trig[0])
+        np.sin(half_angles, out=trig[1])
+        for q, where in enumerate(offsets.lookup[gates]):
+            c, s = np.take(trig[:, :, :, q], where, axis=-1).reshape(2, g, 1, circuits)
+            if layer == 0:
+                # the first 2^q amplitudes (qubits 0..q-1) times qubit q's cosine and sine give the first 2^(q+1)
+                prefix = buffers[now][:, :2**q]
+                out = buffers[1 - now][:, :2 ** (q + 1)].reshape(g, 2**q, 2, circuits)
+                np.multiply(prefix, c, out=out[:, :, 0])
+                np.multiply(prefix, s, out=out[:, :, 1])
+                now = 1 - now
+            else:
+                c, s = c[:, None], s[:, None]
+                (a0, a1), (t0, t1) = halves[now][q], halves[1 - now][q]
+                np.multiply(s, a1, out=t0)
+                np.multiply(s, a0, out=t1)
+                a0 *= c
+                a0 -= t0  # c * a0 - s * a1
+                a1 *= c
+                a1 += t1  # s * a0 + c * a1
         if layer > 0 and n_qubits > 1:
             # mode="clip" (the index is always in range) writes straight into out; "raise" buffers it
-            np.take(state, _ring_gather(n_qubits), axis=1, out=scratch, mode="clip")
-            state, scratch = scratch, state
-    return np.swapaxes(state, 1, 2)
+            np.take(buffers[now], _ring_gather(n_qubits), axis=1, out=buffers[1 - now], mode="clip")
+            now = 1 - now
+    return buffers[now]
 
 
-def _forward_offsets(rotations: np.ndarray) -> np.ndarray:
-    """The one-row offset table of a forward pass: -0.0 leaves every angle, signed zeros included, as it is."""
-    return np.full((1, rotations.shape[2] * rotations.shape[3]), -0.0)
+def _z_expectations(amplitudes: np.ndarray, n_classes: int) -> np.ndarray:
+    """(G, rows, C) expectations <Z_0> .. <Z_{C-1}> of amplitude-major (G, 2^Q, ...) statevector blocks.
 
-
-def _z_expectations(states: np.ndarray, n_classes: int) -> np.ndarray:
-    """(G, rows, C) expectations <Z_0> .. <Z_{C-1}> of (G, rows, 2^Q) statevector blocks.
-
+    The trailing axes of amplitudes index a block's circuits, row-major.
     One product per block of its probabilities against a +-1 sign table.
-    The probabilities keep the simulator's column-major block layout, so
-    BLAS sees, for every block of a stack, the same call (gemm, or gemv
-    for a one-row block) on the same operand layout as for that block
-    alone, and the results are bit-identical. Flattening the stack into
-    one (G * rows, 2^Q) product would not be: a one-row block would go
-    through gemm instead of gemv.
+    The probabilities are laid out like a whole simulator result, each
+    block column-major, so BLAS sees, for every block of a stack, the same
+    call (gemm, or gemv for a one-row block) on the same operand layout as
+    for that block alone, and the results are bit-identical. Flattening
+    the stack into one (G * rows, 2^Q) product would not be: a one-row
+    block would go through gemm instead of gemv.
     """
-    n_qubits = states.shape[-1].bit_length() - 1
-    bits = np.arange(states.shape[-1])[:, None] >> (n_qubits - 1 - np.arange(n_classes))
-    return states**2 @ (1.0 - 2.0 * (bits & 1))
+    g, dim = amplitudes.shape[:2]
+    n_qubits = dim.bit_length() - 1
+    bits = np.arange(dim)[:, None] >> (n_qubits - 1 - np.arange(n_classes))
+    probabilities = np.square(amplitudes, order="C").reshape(g, dim, -1)
+    return np.swapaxes(probabilities, 1, 2) @ (1.0 - 2.0 * (bits & 1))
 
 
 def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, tuple, int]:
@@ -299,6 +363,43 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
     return np.concatenate([np.pi * rows[:, :, None, :], shared], axis=2), emb.shape[:-1], c
 
 
+def _forward_pass(rotations: np.ndarray) -> np.ndarray:
+    """Amplitude-major (G, 2^Q, n) statevectors of the unshifted circuits."""
+    return _simulate(rotations, _forward_offsets(rotations.shape[2] * rotations.shape[3]))
+
+
+def _training_pass(rotations: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, n, C) logits and (G, n, 2, K, C) shift-rule expectations of every sample, from one simulation.
+
+    Each sample runs its forward circuit and its 2K shifted circuits
+    together (_training_offsets). The logits are a (n, 2^Q) product per
+    block, exactly as a forward pass alone takes them; the shifted
+    expectations a (n * 2K, 2^Q) product per block, exactly as a pass of
+    the shifted circuits alone would. Entry [g, i, 0, j] runs sample i
+    with rotation j shifted by +pi/2, [g, i, 1, j] by -pi/2.
+    """
+    g, n, depth, n_qubits = rotations.shape
+    k = depth * n_qubits
+    states = _simulate(rotations, _training_offsets(k)).reshape(g, 2**n_qubits, n, 2 * k + 1)
+    logits = _z_expectations(states[..., 0], n_classes)
+    shifted = _z_expectations(states[..., 1:], n_classes).reshape(g, n, 2, k, n_classes)
+    return logits, shifted
+
+
+def _shift_rule(shifted: np.ndarray, upstream: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-rule gradients contracted with (G, n, C) upstream rows.
+
+    Returns the (G, L * Q) variational gradient, summed over each client's
+    rows, and the (G, n, Q) embedding gradient. shifted is _training_pass's
+    (G, n, 2, K, C) array. Every rotation angle
+    theta obeys d<Z>/dtheta = (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2;
+    the embedding gradient also carries the pi of the encoding e -> RY(pi * e).
+    """
+    g, n, _, _, c = shifted.shape
+    grad = ((shifted[:, :, 0] - shifted[:, :, 1]) @ upstream.reshape(g, n, c, 1))[..., 0] * 0.5
+    return grad[..., n_qubits:].sum(axis=1), np.pi * grad[..., :n_qubits]
+
+
 def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Flat 2^Q statevector after encoding and all variational layers.
 
@@ -308,7 +409,7 @@ def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     dense matrix products.
     """
     rotations, lead, _ = _circuit_inputs(embedding, angles, None)
-    return _simulate(rotations, _forward_offsets(rotations)).reshape(*lead, -1)
+    return np.swapaxes(_forward_pass(rotations), 1, 2).reshape(*lead, -1)
 
 
 def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | None = None) -> np.ndarray:
@@ -323,7 +424,7 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     its own angles, bit-identical to G separate calls.
     """
     rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
-    return _z_expectations(_simulate(rotations, _forward_offsets(rotations)), c).reshape(*lead, c)
+    return _z_expectations(_forward_pass(rotations), c).reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -336,28 +437,24 @@ def param_shift_grad(
 
     Every rotation angle theta obeys d<Z>/dtheta =
     (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2, evaluated by running the
-    circuit twice per parameter; the 2 * (L * Q + Q) shifted circuits of
-    every sample run as one batch. The embedding gradient additionally
-    carries the pi factor of the encoding map e -> RY(pi * e). For an
-    (n, Q) embedding batch with (n, C) upstream rows, the angle gradient
-    (of the angles' (L, Q) shape) is summed over the rows and the
-    embedding gradient keeps one row per sample. A (G, n, Q) stack with
-    (G, L, Q) angles and (G, n, C) upstream rows gives a (G, L, Q) angle
-    gradient, each client's summed over its own rows.
+    circuit twice per parameter. This is the shift rule of training itself
+    (_training_pass, _shift_rule): each sample's 2 * (L * Q + Q) shifted
+    circuits run in one simulation, beside its forward circuit, whose
+    logits go unused here. The embedding gradient additionally carries the
+    pi factor of the encoding map e -> RY(pi * e). For an (n, Q) embedding
+    batch with (n, C) upstream rows, the angle gradient (of the angles'
+    (L, Q) shape) is summed over the rows and the embedding gradient keeps
+    one row per sample. A (G, n, Q) stack with (G, L, Q) angles and
+    (G, n, C) upstream rows gives a (G, L, Q) angle gradient, each
+    client's summed over its own rows.
     """
     rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (*lead, c):
         raise ParameterError(f"expected a length-{c} upstream gradient per sample")
-    g, n, depth, q = rotations.shape
-    k = depth * q
-    # circuit (i, s, j) of a client shifts rotation j of its sample i by +pi/2 (s = 0) or -pi/2 (s = 1)
-    states = _simulate(rotations, HALF_PI * np.concatenate([np.eye(k), -np.eye(k)]))
-    z = _z_expectations(states, c).reshape(g, n, 2, k, c)
-    grad = ((z[:, :, 0] - z[:, :, 1]) @ upstream.reshape(g, n, c, 1))[..., 0] * 0.5
-    grad_var = grad[..., q:].sum(axis=1).reshape(np.shape(angles))
-    grad_emb = np.pi * grad[..., :q]
-    return grad_var, grad_emb.reshape(*lead, q)
+    _, shifted = _training_pass(rotations, c)
+    grad_var, grad_emb = _shift_rule(shifted, upstream, rotations.shape[3])
+    return grad_var.reshape(np.shape(angles)), grad_emb.reshape(*lead, -1)
 
 
 def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
@@ -394,6 +491,12 @@ def hybrid_loss_and_grads(
     the result is a (G,) array of losses and a (G, P) gradient stack, each
     client's bit-identical to a call with its vector alone.
 
+    The circuits run in one simulation (_training_pass): each sample's
+    forward circuit, whose logits give the loss, beside its 2(L+1)Q
+    shift-rule circuits, whose expectations give the circuit gradient
+    (_shift_rule); backprop through the MLP follows. The numbers are those
+    of circuit_forward and param_shift_grad called one after the other.
+
     When prox_mu > 0 and an anchor (laid out like params) is given, adds the
     proximal penalty (prox_mu / 2) * ||params - anchor||^2 over all
     parameters, classical and quantum alike. prox_mu = 0 skips the penalty
@@ -415,10 +518,12 @@ def hybrid_loss_and_grads(
     grad = np.zeros(stack.shape)
     grad_dense, grad_angles = layout.dense(grad), layout.angles(grad)
     embeddings, cache = mlp_forward(dense, features.reshape(g, n, -1))
-    losses, upstream = softmax_cross_entropy(circuit_forward(embeddings, angles, n_classes), labels.reshape(g, n))
-    grad_var, grad_embeddings = param_shift_grad(embeddings, angles, upstream, n_classes)
+    rotations, _, _ = _circuit_inputs(embeddings, angles, n_classes)
+    logits, shifted = _training_pass(rotations, n_classes)
+    losses, upstream = softmax_cross_entropy(logits, labels.reshape(g, n))
+    grad_var, grad_embeddings = _shift_rule(shifted, upstream, layout.qubits)
     mlp_backward(dense, cache, grad_embeddings, grad_dense)
-    grad_angles += grad_var
+    grad_angles += grad_var.reshape(grad_angles.shape)
     loss = losses.mean(axis=1)
     grad /= n
     if prox_mu > 0.0 and prox_anchor is not None:
@@ -521,9 +626,10 @@ def local_train(
     """Mini-batch Adam for a cohort of clients in lockstep, each from a fresh optimizer state.
 
     Client g starts from row g of the (G, P) `inits` and reshuffles its
-    samples every epoch from a generator seeded with seeds[g]. It keeps its own Adam moments and loss totals; its step
-    count is the cohort's step index s, so every client that still has a
-    batch at step s takes its step together with the others. All of those
+    samples every epoch from a generator seeded with seeds[g]. It keeps its
+    own Adam moments and loss totals; its step count is the cohort's step
+    index s, so every client that still has a batch at step s takes its
+    step together with the others. All of those
     whose batches hold the same number n of samples share one
     hybrid_loss_and_grads call and one Adam step, so a step makes one call
     per distinct batch size; the call's memory is about twice its shift-rule

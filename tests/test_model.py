@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -23,10 +24,14 @@ from fedsim.model import (
     softmax_cross_entropy,
     statevector,
     _circuit_inputs,
+    _offset_table,
     _simulate,
     _z_expectations,
 )
 from fedsim.orchestrator import ExperimentConfig, build_context, init_state, run_round
+
+
+MODEL_LAYER_DIGEST = "5c95852b90b20b94c07dd96cdea90a251aa65e09b55a04652d50ef639affbd13"
 
 
 def random_hybrid(rng, f=4, h=5, q=3, layers=1):
@@ -649,6 +654,27 @@ class TestCohortStacking:
             train_alone(healthy, data, inits[0], layout, 1, 1, 0.05, 0.0, seed)
 
 
+def circuit_major(states):
+    """The (G, circuits, 2^Q) view of the simulator's amplitude-major (G, 2^Q, circuits) result."""
+    return np.swapaxes(states, 1, 2)
+
+
+def peak_memory(call):
+    """Bytes tracemalloc sees allocated at the peak of call(), above what was allocated before it."""
+    call()  # fill the caches first
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 class TestOffsetTable:
     """The simulator's offset table runs exactly (array_equal) the circuits of explicitly shifted angles."""
 
@@ -660,16 +686,18 @@ class TestOffsetTable:
         angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
         rotations, _, _ = _circuit_inputs(embeddings, angles, None)
         table = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])
-        states = _simulate(rotations, table).reshape(clients, rows, 2 * k, -1)
+        states = circuit_major(_simulate(rotations, _offset_table(table))).reshape(clients, rows, 2 * k, -1)
+        forward = _offset_table(np.full((1, k), -0.0))
         for r, offset in enumerate(table):
             shift = offset.reshape(depth, qubits)
             # a one-row table of -0.0 is the forward pass
-            np.testing.assert_array_equal(states[:, :, r], _simulate(rotations + shift, np.full((1, k), -0.0)))
+            np.testing.assert_array_equal(states[:, :, r], circuit_major(_simulate(rotations + shift, forward)))
             if r % k >= qubits:  # a variational angle: the public entry points can shift it too
                 shifted = angles + shift[1:]
                 np.testing.assert_array_equal(states[:, :, r], statevector(embeddings, shifted))
                 np.testing.assert_array_equal(
-                    circuit_forward(embeddings, shifted), _z_expectations(_simulate(rotations, table[r:r + 1]), qubits)
+                    circuit_forward(embeddings, shifted),
+                    _z_expectations(_simulate(rotations, _offset_table(table[r:r + 1])), qubits),
                 )
 
     def test_shift_rule_peak_memory_is_at_most_three_states(self, rng):
@@ -678,20 +706,183 @@ class TestOffsetTable:
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
         angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
         upstream = rng.standard_normal((clients, rows, qubits))
-        param_shift_grad(embeddings, angles, upstream)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            param_shift_grad(embeddings, angles, upstream)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = peak_memory(lambda: param_shift_grad(embeddings, angles, upstream))
         state_bytes = clients * rows * 2 * (layers + 1) * qubits * 2**qubits * 8
         assert peak <= 3 * state_bytes
+
+    def test_training_call_peak_memory_is_at_most_three_states(self, rng):
+        # the same bound as the shift rule alone: the forward circuits ride in the same two buffers
+        clients, rows, qubits, layers = 10, 32, 4, 2
+        layout = ParamLayout(4, 5, qubits, layers)
+        params = np.stack([init_params(layout, g) for g in range(clients)])
+        features = rng.uniform(-1, 1, (clients * rows, 4))
+        labels = rng.integers(0, qubits, clients * rows)
+        peak = peak_memory(lambda: hybrid_loss_and_grads(features, labels, params, layout, qubits))
+        state_bytes = clients * rows * 2 * (layers + 1) * qubits * 2**qubits * 8
+        assert peak <= 3 * state_bytes
+
+
+def reference_simulate(rotations, offsets):
+    """The simulator as it was before the fused pass: gate by gate from |0...0>, one angle per circuit and gate.
+
+    Takes the (G, rows, L+1, Q) base rotations and a plain (m, K) offset
+    table, and returns the (G, rows * m, 2^Q) circuit-major statevectors.
+    """
+    g, rows, depth, n_qubits = rotations.shape
+    circuits = rows * len(offsets)
+    state = np.zeros((g, 2**n_qubits, circuits))
+    state[:, 0] = 1.0
+    scratch = np.empty_like(state)
+    for layer in range(depth):
+        for q in range(n_qubits):
+            angle = rotations[:, :, None, layer, q] + offsets[:, layer * n_qubits + q]
+            half = (0.5 * angle).reshape(g, 1, 1, circuits)
+            c, s = np.cos(half), np.sin(half)
+            # axes (block, higher qubits, qubit q, lower qubits, circuit)
+            view = state.reshape(g, 2**q, 2, -1, circuits)
+            temp = scratch.reshape(g, 2**q, 2, -1, circuits)
+            a0, a1, t0, t1 = view[:, :, 0], view[:, :, 1], temp[:, :, 0], temp[:, :, 1]
+            np.multiply(s, a1, out=t0)
+            np.multiply(s, a0, out=t1)
+            a0 *= c
+            a0 -= t0  # c * a0 - s * a1
+            a1 *= c
+            a1 += t1  # s * a0 + c * a1
+        if layer > 0 and n_qubits > 1:
+            np.take(state, model._ring_gather(n_qubits), axis=1, out=scratch, mode="clip")
+            state, scratch = scratch, state
+    return np.swapaxes(state, 1, 2)
+
+
+def reference_z_expectations(states, n_classes):
+    """<Z> as it was taken from reference_simulate's (G, rows, 2^Q) view: squares, then one product per block."""
+    n_qubits = states.shape[-1].bit_length() - 1
+    bits = np.arange(states.shape[-1])[:, None] >> (n_qubits - 1 - np.arange(n_classes))
+    return states**2 @ (1.0 - 2.0 * (bits & 1))
+
+
+class TestReferenceSimulator:
+    """The simulator against reference_simulate: the same numbers, byte for byte, on every offset table."""
+
+    @staticmethod
+    def tables(rng, k):
+        shifts = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])
+        # each entry +0.0, -0.0, +pi/2, -pi/2 or uniform
+        kinds = rng.integers(0, 5, (5, k))
+        pool = np.array([0.0, -0.0, HALF_PI, -HALF_PI])
+        mixed = np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, (5, k)))
+        return {
+            "forward": np.full((1, k), -0.0),
+            "fold": np.concatenate([np.full((1, k), -0.0), shifts]),
+            "random": mixed,
+        }
+
+    @staticmethod
+    def rotations(rng, shape):
+        # a third of the angles 0, -0.0, pi or -pi, and one encoding angle -0.0 (an embedding entry of -0.0)
+        kinds = rng.integers(0, 6, shape)
+        pool = np.array([0.0, -0.0, math.pi, -math.pi])
+        rotations = np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, shape))
+        rotations[0, 0, 0, 0] = -0.0
+        return rotations
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_gate_by_gate_reference(self, rng, qubits, layers):
+        depth = layers + 1
+        k = depth * qubits
+        forward = _offset_table(np.full((1, k), -0.0))
+        for name, table in self.tables(rng, k).items():
+            offsets = _offset_table(table)
+            for clients in range(1, 5):
+                for rows in range(1, 6):
+                    rotations = self.rotations(rng, (clients, rows, depth, qubits))
+                    reference = reference_simulate(rotations, table)
+                    states = _simulate(rotations, offsets)
+                    where = f"{name} table, {clients} clients, {rows} rows"
+                    # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
+                    np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
+                    probabilities = np.ascontiguousarray(circuit_major(np.square(states)))
+                    assert probabilities.tobytes() == np.ascontiguousarray(reference**2).tobytes(), where
+                    z = _z_expectations(states, qubits)
+                    assert z.shape == reference.shape[:2] + (qubits,)
+                    assert z.tobytes() == reference_z_expectations(reference, qubits).tobytes(), where
+                    # every row runs exactly its explicitly offset angles, signed zeros included
+                    blocks = states.reshape(clients, 2**qubits, rows, len(table))
+                    for r, row in enumerate(table):
+                        alone = _simulate(rotations + row.reshape(depth, qubits), forward)
+                        assert np.ascontiguousarray(blocks[..., r]).tobytes() == alone.tobytes(), f"{where}, row {r}"
+
+    def test_distinct_offsets_keep_signed_zeros_apart(self):
+        offsets = _offset_table(np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 2.0]]))
+        assert offsets.distinct.shape == (2, 2)
+        assert sorted(np.signbit(offsets.distinct[0])) == [False, True]
+        # every row's offset comes back, bit for bit, from its gate's distinct values
+        gathered = np.take_along_axis(offsets.distinct, offsets.lookup, axis=1)
+        assert gathered.tobytes() == offsets.table.T.tobytes()
+
+
+def model_layer_digest():
+    """sha256 over the bytes of training losses and gradients and shift-rule outputs on a fixed seeded grid."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20261018)
+    for qubits in range(1, 6):
+        for layers in (1, 2, 3):
+            layout = ParamLayout(4, 5, qubits, layers)
+            classes = min(qubits, 3)
+            for clients in (1, 3):
+                for rows in (1, 4):
+                    params = np.stack([init_params(layout, int(rng.integers(1 << 30))) for _ in range(clients)])
+                    special = [-0.0, math.pi, -math.pi][:qubits * layers]
+                    params[0, layout.size - len(special):] = special
+                    anchors = params + rng.normal(0.0, 0.1, params.shape)
+                    features = rng.uniform(-1, 1, (clients * rows, 4))
+                    labels = rng.integers(0, classes, clients * rows)
+                    stacks = [(params, anchors)] + ([(params[0], anchors[0])] if clients == 1 else [])
+                    for prox_mu in (0.0, 0.3):
+                        for p, a in stacks:
+                            loss, grad = hybrid_loss_and_grads(features, labels, p, layout, classes, prox_mu, a)
+                            digest.update(np.asarray(loss).tobytes())
+                            digest.update(grad.tobytes())
+                    embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
+                    embeddings[0, 0, 0] = -0.0
+                    angles = layout.angles(params)
+                    upstream = rng.standard_normal((clients, rows, classes))
+                    cases = [(embeddings, angles, upstream)]
+                    if clients == 1:
+                        cases.append((embeddings[0], angles[0], upstream[0]))
+                        cases.append((embeddings[0, 0], angles[0], upstream[0, 0]))
+                    for case in cases:
+                        grad_var, grad_emb = param_shift_grad(*case, classes)
+                        digest.update(grad_var.tobytes())
+                        digest.update(grad_emb.tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainingPass:
+    """A training call simulates its forward and shift-rule circuits in one pass, with the numbers unchanged."""
+
+    def test_one_simulation_per_training_call(self, rng, monkeypatch):
+        calls = Counter()
+        for name in ("_simulate", "circuit_forward", "param_shift_grad"):
+            def counted(*args, _name=name, _original=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        layout = ParamLayout(4, 5, 3, 2)
+        params = np.stack([init_params(layout, g) for g in range(3)])
+        features = rng.uniform(-1, 1, (12, 4))
+        labels = rng.integers(0, 3, 12)
+        # a stack, one client's batch and one sample
+        for p, rows in ((params, 12), (params[0], 4), (params[0], 1)):
+            calls.clear()
+            hybrid_loss_and_grads(features[:rows], labels[:rows], p, layout, 3, 0.3, p)
+            assert calls == Counter({"_simulate": 1})
+
+    def test_model_layer_digest_is_pinned(self):
+        # losses, gradients and shift-rule outputs, stacks and one-row batches included, bit for bit
+        assert model_layer_digest() == MODEL_LAYER_DIGEST
 
 
 class TestEpochBatches:
