@@ -234,9 +234,6 @@ def _parse_strategies(raw: str | None) -> list[str]:
     strategies = [s.strip() for s in raw.split(",") if s.strip()]
     if not strategies:
         raise ConfigError("no strategies given")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"unknown strategy '{s}' (choose from {', '.join(STRATEGIES)})")
     return strategies
 
 
@@ -252,23 +249,26 @@ def _parse_alphas(raw: str | None) -> list[float] | None:
 def run_compare(strategies: list[str], alphas: list[float], base_config: ExperimentConfig, out_dir: Path):
     """Run each strategy at each alpha with the shared seed and partition.
 
+    Every (strategy, alpha) config is validated before the first run, so a
+    bad one fails the sweep before anything is trained or written.
     Returns (final-accuracy table rows, {alpha: per-round ablation rows}).
     The ablation tables list one accuracy column per requested strategy for
     every round, and are produced whenever an ablation variant is included.
     """
+    configs = {
+        (s, a): dataclasses.replace(base_config, strategy=s, alpha=a).validate() for a in alphas for s in strategies
+    }
     final_acc: dict[tuple[str, float], float] = {}
     per_round: dict[tuple[str, float], list[RoundMetrics]] = {}
-    for alpha in alphas:
-        for strategy in strategies:
-            config = dataclasses.replace(base_config, strategy=strategy, alpha=alpha).validate()
-            metrics = run_experiment(config)
-            write_metrics(
-                metrics,
-                out_dir / f"metrics_{strategy}_alpha{alpha:g}_seed{config.seed}.csv",
-                config,
-            )
-            final_acc[(strategy, alpha)] = metrics[-1].accuracy
-            per_round[(strategy, alpha)] = metrics
+    for (strategy, alpha), config in configs.items():
+        metrics = run_experiment(config)
+        write_metrics(
+            metrics,
+            out_dir / f"metrics_{strategy}_alpha{alpha:g}_seed{config.seed}.csv",
+            config,
+        )
+        final_acc[(strategy, alpha)] = metrics[-1].accuracy
+        per_round[(strategy, alpha)] = metrics
 
     comparison_rows = [["strategy"] + [f"alpha_{a:g}" for a in alphas]]
     for strategy in strategies:

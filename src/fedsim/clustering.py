@@ -25,7 +25,8 @@ def js_divergence(p, q) -> float:
 
     JS(p, q) = KL(p || m)/2 + KL(q || m)/2 with m the midpoint. Zero
     probabilities contribute nothing (0 * log 0 = 0), so no smoothing is
-    needed. The result lies in [0, ln 2].
+    needed. The result lies in [0, ln 2]: rounding can leave the sum a few
+    ulps below 0 for nearly equal vectors, so it is clamped at 0.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -43,7 +44,7 @@ def js_divergence(p, q) -> float:
         mask = a > 0
         return 0.5 * float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
 
-    return half_kl(p) + half_kl(q)
+    return max(0.0, half_kl(p) + half_kl(q))
 
 
 def _half_kl_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ def similarity_matrix(dists, lambda1: float = 1.0, lambda2: float = 1.0) -> Simi
     for i in range(n - 1):
         rest = props[i + 1:]
         m = 0.5 * (props[i] + rest)
-        div = _half_kl_rows(props[i], m) + _half_kl_rows(rest, m)
+        div = np.maximum(_half_kl_rows(props[i], m) + _half_kl_rows(rest, m), 0.0)
         size_gap = np.abs(counts[i] - counts[i + 1:]) / (counts[i] + counts[i + 1:])
         s[i, i + 1:] = s[i + 1:, i] = np.exp(-lambda1 * div - lambda2 * size_gap)
     return SimilarityMatrix(s)

@@ -2,20 +2,13 @@
 
 A round broadcasts models, trains all clients locally, collects updates
 sorted by client id, aggregates classical and quantum parameters per the
-strategy, and evaluates on the shared test split:
-
-  fedcompass                spectral clustering + per-cluster classical
-                            averages; circular-mean quantum aggregation
-                            followed by the server Adam step
-  fedcompass_no_clustering  single global classical average; quantum path
-                            as fedcompass
-  fedcompass_no_circular    clustering as fedcompass; quantum aggregation
-                            replaced by the arithmetic mean (still fed
-                            through the server Adam step)
-  fedavg                    single classical average; plain weighted
-                            arithmetic quantum mean, no server optimizer
-  fedprox                   fedavg plus the proximal term in the local
-                            objective
+strategy, and evaluates on the shared test split. `STRATEGIES` defines
+every strategy as four protocol switches, and `run_round` reads only
+those switches: fedcompass clusters, takes the circular mean of the
+angles and applies the server Adam step; its two ablations each drop one
+ingredient (no_clustering the clustering, no_circular the circular mean);
+fedavg does none of the three, and fedprox is fedavg plus the proximal
+term in the local objective.
 
 State transitions are functional: run_round returns a fresh ServerState,
 so a failed round leaves the previous state untouched.
@@ -27,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from statistics import fmean
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,16 +55,23 @@ from .model import (
     softmax_cross_entropy,
 )
 
-STRATEGIES = (
-    "fedcompass",
-    "fedavg",
-    "fedprox",
-    "fedcompass_no_clustering",
-    "fedcompass_no_circular",
-)
 
-# strategies whose quantum path is circular mean + server Adam
-_CIRCULAR_STRATEGIES = {"fedcompass", "fedcompass_no_clustering"}
+class Strategy(NamedTuple):
+    """The protocol switches that define a strategy."""
+
+    clustered: bool  # spectral clustering into per-cluster classical models
+    circular: bool  # circular mean of the angles, else the arithmetic mean
+    server_step: bool  # server Adam step on the aggregated angles
+    proximal: bool  # proximal term prox_mu in the local objective
+
+
+STRATEGIES = {
+    "fedcompass": Strategy(clustered=True, circular=True, server_step=True, proximal=False),
+    "fedavg": Strategy(clustered=False, circular=False, server_step=False, proximal=False),
+    "fedprox": Strategy(clustered=False, circular=False, server_step=False, proximal=True),
+    "fedcompass_no_clustering": Strategy(clustered=False, circular=True, server_step=True, proximal=False),
+    "fedcompass_no_circular": Strategy(clustered=True, circular=False, server_step=True, proximal=False),
+}
 
 TEST_FRACTION = 0.2
 
@@ -129,6 +130,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
+        if self.dataset == "synthetic" and round(TEST_FRACTION * self.per_class) < 1:
+            raise ConfigError(f"per_class ({self.per_class}) is too small: its test share rounds to 0 samples")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         if self.local_lr < 0 or self.server_lr <= 0:
@@ -294,24 +297,37 @@ def evaluate(
     return agg_acc, agg_loss, per_cluster
 
 
-def _baseline_metrics(state: ServerState, config: ExperimentConfig, context: RunContext) -> RoundMetrics:
-    start = time.perf_counter()
+def _round_metrics(
+    state: ServerState,
+    config: ExperimentConfig,
+    context: RunContext,
+    start: float,
+    updates=None,
+    eigengaps: tuple[float, ...] | None = None,
+    degeneracies: int = 0,
+) -> RoundMetrics:
+    """Score the server state on the test split and report it as one row.
+
+    Round 0 has no updates, so its mean train loss is nan. A state without
+    an assignment holds one model that all n_clients share.
+    """
     acc, loss, per_cluster = evaluate(
-        state.cluster_models, state.quantum, None, None,
+        state.cluster_models, state.quantum, state.assignment, updates,
         context.dataset, context.test_indices, config.classes,
     )
+    sizes = (config.n_clients,) if state.assignment is None else state.assignment.cluster_sizes()
     return RoundMetrics(
-        round_index=0,
+        round_index=state.round_index,
         strategy=config.strategy,
         seed=config.seed,
         alpha=config.alpha,
         accuracy=acc,
         loss=loss,
-        mean_train_loss=math.nan,
+        mean_train_loss=math.nan if updates is None else fmean(u.train_loss for u in updates),
         per_cluster_accuracy=tuple(per_cluster[c] for c in sorted(per_cluster)),
-        cluster_sizes=(config.n_clients,),
-        eigengaps=None,
-        degeneracies=0,
+        cluster_sizes=tuple(int(s) for s in sizes),
+        eigengaps=eigengaps,
+        degeneracies=degeneracies,
         duration_ms=(time.perf_counter() - start) * 1000.0,
     )
 
@@ -319,24 +335,21 @@ def _baseline_metrics(state: ServerState, config: ExperimentConfig, context: Run
 def run_round(state: ServerState, config: ExperimentConfig, context: RunContext) -> tuple[ServerState, RoundMetrics]:
     """One full round: broadcast, local training, aggregation, evaluation.
 
-    Client i trains from its cluster's classical parameters when a
-    fedcompass assignment exists, otherwise from the single global model;
-    everyone receives the same global quantum parameters, and a broadcast
-    is the concatenation of the two. The clients train as one cohort, in
-    one local_train call. Per-client seeds derive from (master seed, round,
+    Client i trains from its cluster's classical parameters when the state
+    holds an assignment, otherwise from the single global model; everyone
+    receives the same global quantum parameters, and a broadcast is the
+    concatenation of the two. The clients train as one cohort, in one
+    local_train call. Per-client seeds derive from (master seed, round,
     client id), so a round is reproducible regardless of scheduling. A
     client whose training diverges raises NumericError naming the round and
     the client.
     """
     start = time.perf_counter()
     round_index = state.round_index + 1
-    strategy = config.strategy
+    strategy = STRATEGIES[config.strategy]
     layout = _layout(config, context)
 
-    if strategy == "fedcompass" and state.assignment is not None:
-        models = state.assignment.labels
-    else:
-        models = np.zeros(len(context.clients), dtype=np.int64)
+    models = np.zeros(len(context.clients), dtype=np.int64) if state.assignment is None else state.assignment.labels
     angles = state.quantum.reshape(-1)
     try:
         updates = local_train(
@@ -347,7 +360,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
             config.local_epochs,
             config.batch_size,
             config.local_lr,
-            config.prox_mu if strategy == "fedprox" else 0.0,
+            config.prox_mu if strategy.proximal else 0.0,
             [derived_seed(config.seed, _SEED_CLIENT, round_index, c.client_id) for c in context.clients],
         )
     except NumericError as exc:
@@ -355,7 +368,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     updates.sort(key=lambda u: u.client_id)
 
     eigengaps = None
-    if strategy == "fedcompass":
+    if strategy.clustered:
         sim = similarity_matrix([u.distribution for u in updates], config.lambda1, config.lambda2)
         assignment = spectral_cluster(sim, config.clusters, derived_seed(config.seed, _SEED_KMEANS, round_index))
         _, gaps = laplacian_eigengaps(sim)
@@ -364,47 +377,23 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         assignment = ClusterAssignment(np.zeros(len(updates), dtype=np.int64), 1)
     cluster_models = cluster_weighted_average(updates, assignment)
 
-    degenerate: list[int] = []
-    if strategy in _CIRCULAR_STRATEGIES:
+    if strategy.circular:
         phi_bar, degenerate = aggregate_quantum(updates, state.quantum)
-        quantum, opt_state = fedadam_update(
-            state.quantum, phi_bar, state.opt_state, eta=config.server_lr
-        )
-    elif strategy == "fedcompass_no_circular":
-        phi_bar = arithmetic_mean_quantum(updates)
-        quantum, opt_state = fedadam_update(
-            state.quantum, phi_bar, state.opt_state, eta=config.server_lr
-        )
-    else:  # fedavg, fedprox
-        quantum = arithmetic_mean_quantum(updates)
-        opt_state = state.opt_state
+    else:
+        phi_bar, degenerate = arithmetic_mean_quantum(updates), []
+    if strategy.server_step:
+        quantum, opt_state = fedadam_update(state.quantum, phi_bar, state.opt_state, eta=config.server_lr)
+    else:
+        quantum, opt_state = phi_bar, state.opt_state
 
-    acc, loss, per_cluster = evaluate(
-        cluster_models, quantum, assignment, updates,
-        context.dataset, context.test_indices, config.classes,
-    )
-    metrics = RoundMetrics(
-        round_index=round_index,
-        strategy=strategy,
-        seed=config.seed,
-        alpha=config.alpha,
-        accuracy=acc,
-        loss=loss,
-        mean_train_loss=fmean(u.train_loss for u in updates),
-        per_cluster_accuracy=tuple(per_cluster[c] for c in sorted(per_cluster)),
-        cluster_sizes=tuple(int(s) for s in assignment.cluster_sizes()),
-        eigengaps=eigengaps,
-        degeneracies=len(degenerate),
-        duration_ms=(time.perf_counter() - start) * 1000.0,
-    )
     next_state = ServerState(
         round_index=round_index,
         cluster_models=cluster_models,
-        assignment=assignment if strategy == "fedcompass" else None,
+        assignment=assignment if strategy.clustered else None,
         quantum=quantum,
         opt_state=opt_state,
     )
-    return next_state, metrics
+    return next_state, _round_metrics(next_state, config, context, start, updates, eigengaps, len(degenerate))
 
 
 def run_experiment(config: ExperimentConfig) -> list[RoundMetrics]:
@@ -412,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> list[RoundMetrics]:
     config.validate()
     context = build_context(config)
     state = init_state(config, context)
-    metrics = [_baseline_metrics(state, config, context)]
+    metrics = [_round_metrics(state, config, context, time.perf_counter())]
     for _ in range(config.rounds):
         state, round_metrics = run_round(state, config, context)
         metrics.append(round_metrics)

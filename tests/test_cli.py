@@ -248,6 +248,16 @@ class TestCompareCommand:
         assert len(table) == 3
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--strategy", "fedavg", "--alpha", "0.3,-1"], "alpha must be > 0"),
+        (["--strategy", "fedavg,bogus"], "unknown strategy 'bogus'"),
+    ])
+    def test_every_config_checked_before_the_first_run(self, tmp_path, capsys, flags, named):
+        code = main(["compare", "--out", str(tmp_path)] + flags + FAST_FLAGS)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 class TestEigengapCommand:
     def test_report_printed(self, capsys):
         code = main(["eigengap", "--clients", "4", "--seed", "3"])
@@ -269,6 +279,13 @@ class TestExitCodes:
     def test_config_error(self, capsys):
         assert main(["run", "--alpha", "abc"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_empty_synthetic_test_split_is_a_config_error(self, tmp_path, capsys):
+        # 20% of 2 samples per class rounds to an empty test split
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("per_class = 2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "per_class" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

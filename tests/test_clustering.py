@@ -32,6 +32,11 @@ def entropy(p):
     return -float(np.sum(p[mask] * np.log(p[mask])))
 
 
+# two mixes that differ only in the last bits of their entries
+NEAR_P = [0.1, 0.2, 0.3, 0.4]
+NEAR_Q = [0.10000000000000002, 0.20000000000000004, 0.30000000000000004, 0.39999999999999997]
+
+
 class TestJsDivergence:
     def test_identical_distributions(self):
         p = np.full(4, 0.25)
@@ -55,6 +60,10 @@ class TestJsDivergence:
         with pytest.raises(ParameterError):
             js_divergence([math.nan, 0.5, 0.5], [0.25, 0.25, 0.5])
 
+    def test_nearly_equal_pair_is_not_negative(self):
+        # rounding leaves the two half-KL terms of this pair summing to about -2.2e-17
+        assert js_divergence(NEAR_P, NEAR_Q) == 0.0
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_matches_entropy_form_oracle(self, data):
@@ -77,6 +86,11 @@ class TestSimilarityMatrix:
         dists = [dist([0.25, 0.25, 0.25, 0.25])] * 3
         sim = similarity_matrix(dists, 1.0, 1.0)
         np.testing.assert_array_equal(sim.entries, np.ones((3, 3)))
+
+    def test_nearly_equal_mixes_stay_in_unit_interval(self):
+        # a JS term a few ulps below 0 would push this entry above 1 at lambda1 = 10
+        sim = similarity_matrix([dist(NEAR_P), dist(NEAR_Q)], 10.0, 1.0)
+        np.testing.assert_array_equal(sim.entries, np.ones((2, 2)))
 
     def test_zero_lambdas_all_ones(self):
         dists = [dist([1, 0], 10), dist([0, 1], 1000)]

@@ -128,6 +128,53 @@ class TestStrategyEquivalences:
             assert ra.loss == rb.loss
 
 
+
+def first_round(strategy, **overrides):
+    """(round-0 state, round-1 state, round-1 metrics) of a two-cluster small config."""
+    config = small_config(strategy=strategy, clusters=2, rounds=1, **overrides)
+    context = build_context(config)
+    state = init_state(config, context)
+    return (state, *run_round(state, config, context))
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("name", list(orch.STRATEGIES))
+    def test_one_round_follows_the_switches(self, monkeypatch, name):
+        switches = orch.STRATEGIES[name]
+        prox_mus = []
+        real_local_train = orch.local_train
+
+        def spy(*args):
+            prox_mus.append(args[7])
+            return real_local_train(*args)
+
+        monkeypatch.setattr(orch, "local_train", spy)
+        state, new_state, row = first_round(name, prox_mu=0.25)
+        assert prox_mus == [0.25 if switches.proximal else 0.0]
+        assert (row.eigengaps is not None) == switches.clustered
+        assert (new_state.assignment is not None) == switches.clustered
+        assert new_state.opt_state.t == state.opt_state.t + int(switches.server_step)
+
+    def test_no_circular_clusters_as_fedcompass(self):
+        _, reference, reference_row = first_round("fedcompass")
+        _, state, row = first_round("fedcompass_no_circular")
+        assert len(row.cluster_sizes) == 2
+        assert state.assignment.n_clusters == reference.assignment.n_clusters
+        np.testing.assert_array_equal(state.assignment.labels, reference.assignment.labels)
+        assert row.cluster_sizes == reference_row.cluster_sizes
+        assert row.eigengaps == reference_row.eigengaps
+        assert state.cluster_models.keys() == reference.cluster_models.keys()
+        for cid, model in reference.cluster_models.items():
+            np.testing.assert_array_equal(state.cluster_models[cid], model)
+
+    def test_no_clustering_steps_the_angles_as_fedcompass(self):
+        _, reference, _ = first_round("fedcompass")
+        _, state, _ = first_round("fedcompass_no_clustering")
+        np.testing.assert_array_equal(state.quantum, reference.quantum)
+        np.testing.assert_array_equal(state.opt_state.m, reference.opt_state.m)
+        np.testing.assert_array_equal(state.opt_state.v, reference.opt_state.v)
+        assert state.opt_state.t == reference.opt_state.t == 1
+
 class TestFedavgAggregationOracle:
     def test_round_matches_hand_computed_average(self):
         config = small_config(rounds=1)
