@@ -252,8 +252,10 @@ def run_compare(strategies: list[str], alphas: list[float], base_config: Experim
     Every (strategy, alpha) config is validated before the first run, so a
     bad one fails the sweep before anything is trained or written.
     Returns (final-accuracy table rows, {alpha: per-round ablation rows}).
-    The ablation tables list one accuracy column per requested strategy for
-    every round, and are produced whenever an ablation variant is included.
+    The ablation tables list, for every round, one accuracy column per
+    requested strategy with the server step (the fedcompass family), and
+    are produced whenever one of those drops clustering or the circular
+    mean.
     """
     configs = {
         (s, a): dataclasses.replace(base_config, strategy=s, alpha=a).validate() for a in alphas for s in strategies
@@ -277,8 +279,8 @@ def run_compare(strategies: list[str], alphas: list[float], base_config: Experim
         )
 
     ablation_tables: dict[float, list[list[str]]] = {}
-    if any(s in ("fedcompass_no_clustering", "fedcompass_no_circular") for s in strategies):
-        family = [s for s in strategies if s.startswith("fedcompass")]
+    family = [s for s in strategies if STRATEGIES[s].server_step]
+    if any(not (STRATEGIES[s].clustered and STRATEGIES[s].circular) for s in family):
         for alpha in alphas:
             rows = [["round"] + family]
             n_rounds = len(per_round[(family[0], alpha)])

@@ -9,7 +9,6 @@ deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,21 @@ def _half_kl_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     in `js_divergence`.
     """
     a = np.broadcast_to(a, m.shape)
-    ratio = np.divide(a, m, out=np.ones_like(m), where=a > 0)
-    return 0.5 * np.sum(a * np.log(ratio), axis=1)
+    terms = np.divide(a, m, out=np.ones_like(m), where=a > 0)
+    np.log(terms, out=terms)
+    terms *= a
+    return 0.5 * np.sum(terms, axis=1)
+
+
+def _pair_divergences(props: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """JS divergence of each pair (props[rows[i]], props[cols[i]]), clamped at 0.
+
+    The pair-sized temporaries are freed on return, before the (n, n)
+    similarity matrix is built, which keeps the peak memory down.
+    """
+    p, q = np.take(props, rows, axis=0), np.take(props, cols, axis=0)
+    m = 0.5 * (p + q)
+    return np.maximum(_half_kl_rows(p, m) + _half_kl_rows(q, m), 0.0)
 
 
 @dataclass
@@ -88,9 +100,10 @@ def similarity_matrix(dists, lambda1: float = 1.0, lambda2: float = 1.0) -> Simi
 
     The first exponent term penalizes diverging class mixes, the second
     penalizes mismatched sample counts; lambda1/lambda2 weight the two.
-    The diagonal is exactly 1 (both terms vanish for i = j). Entries are
-    computed one row at a time, so temporaries stay O(n * C) rather than
-    O(n^2 * C); `js_divergence` is the scalar reference for each entry.
+    The diagonal is exactly 1 (both terms vanish for i = j). All pairs
+    i < j are computed at once and mirrored into the lower triangle, so
+    temporaries are O(n^2 * C / 2); `js_divergence` is the scalar
+    reference for each entry.
     """
     if lambda1 < 0 or lambda2 < 0:
         raise ParameterError("lambda1 and lambda2 must be >= 0")
@@ -102,13 +115,11 @@ def similarity_matrix(dists, lambda1: float = 1.0, lambda2: float = 1.0) -> Simi
     except ValueError as exc:
         raise ParameterError("class distributions must have equal length") from exc
     counts = np.array([d.count for d in dists], dtype=np.int64)
+    rows, cols = np.triu_indices(n, k=1)
+    div = _pair_divergences(props, rows, cols)
+    size_gap = np.abs(counts[rows] - counts[cols]) / (counts[rows] + counts[cols])
     s = np.ones((n, n))
-    for i in range(n - 1):
-        rest = props[i + 1:]
-        m = 0.5 * (props[i] + rest)
-        div = np.maximum(_half_kl_rows(props[i], m) + _half_kl_rows(rest, m), 0.0)
-        size_gap = np.abs(counts[i] - counts[i + 1:]) / (counts[i] + counts[i + 1:])
-        s[i, i + 1:] = s[i + 1:, i] = np.exp(-lambda1 * div - lambda2 * size_gap)
+    s[rows, cols] = s[cols, rows] = np.exp(-lambda1 * div - lambda2 * size_gap)
     return SimilarityMatrix(s)
 
 
@@ -147,10 +158,10 @@ def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, vecs = np.linalg.eigh(0.5 * (a + a.T))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigendecomposition failed: {exc}") from exc
-    for k in range(n):
-        nz = np.flatnonzero(np.abs(vecs[:, k]) > 1e-12)
-        if len(nz) and vecs[nz[0], k] < 0:
-            vecs[:, k] = -vecs[:, k]
+    significant = np.abs(vecs) > 1e-12
+    lead = np.argmax(significant, axis=0)
+    flip = significant.any(axis=0) & (vecs[lead, np.arange(n)] < 0)
+    vecs[:, flip] = -vecs[:, flip]
     return values, vecs
 
 
@@ -197,21 +208,51 @@ def _plusplus_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return centers
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    centers = _plusplus_centers(points, k, rng)
-    labels = None
-    for _ in range(KMEANS_MAX_ITER):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)  # ties resolve to the lowest center index
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                centers[j] = points[members].mean(axis=0)
-    inertia = float(((points - centers[labels]) ** 2).sum())
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of R restarts in lockstep, from (R, k, d) `centers`.
+
+    `centers` is updated in place. A restart drops out once its labels stop
+    changing. Returns the (R, n) labels and the R inertias; each restart
+    matches a Lloyd run of its own bit for bit.
+    """
+    n_restarts, k, _ = centers.shape
+    labels = np.empty((n_restarts, len(points)), dtype=np.intp)
+    active = np.arange(n_restarts)
+    tiled = np.repeat(points[:, None, :], k, axis=1)  # (n, k, d), so a subtraction spans k * d values
+    for step in range(KMEANS_MAX_ITER):
+        d2 = ((tiled - centers[active, None, :, :]) ** 2).sum(axis=-1)
+        new_labels = np.argmin(d2, axis=-1)  # ties resolve to the lowest center index
+        if step:
+            moving = np.any(new_labels != labels[active], axis=1)
+            active, new_labels = active[moving], new_labels[moving]
+            if not len(active):
+                break
+        labels[active] = new_labels
+        centers[active] = _cluster_means(points, new_labels, centers[active])
+    inertia = ((points - centers[np.arange(n_restarts)[:, None], labels]) ** 2).sum(axis=(1, 2))
     return labels, inertia
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each restart's cluster means, `points[members].mean(axis=0)` bit for bit.
+
+    `labels` is (A, n) and `centers` (A, k, d); an empty cluster keeps its
+    center. numpy adds the rows of a mean in index order, as `bincount`
+    does, except for a single column, which it sums pairwise; so for 1-D
+    points each mean is taken with `mean` itself.
+    """
+    n_active, k, d = centers.shape
+    bins = labels + k * np.arange(n_active)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=n_active * k).reshape(n_active, k)
+    if d == 1:
+        for a, j in zip(*np.nonzero(counts)):
+            centers[a, j] = points[labels[a] == j].mean(axis=0)
+        return centers
+    cells = (bins[:, :, None] * d + np.arange(d)).ravel()
+    weights = np.broadcast_to(points, (n_active, *points.shape)).ravel()
+    sums = np.bincount(cells, weights=weights, minlength=n_active * k * d).reshape(centers.shape)
+    occupied = np.broadcast_to(counts[:, :, None] > 0, centers.shape)
+    return np.divide(sums, counts[:, :, None], out=centers, where=occupied)
 
 
 def _repair_empty_clusters(labels: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
@@ -240,24 +281,25 @@ def _canonical_labels(labels: np.ndarray, k: int) -> np.ndarray:
 def kmeans(points, k: int, seed: int) -> ClusterAssignment:
     """Seeded k-means++ with restarts, keeping the lowest-inertia result.
 
-    Runs KMEANS_RESTARTS independent initializations from one seeded
-    generator and Lloyd iterations until assignments stabilize. Any empty
-    cluster is repaired by donating the farthest point of the largest
-    cluster, and labels are canonicalized by ascending smallest member
-    index, so equal (points, k, seed) always yields the identical result.
+    Draws KMEANS_RESTARTS independent initializations, in order, from one
+    seeded generator, then runs the restarts' Lloyd iterations together,
+    each until its assignments stabilize; the first restart of lowest
+    inertia wins. Any empty cluster is repaired by donating the farthest
+    point of the largest cluster, and labels are canonicalized by ascending
+    smallest member index, so equal (points, k, seed) always yields the
+    identical result.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 1:
         raise ParameterError("points must be a non-empty (n, d) array")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("points must be finite")
     if k < 1 or k > len(pts):
         raise ParameterError(f"k must lie in [1, {len(pts)}]")
     rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, math.inf
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia = _lloyd(pts, k, rng)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    repaired = _repair_empty_clusters(best_labels, pts, k)
+    centers = np.stack([_plusplus_centers(pts, k, rng) for _ in range(KMEANS_RESTARTS)])
+    labels, inertia = _lloyd(pts, centers)
+    repaired = _repair_empty_clusters(labels[np.argmin(inertia)], pts, k)
     return ClusterAssignment(_canonical_labels(repaired, k), k)
 
 

@@ -18,7 +18,7 @@ from fedsim.cli import (
     write_metrics,
 )
 from fedsim.errors import ConfigError, NumericError
-from fedsim.orchestrator import ExperimentConfig, RoundMetrics
+from fedsim.orchestrator import STRATEGIES, ExperimentConfig, RoundMetrics, Strategy
 
 from conftest import write_idx_pair
 
@@ -234,6 +234,29 @@ class TestCompareCommand:
         assert rows[0] == ["round"] + strategies
         assert len(rows) == 1 + 2  # header + rounds 0..1
         assert all(len(r) == 4 for r in rows)
+
+    def test_ablation_family_follows_the_strategy_table(self, tmp_path):
+        config = parse_config(None, fast_overrides())
+        _, ablations = run_compare(list(STRATEGIES), [0.3], config, tmp_path)
+        assert ablations[0.3][0] == ["round", "fedcompass", "fedcompass_no_clustering", "fedcompass_no_circular"]
+        _, ablations = run_compare(["fedavg", "fedprox", "fedcompass"], [0.3], config, tmp_path)
+        assert ablations == {}
+
+    def test_added_strategy_is_placed_by_its_switches(self, tmp_path, monkeypatch):
+        # the ablation tables go by server_step, clustered and circular, not by name
+        monkeypatch.setitem(STRATEGIES, "compass_prox", Strategy(
+            clustered=True, circular=False, server_step=True, proximal=True))
+        monkeypatch.setitem(STRATEGIES, "fedcompass_plain", Strategy(
+            clustered=False, circular=False, server_step=False, proximal=False))
+        config = parse_config(None, fast_overrides())
+        _, ablations = run_compare(["fedavg", "fedcompass", "compass_prox"], [0.3], config, tmp_path)
+        rows = ablations[0.3]
+        assert rows[0] == ["round", "fedcompass", "compass_prox"]
+        assert len(rows) == 1 + 2 and all(len(r) == 3 for r in rows)
+        _, ablations = run_compare(["fedcompass_no_clustering", "fedcompass_plain"], [0.3], config, tmp_path)
+        assert ablations[0.3][0] == ["round", "fedcompass_no_clustering"]
+        _, ablations = run_compare(["fedcompass", "fedcompass_plain"], [0.3], config, tmp_path)
+        assert ablations == {}
 
     def test_compare_command_end_to_end(self, tmp_path, capsys):
         code = main([

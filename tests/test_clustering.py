@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import clustering
 from fedsim.clustering import (
     ClusterAssignment,
     SimilarityMatrix,
@@ -35,6 +36,85 @@ def entropy(p):
 # two mixes that differ only in the last bits of their entries
 NEAR_P = [0.1, 0.2, 0.3, 0.4]
 NEAR_Q = [0.10000000000000002, 0.20000000000000004, 0.30000000000000004, 0.39999999999999997]
+
+
+# Reference implementations: the row, column and restart loops that the
+# whole-array passes in fedsim.clustering replace. Outputs must match them
+# bit for bit.
+
+
+def reference_half_kl_rows(a, m):
+    a = np.broadcast_to(a, m.shape)
+    ratio = np.divide(a, m, out=np.ones_like(m), where=a > 0)
+    return 0.5 * np.sum(a * np.log(ratio), axis=1)
+
+
+def reference_similarity_entries(props, counts, lambda1, lambda2):
+    n = len(props)
+    s = np.ones((n, n))
+    for i in range(n - 1):
+        rest = props[i + 1:]
+        m = 0.5 * (props[i] + rest)
+        div = np.maximum(reference_half_kl_rows(props[i], m) + reference_half_kl_rows(rest, m), 0.0)
+        size_gap = np.abs(counts[i] - counts[i + 1:]) / (counts[i] + counts[i + 1:])
+        s[i, i + 1:] = s[i + 1:, i] = np.exp(-lambda1 * div - lambda2 * size_gap)
+    return s
+
+
+def reference_sign_fix(vecs):
+    vecs = vecs.copy()
+    for k in range(vecs.shape[1]):
+        nz = np.flatnonzero(np.abs(vecs[:, k]) > 1e-12)
+        if len(nz) and vecs[nz[0], k] < 0:
+            vecs[:, k] = -vecs[:, k]
+    return vecs
+
+
+def reference_lloyd(points, centers):
+    """One restart's Lloyd iterations: labels, inertia and final centers."""
+    centers = centers.copy()
+    labels = None
+    for _ in range(clustering.KMEANS_MAX_ITER):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(len(centers)):
+            members = labels == j
+            if members.any():
+                centers[j] = points[members].mean(axis=0)
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return labels, inertia, centers
+
+
+def reference_kmeans_labels(points, k, seed):
+    """Best restart's raw labels, one restart at a time, before repair."""
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, math.inf
+    for _ in range(clustering.KMEANS_RESTARTS):
+        labels, inertia, _ = reference_lloyd(points, clustering._plusplus_centers(points, k, rng))
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
+def reference_kmeans(points, k, seed):
+    labels = clustering._repair_empty_clusters(reference_kmeans_labels(points, k, seed), points, k)
+    return clustering._canonical_labels(labels, k)
+
+
+def random_mixes(rng, n, n_classes):
+    """n class mixes over n_classes, about a third of their entries exactly 0."""
+    props = rng.dirichlet(np.full(n_classes, 0.5), size=n)
+    props[rng.random(props.shape) < 0.3] = 0.0
+    props[props.sum(axis=1) == 0.0, 0] = 1.0
+    return props / props.sum(axis=1, keepdims=True)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestJsDivergence:
@@ -130,10 +210,7 @@ class TestSimilarityMatrix:
         # C >= 8 sums through numpy's unrolled pairwise loop, whose order
         # differs from the masked 1-D sum in js_divergence
         rng = np.random.default_rng(n_classes)
-        props = rng.dirichlet(np.full(n_classes, 0.5), size=25)
-        props[rng.random(props.shape) < 0.3] = 0.0
-        props[props.sum(axis=1) == 0.0, 0] = 1.0
-        props /= props.sum(axis=1, keepdims=True)
+        props = random_mixes(rng, 25, n_classes)
         counts = rng.integers(1, 400, size=25)
         assert np.any(props == 0.0) and len(set(counts.tolist())) > 1
         lambda1, lambda2 = 1.7, 0.6
@@ -145,6 +222,16 @@ class TestSimilarityMatrix:
                 assert sim.entries[i, j] == pytest.approx(expected, rel=1e-15, abs=0.0)
         np.testing.assert_array_equal(sim.entries, sim.entries.T)
         np.testing.assert_array_equal(np.diagonal(sim.entries), np.ones(25))
+
+    @pytest.mark.parametrize("n_classes", [2, 4, 10, 16])
+    def test_all_pairs_pass_matches_row_loop_bit_for_bit(self, n_classes):
+        rng = np.random.default_rng(100 + n_classes)
+        for n in range(1, 61):
+            props = random_mixes(rng, n, n_classes)
+            counts = rng.integers(1, 400, size=n)
+            lambda1, lambda2 = rng.uniform(0.0, 5.0, size=2)
+            sim = similarity_matrix([dist(p, int(c)) for p, c in zip(props, counts)], lambda1, lambda2)
+            assert same_bits(sim.entries, reference_similarity_entries(props, counts, lambda1, lambda2)), n
 
     def test_rejects_distributions_of_different_length(self):
         with pytest.raises(ParameterError):
@@ -235,6 +322,45 @@ class TestSymmetricEig:
             first = vectors[np.abs(vectors[:, k]) > 1e-12, k][0]
             assert first > 0
 
+    def test_sign_pass_matches_column_loop_on_random_matrices(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 10, 33, 60):
+            a = rng.standard_normal((n, n))
+            a = 0.5 * (a + a.T)
+            values, vectors = symmetric_eig(a)
+            raw_values, raw_vectors = np.linalg.eigh(0.5 * (a + a.T))
+            assert same_bits(values, raw_values)
+            assert same_bits(vectors, reference_sign_fix(raw_vectors))
+
+    def test_sign_pass_skips_exact_zero_leading_entries(self):
+        # blocks on the diagonal: each eigenvector is exactly 0 outside its
+        # block, so its first entries above 1e-12 sit past the top rows
+        blocks = [
+            np.array([[2.0]]),
+            np.array([[1.0, -0.5], [-0.5, 3.0]]),
+            np.array([[0.5, 0.2, 0.0], [0.2, -1.0, 0.7], [0.0, 0.7, 4.0]]),
+        ]
+        a = np.zeros((6, 6))
+        start = 0
+        for block in blocks:
+            a[start:start + len(block), start:start + len(block)] = block
+            start += len(block)
+        for sign in (1.0, -1.0):
+            values, vectors = symmetric_eig(sign * a)
+            raw_vectors = np.linalg.eigh(sign * a)[1]
+            leads = np.argmax(np.abs(raw_vectors) > 1e-12, axis=0)
+            assert np.any(leads > 0) and np.any(raw_vectors == 0.0)
+            assert same_bits(vectors, reference_sign_fix(raw_vectors))
+            assert np.all(vectors[leads, np.arange(6)] > 0)
+
+    def test_all_zero_column_is_left_alone(self, monkeypatch):
+        # no entry above 1e-12: no leading entry, so no flip
+        vecs = np.array([[-1e-13, 0.6], [0.0, -0.8]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.zeros(2), vecs.copy()))
+        _, vectors = symmetric_eig(np.eye(2))
+        assert same_bits(vectors, reference_sign_fix(vecs))
+        assert vectors[0, 0] == -1e-13
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -280,9 +406,65 @@ class TestKmeans:
         b = kmeans(points, 4, 11)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_lockstep_restarts_match_one_restart_at_a_time(self, d):
+        # d >= 8 takes numpy's unrolled pairwise sum for the squared distances
+        rng = np.random.default_rng(d)
+        for n in (1, 2, 5, 9, 17, 40):
+            points = rng.standard_normal((n, d))
+            if n > 4:
+                points[rng.integers(n, size=n // 3)] = points[0]  # duplicate points
+            for k in sorted({1, min(2, n), min(4, n), n}):
+                seed = int(rng.integers(1000))
+                got = kmeans(points, k, seed).labels
+                np.testing.assert_array_equal(got, reference_kmeans(points, k, seed))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8, 9])
+    def test_lloyd_stack_matches_each_restart_bit_for_bit(self, d):
+        # labels, inertias and centers: a center one ulp off rarely moves a label
+        rng = np.random.default_rng(20 + d)
+        for n, k in ((1, 1), (12, 3), (40, 2), (60, 5), (60, 60)):
+            points = rng.standard_normal((n, d))
+            points[: n // 4] = np.round(points[: n // 4], 1)
+            starts = np.stack([clustering._plusplus_centers(points, k, rng) for _ in range(6)])
+            centers = starts.copy()
+            labels, inertia = clustering._lloyd(points, centers)
+            for r in range(len(starts)):
+                ref_labels, ref_inertia, ref_centers = reference_lloyd(points, starts[r])
+                np.testing.assert_array_equal(labels[r], ref_labels)
+                assert same_bits(inertia[r], ref_inertia)
+                np.testing.assert_array_equal(centers[r], ref_centers)  # 0.0 == -0.0 here
+
+    def test_lockstep_matches_on_clustered_and_tied_points(self):
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 3, 8, 9):
+            centres = rng.standard_normal((4, d)) * 3.0
+            points = centres[rng.integers(4, size=60)] + rng.normal(0.0, 0.3, size=(60, d))
+            points[::7] = np.round(points[::7])  # many equal coordinates
+            for k in (2, 3, 4, 7):
+                np.testing.assert_array_equal(kmeans(points, k, k).labels, reference_kmeans(points, k, k))
+        lattice = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float).repeat(2, axis=0)
+        for k in range(1, len(lattice) + 1):
+            np.testing.assert_array_equal(kmeans(lattice, k, 0).labels, reference_kmeans(lattice, k, 0))
+
+    def test_spectral_embedding_of_wide_round_matches(self):
+        rng = np.random.default_rng(42)
+        dists = [dist(p, int(c)) for p, c in zip(random_mixes(rng, 200, 4), rng.integers(1, 11, 200))]
+        sim = similarity_matrix(dists, 1.0, 1.0)
+        embedding = symmetric_eig(normalized_laplacian(sim))[1][:, :4].copy()
+        embedding /= np.linalg.norm(embedding, axis=1)[:, None]
+        np.testing.assert_array_equal(kmeans(embedding, 4, 42).labels, reference_kmeans(embedding, 4, 42))
+
     def test_k_larger_than_points_rejected(self):
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        points = np.zeros((4, 2))
+        points[2, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            kmeans(points, 2, 0)
 
 
 class TestSpectralCluster:

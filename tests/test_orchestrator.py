@@ -210,7 +210,8 @@ class TestFedavgAggregationOracle:
 
 
 class TestByteStability:
-    # metrics_rows digests of the client-by-client trainer, which the cohort trainer must reproduce byte for byte
+    # metrics_rows digests that later changes must reproduce byte for byte: the first two come from the
+    # client-by-client trainer, the third from the row-by-row similarity matrix and one-restart-at-a-time k-means
     PINNED = {
         # clients of 1-4 samples at batch 3: one-sample stacks of three, and batches of 1, 2 and 3
         "53ab579c6b6410420f031232f505fbc587949d82a6e780d00fa5fea8e5f42fe1": dict(
@@ -222,6 +223,11 @@ class TestByteStability:
             strategy="fedprox", n_clients=5, alpha=0.5, rounds=2, local_epochs=2, batch_size=4,
             local_lr=0.05, prox_mu=0.1, features=4, hidden=6, qubits=3, layers=2, classes=3,
             per_class=16, spread=0.2, seed=3,
+        ),
+        # 200 clients in 4 clusters, as in the benchmark's wide workload: rounds 1 and 2 both cluster
+        "5bf19e62a9b4f43e5ec2195344cad75713feca2e776e4ce2e04b6735611fa453": dict(
+            strategy="fedcompass", n_clients=200, alpha=1.0, rounds=2, local_epochs=1, batch_size=32,
+            local_lr=0.03, server_lr=0.05, per_class=300, clusters=4, seed=5,
         ),
     }
 
