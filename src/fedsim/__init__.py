@@ -53,7 +53,6 @@ from .errors import (
 )
 from .model import (
     AdamState,
-    ClientUpdate,
     ParamLayout,
     adam_local_step,
     circuit_forward,

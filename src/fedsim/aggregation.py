@@ -8,10 +8,11 @@ angles that straddle the -pi/pi cut cancel catastrophically. The global
 quantum update then treats the gap between the current parameters and the
 aggregate as a pseudo-gradient for a server-side Adam step.
 
-Uploads are flat parameter vectors. Every reduction stacks them once, in
-ascending client-id order, as an (n_clients, P) array and reduces a column
-block of it (the classical block or the angle block) with numpy's
-summation, so results never depend on arrival order.
+A round's uploads arrive as the one (n_clients, P) stack that local_train
+returns, row i being client i, with one sample count per row. Every
+reduction takes a column block of that stack (the classical block, or the
+angle block as an (n_clients, L, Q) view) and reduces it with numpy's
+summation; nothing is re-sorted or stacked again.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from ._angles import wrap_angle, wrap_angles
 from .clustering import ClusterAssignment
 from .errors import ParameterError, ProtocolError
-from .model import AdamState, ClientUpdate, adam_step
+from .model import AdamState, adam_step
 
 __all__ = [
     "AggregationWeights",
@@ -64,34 +65,29 @@ class AggregationWeights:
         return cls(c / total)
 
 
-def _stacked_updates(updates) -> tuple[list[ClientUpdate], np.ndarray]:
-    """Updates in ascending client-id order and their parameters as one (n_clients, P) array."""
-    ups = sorted(updates, key=lambda u: u.client_id)
-    if len(ups) == 0:
+def _client_counts(uploads: np.ndarray, counts) -> np.ndarray:
+    """The sample counts as floats, after checking there is one per upload row."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if len(uploads) == 0:
         raise ProtocolError("no client updates to aggregate")
-    ids = [u.client_id for u in ups]
-    if len(set(ids)) != len(ids):
-        raise ProtocolError("duplicate client ids in updates")
-    if any(u.layout != ups[0].layout for u in ups):
-        raise ProtocolError("client updates disagree on the parameter layout")
-    return ups, np.stack([u.params for u in ups])
+    if counts.shape != (len(uploads),):
+        raise ProtocolError(f"{counts.size} sample counts for {len(uploads)} client updates")
+    return counts
 
 
-def cluster_weighted_average(updates, assignment: ClusterAssignment) -> dict[int, np.ndarray]:
-    """Sample-count weighted mean of the classical parameter block within each cluster.
+def cluster_weighted_average(classical: np.ndarray, counts, assignment: ClusterAssignment) -> np.ndarray:
+    """Sample-count weighted mean of the classical parameter rows within each cluster.
 
-    Position i of the assignment refers to the i-th update in ascending
-    client-id order; every assigned client must have exactly one update.
-    Each cluster model is a vector of the layout's n_classical entries.
+    Row i of the (n_clients, n_classical) block, counts[i] and position i
+    of the assignment all describe client i. Row m of the returned
+    (n_clusters, n_classical) array is cluster m's model.
     """
-    ups, stacked = _stacked_updates(updates)
-    if len(ups) != len(assignment.labels):
+    counts = _client_counts(classical, counts)
+    if len(classical) != len(assignment.labels):
         raise ProtocolError(
-            f"assignment covers {len(assignment.labels)} clients but {len(ups)} updates arrived"
+            f"assignment covers {len(assignment.labels)} clients but {len(classical)} updates arrived"
         )
-    classical = stacked[:, :ups[0].layout.n_classical]
-    counts = np.array([u.distribution.count for u in ups], dtype=np.float64)
-    out: dict[int, np.ndarray] = {}
+    out = np.empty((assignment.n_clusters, classical.shape[1]))
     for cluster in range(assignment.n_clusters):
         members = np.flatnonzero(assignment.labels == cluster)
         weights = counts[members] / counts[members].sum()
@@ -123,18 +119,17 @@ def circular_mean(angles, weights: AggregationWeights) -> tuple[float, float]:
     return math.atan2(s, c), math.hypot(s, c)
 
 
-def aggregate_quantum(updates, fallback: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Per-dimension circular mean of the clients' quantum angles.
+def aggregate_quantum(angles: np.ndarray, counts, fallback: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Per-dimension circular mean of the clients' (n_clients, L, Q) angles, weighted by counts.
 
     Dimensions whose resultant length falls below DEGENERATE_RESULTANT keep
     the fallback (previous global) value; their flat indices are returned
     so the caller can record the degeneracy. The result has the fallback's
     shape.
     """
-    ups, stacked = _stacked_updates(updates)
-    weights = AggregationWeights.from_counts([u.distribution.count for u in ups])
+    weights = AggregationWeights.from_counts(_client_counts(angles, counts))
     # one row per angle dimension, so each row sum is that dimension's 1-D sum
-    per_dimension = np.ascontiguousarray(stacked[:, ups[0].layout.n_classical:].T)
+    per_dimension = np.ascontiguousarray(angles.reshape(len(angles), -1).T)
     out = np.array(fallback, dtype=np.float64).reshape(-1)
     if len(out) != len(per_dimension):
         raise ParameterError("fallback angle count does not match the updates")
@@ -148,17 +143,16 @@ def aggregate_quantum(updates, fallback: np.ndarray) -> tuple[np.ndarray, list[i
     return wrap_angles(out).reshape(np.shape(fallback)), degenerate
 
 
-def arithmetic_mean_quantum(updates) -> np.ndarray:
-    """Weighted arithmetic mean of raw angles, wrapped afterwards, as an (L, Q) array.
+def arithmetic_mean_quantum(angles: np.ndarray, counts) -> np.ndarray:
+    """Count-weighted arithmetic mean of the clients' (n_clients, L, Q) raw angles, wrapped afterwards.
 
     This ignores periodicity on purpose: it is the baseline aggregation and
-    the ablation arm that demonstrates why the circular mean exists.
+    the ablation arm that demonstrates why the circular mean exists. The
+    result is an (L, Q) array.
     """
-    ups, stacked = _stacked_updates(updates)
-    layout = ups[0].layout
-    weights = AggregationWeights.from_counts([u.distribution.count for u in ups])
-    mean = (weights.weights[:, None] * stacked[:, layout.n_classical:]).sum(axis=0)
-    return wrap_angles(mean).reshape(layout.layers, layout.qubits)
+    weights = AggregationWeights.from_counts(_client_counts(angles, counts))
+    mean = (weights.weights[:, None] * angles.reshape(len(angles), -1)).sum(axis=0)
+    return wrap_angles(mean).reshape(angles.shape[1:])
 
 
 def fedadam_update(

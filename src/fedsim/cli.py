@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .clustering import laplacian_eigengaps, similarity_matrix
-from .data import class_distribution
 from .errors import ConfigError, DataFormatError, NumericError, ParameterError, PartitionError
 from .orchestrator import (
     STRATEGIES,
@@ -328,8 +327,7 @@ def cmd_compare(args) -> int:
 def cmd_eigengap(args) -> int:
     config = parse_config(args.config, _flag_overrides(args))
     context = build_context(config)
-    dists = [class_distribution(c, context.dataset) for c in context.clients]
-    sim = similarity_matrix(dists, config.lambda1, config.lambda2)
+    sim = similarity_matrix(context.distributions, config.lambda1, config.lambda2)
     values, gaps = laplacian_eigengaps(sim)
     print("normalized-Laplacian spectrum for the partition:")
     print(f"{'k':>3}  {'eigenvalue':>12}  {'gap to next':>12}")

@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._angles import wrap_angles
-from .data import ClientDataset, Dataset, ClassDistribution, class_distribution
+from .data import ClientDataset, Dataset
 from .errors import NumericError, ParameterError
 
 HALF_PI = 0.5 * math.pi
@@ -116,17 +116,6 @@ class ParamLayout:
         if params.ndim not in (1, 2) or params.shape[-1] != self.size:
             raise ParameterError("parameter vector length does not match the layout")
         return params[..., self.n_classical:].reshape(*params.shape[:-1], self.layers, self.qubits)
-
-
-@dataclass
-class ClientUpdate:
-    """What a client uploads after local training: one flat vector, angles wrapped."""
-
-    client_id: int
-    params: np.ndarray
-    layout: ParamLayout
-    distribution: ClassDistribution
-    train_loss: float
 
 
 class MlpCache(NamedTuple):
@@ -622,7 +611,7 @@ def local_train(
     lr: float,
     prox_mu: float,
     seeds: Sequence[int],
-) -> list[ClientUpdate]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mini-batch Adam for a cohort of clients in lockstep, each from a fresh optimizer state.
 
     Client g starts from row g of the (G, P) `inits` and reshuffles its
@@ -633,16 +622,17 @@ def local_train(
     whose batches hold the same number n of samples share one
     hybrid_loss_and_grads call and one Adam step, so a step makes one call
     per distinct batch size; the call's memory is about twice its shift-rule
-    statevectors (see _simulate). Every update is bit-identical to training
+    statevectors (see _simulate). Every row is bit-identical to training
     its client alone, as a one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
     the local objective from drifting far from the broadcast parameters.
-    Each returned update (in cohort order) carries quantum angles wrapped
-    to (-pi, pi], the client's class distribution, and the mean loss of its
-    final epoch. A step that leaves any of a client's parameters
-    non-finite stops that client before the circuit could see an infinite
-    angle; NumericError then names the first such client in cohort order.
+    Returns the uploads as one C-contiguous (G, P) stack, row g holding
+    client g's trained vector with its angles wrapped to (-pi, pi], and the
+    (G,) mean losses of each client's final epoch. A step that leaves any
+    of a client's parameters non-finite stops that client before the
+    circuit could see an infinite angle; NumericError then names the first
+    such client in cohort order.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
@@ -689,10 +679,7 @@ def local_train(
         first = clients[int(np.argmax(diverged))]
         raise NumericError(f"client {first.client_id}: local training diverged to non-finite parameters")
     params[:, layout.n_classical:] = wrap_angles(params[:, layout.n_classical:])
-    return [
-        ClientUpdate(client.client_id, params[g], layout, class_distribution(client, dataset), float(last_epoch_loss[g]))
-        for g, client in enumerate(clients)
-    ]
+    return params, last_epoch_loss
 
 
 def init_params(layout: ParamLayout, seed: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The synchronous round loop for every supported strategy.
 
-A round broadcasts models, trains all clients locally, collects updates
-sorted by client id, aggregates classical and quantum parameters per the
-strategy, and evaluates on the shared test split. `STRATEGIES` defines
-every strategy as four protocol switches, and `run_round` reads only
-those switches: fedcompass clusters, takes the circular mean of the
+A round broadcasts models, trains all clients locally into one
+(n_clients, P) upload stack in client-id order, aggregates the stack's
+classical and angle blocks per the strategy, weighted by the partition's
+sample counts, and evaluates on the shared test split. `STRATEGIES`
+defines every strategy as four protocol switches, and `run_round` reads
+only those switches: fedcompass clusters, takes the circular mean of the
 angles and applies the server Adam step; its two ablations each drop one
 ingredient (no_clustering the clustering, no_circular the circular mean);
 fedavg does none of the three, and fedprox is fedavg plus the proximal
@@ -37,8 +38,10 @@ from .clustering import (
     spectral_cluster,
 )
 from .data import (
+    ClassDistribution,
     ClientDataset,
     Dataset,
+    class_distribution,
     dirichlet_partition,
     generate_synthetic,
     load_idx,
@@ -179,24 +182,36 @@ class RoundMetrics:
 
 @dataclass
 class RunContext:
-    """Immutable per-run environment: data, partition, and the test split."""
+    """Immutable per-run environment: data, partition, and the test split.
+
+    The partition never changes during a run, so each client's class
+    distribution is taken once; distributions[i] belongs to clients[i], and
+    both lists are in client-id order.
+    """
 
     dataset: Dataset
     clients: list[ClientDataset]
+    distributions: list[ClassDistribution]
     train_indices: np.ndarray
     test_indices: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Every client's sample count, in client-id order."""
+        return np.array([d.count for d in self.distributions])
 
 
 @dataclass
 class ServerState:
     """Everything the server carries between rounds.
 
-    Cluster models are classical parameter vectors (the first n_classical
-    entries of a ParamLayout); quantum is the global (L, Q) angle array.
+    Row m of cluster_models is cluster m's classical parameter vector (the
+    first n_classical entries of a ParamLayout); quantum is the global
+    (L, Q) angle array.
     """
 
     round_index: int
-    cluster_models: dict[int, np.ndarray]
+    cluster_models: np.ndarray
     assignment: ClusterAssignment | None
     quantum: np.ndarray
     opt_state: AdamState
@@ -223,7 +238,8 @@ def build_context(config: ExperimentConfig) -> RunContext:
         derived_seed(config.seed, _SEED_PARTITION),
         indices=train_idx,
     )
-    return RunContext(dataset, clients, train_idx, test_idx)
+    distributions = [class_distribution(client, dataset) for client in clients]
+    return RunContext(dataset, clients, distributions, train_idx, test_idx)
 
 
 def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
@@ -236,7 +252,7 @@ def init_state(config: ExperimentConfig, context: RunContext) -> ServerState:
     params = init_params(layout, derived_seed(config.seed, _SEED_INIT))
     return ServerState(
         round_index=0,
-        cluster_models={0: params[:layout.n_classical]},
+        cluster_models=params[None, :layout.n_classical],
         assignment=None,
         quantum=layout.angles(params),
         opt_state=AdamState.zeros(config.qubits * config.layers),
@@ -257,43 +273,45 @@ def _score_model(classical, angles, xs, ys, n_classes) -> tuple[float, float]:
 
 
 def evaluate(
-    cluster_models: dict[int, np.ndarray],
+    cluster_models: np.ndarray,
     quantum: np.ndarray,
     assignment: ClusterAssignment | None,
-    updates,
+    counts: np.ndarray | None,
     dataset: Dataset,
     test_indices: np.ndarray,
     n_classes: int,
 ) -> tuple[float, float, dict[int, float]]:
-    """Score every cluster model on the full shared test split.
+    """Score every cluster model (row of cluster_models) on the full shared test split.
 
     The aggregate accuracy (and loss) weights each cluster's score by its
-    share of training samples; with a single model this reduces to the
-    plain test accuracy. Per-cluster accuracies are returned unreduced so
+    share of the clients' sample counts (counts[i] belongs to client i of
+    the assignment); a single model without an assignment or counts
+    scores plainly. Several models cannot be weighted without both, and
+    raise ParameterError. Per-cluster accuracies are returned unreduced so
     nothing is hidden by the weighting.
     """
     if len(test_indices) == 0:
         raise ParameterError("test split is empty")
+    if assignment is None or counts is None:
+        if len(cluster_models) != 1:
+            raise ParameterError(f"{len(cluster_models)} cluster models need an assignment and sample counts")
+        shares = [1.0]
+    else:
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape != assignment.labels.shape:
+            raise ParameterError(f"{counts.size} sample counts for {len(assignment.labels)} assigned clients")
+        total = counts.sum()
+        shares = [float(counts[assignment.labels == cid].sum() / total) for cid in range(len(cluster_models))]
     xs = dataset.features[test_indices]
     ys = dataset.labels[test_indices]
-    if assignment is None or updates is None or assignment.n_clusters == 1:
-        shares = {cid: 1.0 for cid in cluster_models}
-    else:
-        ups = sorted(updates, key=lambda u: u.client_id)
-        counts = np.array([u.distribution.count for u in ups], dtype=np.float64)
-        total = counts.sum()
-        shares = {
-            cid: float(counts[assignment.labels == cid].sum() / total)
-            for cid in cluster_models
-        }
     per_cluster: dict[int, float] = {}
     agg_acc = 0.0
     agg_loss = 0.0
-    for cid in sorted(cluster_models):
-        acc, loss = _score_model(cluster_models[cid], quantum, xs, ys, n_classes)
+    for cid, (model, share) in enumerate(zip(cluster_models, shares)):
+        acc, loss = _score_model(model, quantum, xs, ys, n_classes)
         per_cluster[cid] = acc
-        agg_acc += shares[cid] * acc
-        agg_loss += shares[cid] * loss
+        agg_acc += share * acc
+        agg_loss += share * loss
     return agg_acc, agg_loss, per_cluster
 
 
@@ -302,17 +320,18 @@ def _round_metrics(
     config: ExperimentConfig,
     context: RunContext,
     start: float,
-    updates=None,
+    losses: np.ndarray | None = None,
     eigengaps: tuple[float, ...] | None = None,
     degeneracies: int = 0,
 ) -> RoundMetrics:
     """Score the server state on the test split and report it as one row.
 
-    Round 0 has no updates, so its mean train loss is nan. A state without
-    an assignment holds one model that all n_clients share.
+    Round 0 trains nobody, so it has no losses and its mean train loss is
+    nan. A state without an assignment holds one model that all n_clients
+    share.
     """
     acc, loss, per_cluster = evaluate(
-        state.cluster_models, state.quantum, state.assignment, updates,
+        state.cluster_models, state.quantum, state.assignment, context.counts,
         context.dataset, context.test_indices, config.classes,
     )
     sizes = (config.n_clients,) if state.assignment is None else state.assignment.cluster_sizes()
@@ -323,7 +342,7 @@ def _round_metrics(
         alpha=config.alpha,
         accuracy=acc,
         loss=loss,
-        mean_train_loss=math.nan if updates is None else fmean(u.train_loss for u in updates),
+        mean_train_loss=math.nan if losses is None else fmean(losses.tolist()),
         per_cluster_accuracy=tuple(per_cluster[c] for c in sorted(per_cluster)),
         cluster_sizes=tuple(int(s) for s in sizes),
         eigengaps=eigengaps,
@@ -339,23 +358,25 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     holds an assignment, otherwise from the single global model; everyone
     receives the same global quantum parameters, and a broadcast is the
     concatenation of the two. The clients train as one cohort, in one
-    local_train call. Per-client seeds derive from (master seed, round,
-    client id), so a round is reproducible regardless of scheduling. A
-    client whose training diverges raises NumericError naming the round and
-    the client.
+    local_train call, and its (n_clients, P) stack goes straight to
+    aggregation. Per-client seeds derive from (master seed, round, client
+    id), so a round is reproducible regardless of scheduling. A client
+    whose training diverges raises NumericError naming the round and the
+    client.
     """
     start = time.perf_counter()
     round_index = state.round_index + 1
     strategy = STRATEGIES[config.strategy]
     layout = _layout(config, context)
 
-    models = np.zeros(len(context.clients), dtype=np.int64) if state.assignment is None else state.assignment.labels
-    angles = state.quantum.reshape(-1)
+    n_clients = len(context.clients)
+    labels = np.zeros(n_clients, dtype=np.int64) if state.assignment is None else state.assignment.labels
+    angles = np.broadcast_to(state.quantum.reshape(-1), (n_clients, state.quantum.size))
     try:
-        updates = local_train(
+        uploads, losses = local_train(
             context.clients,
             context.dataset,
-            np.stack([np.concatenate([state.cluster_models[int(c)], angles]) for c in models]),
+            np.concatenate([state.cluster_models[labels], angles], axis=1),
             layout,
             config.local_epochs,
             config.batch_size,
@@ -365,22 +386,22 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         )
     except NumericError as exc:
         raise NumericError(f"round {round_index}, {exc}") from exc
-    updates.sort(key=lambda u: u.client_id)
+    counts = context.counts
 
     eigengaps = None
     if strategy.clustered:
-        sim = similarity_matrix([u.distribution for u in updates], config.lambda1, config.lambda2)
+        sim = similarity_matrix(context.distributions, config.lambda1, config.lambda2)
         assignment = spectral_cluster(sim, config.clusters, derived_seed(config.seed, _SEED_KMEANS, round_index))
         _, gaps = laplacian_eigengaps(sim)
         eigengaps = tuple(float(g) for g in gaps)
     else:
-        assignment = ClusterAssignment(np.zeros(len(updates), dtype=np.int64), 1)
-    cluster_models = cluster_weighted_average(updates, assignment)
+        assignment = ClusterAssignment(np.zeros(n_clients, dtype=np.int64), 1)
+    cluster_models = cluster_weighted_average(uploads[:, :layout.n_classical], counts, assignment)
 
     if strategy.circular:
-        phi_bar, degenerate = aggregate_quantum(updates, state.quantum)
+        phi_bar, degenerate = aggregate_quantum(layout.angles(uploads), counts, state.quantum)
     else:
-        phi_bar, degenerate = arithmetic_mean_quantum(updates), []
+        phi_bar, degenerate = arithmetic_mean_quantum(layout.angles(uploads), counts), []
     if strategy.server_step:
         quantum, opt_state = fedadam_update(state.quantum, phi_bar, state.opt_state, eta=config.server_lr)
     else:
@@ -393,7 +414,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         quantum=quantum,
         opt_state=opt_state,
     )
-    return next_state, _round_metrics(next_state, config, context, start, updates, eigengaps, len(degenerate))
+    return next_state, _round_metrics(next_state, config, context, start, losses, eigengaps, len(degenerate))
 
 
 def run_experiment(config: ExperimentConfig) -> list[RoundMetrics]:

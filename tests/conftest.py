@@ -5,9 +5,6 @@ import struct
 import numpy as np
 import pytest
 
-from fedsim.data import ClassDistribution
-from fedsim.model import ClientUpdate, ParamLayout
-
 
 def write_idx_pair(directory, images, labels):
     """Write a (n, rows, cols) uint8 image stack and labels as an IDX pair."""
@@ -25,23 +22,9 @@ def write_idx_pair(directory, images, labels):
     return images_path, labels_path
 
 
-def make_update(client_id, angles, count, classical=None, n_classes=2, layers=None):
-    """Minimal ClientUpdate with the given quantum angles (one qubit) and sample count.
-
-    The classical block is a 2 -> 1 -> 1 extractor: five entries, zero by default.
-    """
-    angles = np.asarray(angles, dtype=np.float64).reshape(-1)
-    layout = ParamLayout(2, 1, 1, len(angles) if layers is None else layers)
-    if classical is None:
-        classical = np.zeros(layout.n_classical)
-    proportions = np.full(n_classes, 1.0 / n_classes)
-    return ClientUpdate(
-        client_id,
-        np.concatenate([classical, angles]),
-        layout,
-        ClassDistribution(proportions, count),
-        0.0,
-    )
+def angle_stack(*clients):
+    """The (n_clients, L, 1) angle stack of one-qubit clients, given each client's L angles."""
+    return np.array(clients, dtype=np.float64).reshape(len(clients), -1, 1)
 
 
 @pytest.fixture

@@ -49,8 +49,6 @@ from fedsim.orchestrator import (
     run_round,
 )
 
-from conftest import make_update
-
 
 def report(criterion, message):
     print(f"[criterion {criterion}] PASS: {message}")
@@ -187,8 +185,7 @@ def test_criterion_03_circular_mean_suite():
     branch_angles = np.array([math.pi - 0.1, -math.pi + 0.1])
     mean, _ = circular_mean(branch_angles, AggregationWeights.from_counts([1, 1]))
     assert abs(mean - math.pi) <= 1e-9
-    updates = [make_update(0, [branch_angles[0]], 7), make_update(1, [branch_angles[1]], 7)]
-    collapsed = arithmetic_mean_quantum(updates)[0, 0]
+    collapsed = arithmetic_mean_quantum(branch_angles.reshape(2, 1, 1), [7, 7])[0, 0]
     assert collapsed == 0.0
     report(3, f"equivariance/invariance at 1e-10; branch cut -> {mean:.9f}, arithmetic -> {collapsed}")
 
@@ -364,7 +361,7 @@ ABLATION_CONFIG = dict(
 def branch_cut_state():
     return ServerState(
         round_index=0,
-        cluster_models={0: branch_cut_classical()},
+        cluster_models=branch_cut_classical()[None],
         assignment=None,
         quantum=np.full((1, 2), math.pi - 0.002),
         opt_state=AdamState.zeros(2),
@@ -376,16 +373,14 @@ def test_criterion_08_ablation_direction():
     probe = ExperimentConfig(**ABLATION_CONFIG, seed=0).validate()
     context = build_context(probe)
     state = branch_cut_state()
-    uploads = np.stack([
-        update.params[-2:]
-        for update in local_train(
-            context.clients, context.dataset,
-            np.tile(np.concatenate([state.cluster_models[0], state.quantum.ravel()]), (len(context.clients), 1)),
-            ParamLayout(2, 2, 2, 1),
-            probe.local_epochs, probe.batch_size, probe.local_lr, 0.0,
-            [derived_seed(probe.seed, 4, 1, client.client_id) for client in context.clients],
-        )
-    ])
+    params, _ = local_train(
+        context.clients, context.dataset,
+        np.tile(np.concatenate([state.cluster_models[0], state.quantum.ravel()]), (len(context.clients), 1)),
+        ParamLayout(2, 2, 2, 1),
+        probe.local_epochs, probe.batch_size, probe.local_lr, 0.0,
+        [derived_seed(probe.seed, 4, 1, client.client_id) for client in context.clients],
+    )
+    uploads = params[:, -2:]
     straddling = [j for j in range(2) if uploads[:, j].max() > 3.0 and uploads[:, j].min() < -3.0]
     assert straddling, "constructed scenario must put client angles on both sides of the cut"
 
@@ -461,7 +456,7 @@ def test_criterion_10_strategy_equivalences():
         next_avg_state, _ = run_round(state, avg_config, context)
         fc_state = ServerState(
             round_index=state.round_index,
-            cluster_models={0: state.cluster_models[0].copy()},
+            cluster_models=state.cluster_models.copy(),
             assignment=None,
             quantum=state.quantum.copy(),
             opt_state=AdamState.zeros(state.quantum.size),

@@ -17,9 +17,9 @@ from fedsim.aggregation import (
 )
 from fedsim.clustering import ClusterAssignment
 from fedsim.errors import ParameterError, ProtocolError
-from fedsim.model import AdamState
+from fedsim.model import AdamState, ParamLayout
 
-from conftest import make_update
+from conftest import angle_stack
 
 
 def angular_gap(a, b):
@@ -77,69 +77,45 @@ class TestAggregationWeights:
             AggregationWeights(np.array([1.2, -0.2]))
 
 
-def classical_scalarish(value):
-    """The five-entry classical block of make_update, every entry set to value."""
-    return np.full(5, value)
+def classical_rows(*values):
+    """A five-entry classical block per client, every entry of row i set to values[i]."""
+    return np.repeat(np.array(values, dtype=np.float64)[:, None], 5, axis=1)
 
 
 class TestClusterWeightedAverage:
     def test_singleton_cluster_is_identity(self):
-        update = make_update(0, [0.3], 17, classical_scalarish(1.25))
-        result = cluster_weighted_average([update], ClusterAssignment(np.array([0]), 1))
-        np.testing.assert_array_equal(result[0], update.params[:5])
+        classical = classical_rows(1.25)
+        result = cluster_weighted_average(classical, [17], ClusterAssignment(np.array([0]), 1))
+        np.testing.assert_array_equal(result[0], classical[0])
 
     def test_equal_counts_midpoint(self):
-        updates = [
-            make_update(0, [0.0], 10, classical_scalarish(0.0)),
-            make_update(1, [0.0], 10, classical_scalarish(4.0)),
-        ]
-        result = cluster_weighted_average(updates, ClusterAssignment(np.array([0, 0]), 1))
+        result = cluster_weighted_average(classical_rows(0.0, 4.0), [10, 10], ClusterAssignment(np.array([0, 0]), 1))
         np.testing.assert_allclose(result[0], np.full(5, 2.0), atol=1e-15)
 
     def test_count_weighted(self):
-        updates = [
-            make_update(0, [0.0], 1, classical_scalarish(0.0)),
-            make_update(1, [0.0], 3, classical_scalarish(4.0)),
-        ]
-        result = cluster_weighted_average(updates, ClusterAssignment(np.array([0, 0]), 1))
+        result = cluster_weighted_average(classical_rows(0.0, 4.0), [1, 3], ClusterAssignment(np.array([0, 0]), 1))
         np.testing.assert_allclose(result[0], np.full(5, 3.0), atol=1e-15)
 
     def test_matches_elementwise_oracle(self, rng):
-        updates = []
-        for cid in range(6):
-            flat = rng.standard_normal(5)
-            updates.append(
-                make_update(cid, [0.1], int(rng.integers(5, 60)), flat)
-            )
+        classical = rng.standard_normal((6, 5))
+        counts = rng.integers(5, 60, 6)
         labels = np.array([0, 1, 0, 1, 1, 0])
-        result = cluster_weighted_average(updates, ClusterAssignment(labels, 2))
+        result = cluster_weighted_average(classical, counts, ClusterAssignment(labels, 2))
+        assert result.shape == (2, 5)
         for cluster in (0, 1):
-            members = [u for u, lab in zip(updates, labels) if lab == cluster]
-            total = sum(u.distribution.count for u in members)
+            members = [i for i, lab in enumerate(labels) if lab == cluster]
+            total = sum(counts[i] for i in members)
             for k in range(5):
-                expected = sum(u.distribution.count * u.params[k] for u in members) / total
+                expected = sum(counts[i] * classical[i, k] for i in members) / total
                 assert result[cluster][k] == pytest.approx(expected, abs=1e-12)
 
-    def test_order_independence(self, rng):
-        updates = [
-            make_update(cid, [0.0], int(rng.integers(1, 30)), classical_scalarish(float(rng.standard_normal())))
-            for cid in range(5)
-        ]
-        assignment = ClusterAssignment(np.array([0, 1, 0, 1, 0]), 2)
-        forward = cluster_weighted_average(updates, assignment)
-        shuffled = cluster_weighted_average(updates[::-1], assignment)
-        for cluster in (0, 1):
-            np.testing.assert_array_equal(forward[cluster], shuffled[cluster])
-
     def test_missing_update_rejected(self):
-        updates = [make_update(0, [0.0], 5)]
         with pytest.raises(ProtocolError):
-            cluster_weighted_average(updates, ClusterAssignment(np.array([0, 1]), 2))
+            cluster_weighted_average(classical_rows(0.0), [5], ClusterAssignment(np.array([0, 1]), 2))
 
-    def test_duplicate_client_rejected(self):
-        updates = [make_update(3, [0.0], 5), make_update(3, [0.0], 5)]
+    def test_counts_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
-            cluster_weighted_average(updates, ClusterAssignment(np.array([0, 1]), 2))
+            cluster_weighted_average(classical_rows(0.0, 1.0), [5], ClusterAssignment(np.array([0, 1]), 2))
 
 
 class TestCircularMean:
@@ -195,74 +171,77 @@ class TestCircularMean:
 
 class TestAggregateQuantum:
     def test_single_client_passthrough(self):
-        update = make_update(0, [2.0, -1.0], 10, layers=2)
         fallback = np.zeros((2, 1))
-        result, degenerate = aggregate_quantum([update], fallback)
+        result, degenerate = aggregate_quantum(angle_stack([2.0, -1.0]), [10], fallback)
         np.testing.assert_allclose(result.ravel(), [2.0, -1.0], atol=1e-15)
         assert degenerate == []
 
     def test_identical_clients_passthrough(self):
-        updates = [make_update(i, [0.5, -2.5], 10, layers=2) for i in range(4)]
         fallback = np.zeros((2, 1))
-        result, _ = aggregate_quantum(updates, fallback)
+        result, _ = aggregate_quantum(angle_stack(*[[0.5, -2.5]] * 4), [10] * 4, fallback)
         np.testing.assert_allclose(result.ravel(), [0.5, -2.5], atol=1e-12)
 
     def test_degenerate_dimension_uses_fallback(self):
-        updates = [make_update(0, [0.0, 1.0], 5, layers=2), make_update(1, [math.pi, 1.0], 5, layers=2)]
         fallback = np.array([[0.123], [9.0]])
-        result, degenerate = aggregate_quantum(updates, fallback)
+        result, degenerate = aggregate_quantum(angle_stack([0.0, 1.0], [math.pi, 1.0]), [5, 5], fallback)
         assert degenerate == [0]
         assert result.ravel()[0] == pytest.approx(0.123, abs=1e-15)
         assert result.ravel()[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_cut_consensus(self):
-        updates = [
-            make_update(0, [math.pi - 0.1], 7),
-            make_update(1, [-math.pi + 0.1], 7),
-        ]
-        result, degenerate = aggregate_quantum(updates, np.zeros((1, 1)))
+        angles = angle_stack([math.pi - 0.1], [-math.pi + 0.1])
+        result, degenerate = aggregate_quantum(angles, [7, 7], np.zeros((1, 1)))
         assert result.ravel()[0] == pytest.approx(math.pi, abs=1e-9)
         assert degenerate == []
 
-
     def test_result_has_the_fallback_shape(self):
-        updates = [make_update(i, [0.1 * i, -0.2, 0.3, 0.4], 5) for i in range(3)]
-        result, _ = aggregate_quantum(updates, np.zeros((2, 2)))
+        angles = angle_stack(*[[0.1 * i, -0.2, 0.3, 0.4] for i in range(3)])
+        result, _ = aggregate_quantum(angles, [5] * 3, np.zeros((2, 2)))
         assert result.shape == (2, 2)
 
     def test_fallback_size_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            aggregate_quantum([make_update(0, [0.1, 0.2], 5)], np.zeros((3, 1)))
+            aggregate_quantum(angle_stack([0.1, 0.2]), [5], np.zeros((3, 1)))
 
-    def test_mixed_layouts_rejected(self):
-        updates = [make_update(0, [0.1], 5), make_update(1, [0.1, 0.2], 5)]
+    def test_counts_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate_quantum(updates, np.zeros((1, 1)))
+            aggregate_quantum(angle_stack([0.1], [0.2]), [5], np.zeros((1, 1)))
+        with pytest.raises(ProtocolError):
+            aggregate_quantum(np.zeros((0, 1, 1)), [], np.zeros((1, 1)))
+
+    def test_reads_a_view_of_the_upload_stack(self):
+        # the angle block of an (n, P) stack, as run_round passes it, equals a fresh copy of it
+        layout = ParamLayout(2, 1, 2, 2)
+        stack = np.random.default_rng(4).uniform(-math.pi, math.pi, (5, layout.size))
+        view = layout.angles(stack)
+        assert not view.flags.c_contiguous
+        counts = [3, 1, 4, 1, 5]
+        fallback = np.zeros((2, 2))
+        for got, want in zip(aggregate_quantum(view, counts, fallback), aggregate_quantum(view.copy(), counts, fallback)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(arithmetic_mean_quantum(view, counts), arithmetic_mean_quantum(view.copy(), counts))
 
 
 class TestArithmeticMeanQuantum:
     def test_shape_is_layers_by_qubits(self):
-        updates = [make_update(i, [0.7, -0.2, 0.1], 10) for i in range(2)]
-        assert arithmetic_mean_quantum(updates).shape == (3, 1)
+        assert arithmetic_mean_quantum(angle_stack(*[[0.7, -0.2, 0.1]] * 2), [10, 10]).shape == (3, 1)
 
     def test_identical_clients(self):
-        updates = [make_update(i, [0.7, -0.2], 10, layers=2) for i in range(3)]
-        result = arithmetic_mean_quantum(updates)
+        result = arithmetic_mean_quantum(angle_stack(*[[0.7, -0.2]] * 3), [10] * 3)
         np.testing.assert_allclose(result.ravel(), [0.7, -0.2], atol=1e-15)
 
     def test_branch_cut_collapse_to_zero(self):
         # the failure mode the circular mean exists to avoid
-        updates = [
-            make_update(0, [math.pi - 0.1], 7),
-            make_update(1, [-math.pi + 0.1], 7),
-        ]
-        result = arithmetic_mean_quantum(updates)
+        result = arithmetic_mean_quantum(angle_stack([math.pi - 0.1], [-math.pi + 0.1]), [7, 7])
         assert result.ravel()[0] == 0.0
 
     def test_count_weighted(self):
-        updates = [make_update(0, [0.4], 1), make_update(1, [0.8], 3)]
-        result = arithmetic_mean_quantum(updates)
+        result = arithmetic_mean_quantum(angle_stack([0.4], [0.8]), [1, 3])
         assert result.ravel()[0] == pytest.approx(0.7, abs=1e-15)
+
+    def test_counts_length_mismatch_rejected(self):
+        with pytest.raises(ProtocolError):
+            arithmetic_mean_quantum(angle_stack([0.4], [0.8]), [1, 3, 2])
 
 
 class TestFedadamUpdate:

@@ -430,9 +430,9 @@ class TestAdamState:
 
 
 def train_alone(client, dataset, init, layout, epochs, batch_size, lr, prox_mu, seed):
-    """local_train on a one-client cohort."""
-    (update,) = local_train([client], dataset, init[None], layout, epochs, batch_size, lr, prox_mu, [seed])
-    return update
+    """local_train on a one-client cohort: the client's trained vector and its last-epoch loss."""
+    params, losses = local_train([client], dataset, init[None], layout, epochs, batch_size, lr, prox_mu, [seed])
+    return params[0], losses[0]
 
 
 class TestLocalTrain:
@@ -444,36 +444,35 @@ class TestLocalTrain:
 
     def test_zero_lr_returns_init(self):
         data, client, layout, params = self.toy_setup()
-        update = train_alone(client, data, params, layout, epochs=2, batch_size=8, lr=0.0, prox_mu=0.0, seed=3)
-        np.testing.assert_array_equal(update.params, params)
-        assert update.layout == layout
+        trained, _ = train_alone(client, data, params, layout, epochs=2, batch_size=8, lr=0.0, prox_mu=0.0, seed=3)
+        np.testing.assert_array_equal(trained, params)
 
     def test_prox_changes_result_only_when_positive(self):
         data, client, layout, params = self.toy_setup()
-        plain = train_alone(client, data, params, layout, 2, 8, 0.05, 0.0, seed=3)
-        regularized = train_alone(client, data, params, layout, 2, 8, 0.05, 0.5, seed=3)
-        assert not np.array_equal(plain.params, regularized.params)
+        plain, _ = train_alone(client, data, params, layout, 2, 8, 0.05, 0.0, seed=3)
+        regularized, _ = train_alone(client, data, params, layout, 2, 8, 0.05, 0.5, seed=3)
+        assert not np.array_equal(plain, regularized)
         # the proximal pull keeps the trained model closer to the broadcast
-        gap_plain = np.linalg.norm(plain.params - params)
-        gap_prox = np.linalg.norm(regularized.params - params)
+        gap_plain = np.linalg.norm(plain - params)
+        gap_prox = np.linalg.norm(regularized - params)
         assert gap_prox < gap_plain
 
     def test_training_reduces_loss(self):
         data, client, layout, params = self.toy_setup(seed=4)
-        first = train_alone(client, data, params, layout, 1, 8, 0.05, 0.0, seed=9)
-        final = train_alone(client, data, params, layout, 5, 8, 0.05, 0.0, seed=9)
-        assert final.train_loss < first.train_loss
+        _, first = train_alone(client, data, params, layout, 1, 8, 0.05, 0.0, seed=9)
+        _, final = train_alone(client, data, params, layout, 5, 8, 0.05, 0.0, seed=9)
+        assert final < first
 
     def test_determinism(self):
         data, client, layout, params = self.toy_setup(seed=2)
-        a = train_alone(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
-        b = train_alone(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
-        np.testing.assert_array_equal(a.params, b.params)
+        a, _ = train_alone(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
+        b, _ = train_alone(client, data, params, layout, 3, 4, 0.02, 0.01, seed=7)
+        np.testing.assert_array_equal(a, b)
 
     def test_angles_wrapped(self):
         data, client, layout, params = self.toy_setup(seed=6)
-        update = train_alone(client, data, params, layout, 4, 4, 0.5, 0.0, seed=1)
-        angles = layout.angles(update.params)
+        trained, _ = train_alone(client, data, params, layout, 4, 4, 0.5, 0.0, seed=1)
+        angles = layout.angles(trained)
         assert np.all(angles > -math.pi)
         assert np.all(angles <= math.pi)
 
@@ -488,12 +487,6 @@ class TestLocalTrain:
         data, client, layout, params = self.toy_setup()
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="client 0"):
             train_alone(client, data, params, layout, 3, 4, 1e308, 0.0, seed=0)
-
-    def test_distribution_reported(self):
-        data, client, layout, params = self.toy_setup(seed=1)
-        update = train_alone(client, data, params, layout, 1, 8, 0.01, 0.0, seed=2)
-        assert update.distribution.count == len(client)
-        assert update.client_id == 0
 
 
 class TestCohortStacking:
@@ -570,13 +563,13 @@ class TestCohortStacking:
         # unequal sizes, 1-sample clients, 3 epochs, and batches of every size from 1 to batch_size
         data, clients, layout, inits = self.mixed_cohort()
         seeds = [100 + g for g in range(len(clients))]
-        updates = local_train(clients, data, inits, layout, 3, batch_size, 0.05, prox_mu, seeds)
-        assert [u.client_id for u in updates] == [c.client_id for c in clients]
-        for client, init, seed, update in zip(clients, inits, seeds, updates):
-            alone = train_alone(client, data, init, layout, 3, batch_size, 0.05, prox_mu, seed)
-            np.testing.assert_array_equal(update.params, alone.params)
-            assert update.train_loss == alone.train_loss
-            assert update.distribution.count == len(client)
+        params, losses = local_train(clients, data, inits, layout, 3, batch_size, 0.05, prox_mu, seeds)
+        assert params.shape == inits.shape and params.flags.c_contiguous
+        assert losses.shape == (len(clients),)
+        for client, init, seed, row, loss in zip(clients, inits, seeds, params, losses):
+            alone, alone_loss = train_alone(client, data, init, layout, 3, batch_size, 0.05, prox_mu, seed)
+            np.testing.assert_array_equal(row, alone)
+            assert loss == alone_loss
 
     @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
     @pytest.mark.parametrize("batch_size", [8, 32])
@@ -589,11 +582,11 @@ class TestCohortStacking:
         layout = ParamLayout(4, 5, 3, 2)
         inits = np.stack([init_params(layout, 50 + g) for g in range(10)])
         seeds = [300 + g for g in range(10)]
-        updates = local_train(clients, data, inits, layout, 2, batch_size, 0.05, prox_mu, seeds)
-        for client, init, seed, update in zip(clients, inits, seeds, updates):
-            alone = train_alone(client, data, init, layout, 2, batch_size, 0.05, prox_mu, seed)
-            np.testing.assert_array_equal(update.params, alone.params)
-            assert update.train_loss == alone.train_loss
+        params, losses = local_train(clients, data, inits, layout, 2, batch_size, 0.05, prox_mu, seeds)
+        for client, init, seed, row, loss in zip(clients, inits, seeds, params, losses):
+            alone, alone_loss = train_alone(client, data, init, layout, 2, batch_size, 0.05, prox_mu, seed)
+            np.testing.assert_array_equal(row, alone)
+            assert loss == alone_loss
 
     def test_one_call_per_step_and_batch_size(self, monkeypatch):
         # one round of the criterion-07 config: unequal clients, batch 8, 5 epochs

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 import fedsim.orchestrator as orch
 from fedsim.aggregation import aggregate_quantum, fedadam_update
 from fedsim.cli import metrics_rows
+from fedsim.clustering import ClusterAssignment
+from fedsim.data import class_distribution
 from fedsim.errors import ConfigError, NumericError, ParameterError
 from fedsim.model import ParamLayout
 from fedsim.orchestrator import (
@@ -81,6 +84,38 @@ class TestDerivedSeed:
         assert derived_seed(42, 4, 1, 3) != derived_seed(43, 4, 1, 3)
 
 
+class TestRunContext:
+    def test_distributions_are_taken_once_per_client_in_id_order(self):
+        config = small_config(n_clients=6)
+        context = build_context(config)
+        assert [c.client_id for c in context.clients] == list(range(6))
+        assert len(context.distributions) == len(context.clients)
+        for client, dist in zip(context.clients, context.distributions):
+            expected = class_distribution(client, context.dataset)
+            np.testing.assert_array_equal(dist.proportions, expected.proportions)
+            assert dist.count == expected.count == len(client)
+        np.testing.assert_array_equal(context.counts, [len(c) for c in context.clients])
+
+    @pytest.mark.parametrize("strategy", ["fedcompass", "fedavg"])
+    def test_a_round_takes_no_class_distribution(self, monkeypatch, strategy):
+        config = small_config(strategy=strategy, clusters=2, rounds=2)
+        context = build_context(config)
+        reference = run_experiment(config)
+
+        def stub(*args, **kwargs):
+            raise AssertionError("class_distribution called during a round")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fedsim" and hasattr(module, "class_distribution"):
+                monkeypatch.setattr(module, "class_distribution", stub)
+        state = init_state(config, context)
+        for expected in reference[1:]:
+            state, row = run_round(state, config, context)
+            assert (row.accuracy, row.loss, row.mean_train_loss) == (
+                expected.accuracy, expected.loss, expected.mean_train_loss,
+            )
+
+
 class TestSingleClientRound:
     def test_aggregate_equals_trained_client(self):
         config = small_config(strategy="fedcompass", n_clients=1, clusters=1, rounds=1)
@@ -90,7 +125,7 @@ class TestSingleClientRound:
 
         from fedsim.model import local_train
 
-        (update,) = local_train(
+        params, _ = local_train(
             context.clients,
             context.dataset,
             broadcast(state)[None],
@@ -101,10 +136,10 @@ class TestSingleClientRound:
             0.0,
             [derived_seed(config.seed, 4, 1, 0)],
         )
-        n_classical = len(state.cluster_models[0])
-        np.testing.assert_array_equal(new_state.cluster_models[0], update.params[:n_classical])
+        layout = layout_of(config, context)
+        np.testing.assert_array_equal(new_state.cluster_models, params[:, :layout.n_classical])
         # quantum passes through the server optimizer step on the aggregated angles
-        phi_bar, _ = aggregate_quantum([update], state.quantum)
+        phi_bar, _ = aggregate_quantum(layout.angles(params), context.counts, state.quantum)
         expected, _ = fedadam_update(state.quantum, phi_bar, state.opt_state, eta=config.server_lr)
         np.testing.assert_array_equal(new_state.quantum, expected)
 
@@ -163,9 +198,8 @@ class TestStrategyTable:
         np.testing.assert_array_equal(state.assignment.labels, reference.assignment.labels)
         assert row.cluster_sizes == reference_row.cluster_sizes
         assert row.eigengaps == reference_row.eigengaps
-        assert state.cluster_models.keys() == reference.cluster_models.keys()
-        for cid, model in reference.cluster_models.items():
-            np.testing.assert_array_equal(state.cluster_models[cid], model)
+        assert state.cluster_models.shape == reference.cluster_models.shape
+        np.testing.assert_array_equal(state.cluster_models, reference.cluster_models)
 
     def test_no_clustering_steps_the_angles_as_fedcompass(self):
         _, reference, _ = first_round("fedcompass")
@@ -184,7 +218,7 @@ class TestFedavgAggregationOracle:
         from fedsim.model import local_train
 
         # one-client cohorts, one per client, independent of the round's cohort call
-        updates = [
+        rows = [
             local_train(
                 [client],
                 context.dataset,
@@ -195,14 +229,14 @@ class TestFedavgAggregationOracle:
                 config.local_lr,
                 0.0,
                 [derived_seed(config.seed, 4, 1, client.client_id)],
-            )[0]
+            )[0][0]
             for client in context.clients
         ]
-        counts = np.array([u.distribution.count for u in updates], dtype=float)
+        counts = np.array([len(client) for client in context.clients], dtype=float)
         weights = counts / counts.sum()
-        n_classical = len(state.cluster_models[0])
-        expected_classical = sum(w * u.params[:n_classical] for w, u in zip(weights, updates))
-        expected_quantum = sum(w * u.params[n_classical:] for w, u in zip(weights, updates))
+        n_classical = state.cluster_models.shape[1]
+        expected_classical = sum(w * row[:n_classical] for w, row in zip(weights, rows))
+        expected_quantum = sum(w * row[n_classical:] for w, row in zip(weights, rows))
 
         new_state, _ = run_round(state, config, context)
         np.testing.assert_allclose(new_state.cluster_models[0], expected_classical, atol=1e-12)
@@ -290,31 +324,44 @@ class TestEvaluate:
         state = init_state(config, context)
         scores = {0: (0.5, 1.0), 1: (1.0, 0.5)}
         monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: scores[int(c[0])])
-        models = {}
-        for cid in (0, 1):
-            model = state.cluster_models[0].copy()
-            model[0] = cid
-            models[cid] = model
-
-        from conftest import make_update
-
-        updates = [
-            make_update(0, [0.0], 25, n_classes=4),
-            make_update(1, [0.0], 25, n_classes=4),
-            make_update(2, [0.0], 50, n_classes=4),
-            make_update(3, [0.0], 100, n_classes=4),
-        ]
-        from fedsim.clustering import ClusterAssignment
-
+        models = np.repeat(state.cluster_models, 2, axis=0)
+        models[:, 0] = [0, 1]
         assignment = ClusterAssignment(np.array([0, 0, 0, 1]), 2)
         # shares: cluster 0 -> 100/200, cluster 1 -> 100/200  =>  0.5 * 0.5 + 0.5 * 1.0
         acc, loss, per_cluster = evaluate(
-            models, state.quantum, assignment, updates, context.dataset,
+            models, state.quantum, assignment, np.array([25, 25, 50, 100]), context.dataset,
             context.test_indices, config.classes,
         )
         assert acc == pytest.approx(0.75, abs=1e-12)
         assert loss == pytest.approx(0.75, abs=1e-12)
         assert per_cluster == {0: 0.5, 1: 1.0}
+
+    def test_several_models_are_not_summed_without_weights(self, monkeypatch):
+        # two models scoring 0.0625 each must not report an aggregate of 0.125
+        config = small_config()
+        context = build_context(config)
+        state = init_state(config, context)
+        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: (0.0625, 1.0))
+        models = np.repeat(state.cluster_models, 2, axis=0)
+        assignment = ClusterAssignment(np.array([0, 0, 1, 1]), 2)
+        for labels, counts in ((None, None), (None, np.array([5, 5, 5, 5])), (assignment, None)):
+            with pytest.raises(ParameterError):
+                evaluate(
+                    models, state.quantum, labels, counts,
+                    context.dataset, context.test_indices, config.classes,
+                )
+
+    def test_counts_must_match_the_assignment(self):
+        config = small_config()
+        context = build_context(config)
+        state = init_state(config, context)
+        models = np.repeat(state.cluster_models, 2, axis=0)
+        assignment = ClusterAssignment(np.array([0, 0, 1, 1]), 2)
+        with pytest.raises(ParameterError):
+            evaluate(
+                models, state.quantum, assignment, np.array([5, 5, 5]),
+                context.dataset, context.test_indices, config.classes,
+            )
 
     def test_single_model_reduces_to_plain_score(self, monkeypatch):
         config = small_config()
@@ -387,10 +434,10 @@ class TestServerStateShapes:
         context = build_context(config)
         layout = layout_of(config, context)
         state = init_state(config, context)
-        assert state.cluster_models[0].shape == (layout.n_classical,)
+        assert state.cluster_models.shape == (1, layout.n_classical)
         assert state.quantum.shape == (2, 4)
         new_state, _ = run_round(state, config, context)
-        assert new_state.cluster_models[0].shape == (layout.n_classical,)
+        assert new_state.cluster_models.shape == (1, layout.n_classical)
         assert new_state.quantum.shape == (2, 4)
 
 

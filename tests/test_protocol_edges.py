@@ -127,7 +127,7 @@ def test_edge_configs_run_clean_or_fail_with_their_cause(drawn):
     assert len(states) == config.rounds + 1
     for state in states:
         assert np.all(state.quantum > -math.pi) and np.all(state.quantum <= math.pi)
-        assert all(np.all(np.isfinite(model)) for model in state.cluster_models.values())
+        assert np.all(np.isfinite(state.cluster_models))
 
     rerun_code, _, rerun, _ = run_cli(config, edge_angles)
     assert rerun_code == cli.EXIT_OK
