@@ -49,7 +49,6 @@ from .errors import (
     NumericError,
     ParameterError,
     PartitionError,
-    ProtocolError,
 )
 from .model import (
     AdamState,

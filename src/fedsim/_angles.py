@@ -1,4 +1,11 @@
-"""Canonical angle wrapping, shared by the model and aggregation layers."""
+"""Canonical angle wrapping, shared by the model and aggregation layers.
+
+Wrapping is exact at any finite magnitude: np.fmod computes x - k*TAU
+without rounding, and the one +-TAU correction that moves the result into
+(-pi, pi] is exact too (both operands lie within a factor of two of each
+other). So every output is the one float congruent to x modulo TAU in
+(-pi, pi], and entries already in that interval come back bit-identical.
+"""
 
 from __future__ import annotations
 
@@ -11,31 +18,16 @@ from .errors import ParameterError
 TAU = 2.0 * math.pi
 
 
-def wrap_angle(x: float) -> float:
-    """Map x to the unique congruent value in (-pi, pi].
-
-    Values already inside the interval are returned untouched so that
-    wrapping is bit-exact on canonical inputs.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError("angle must be finite")
-    if -math.pi < x <= math.pi:
-        return x
-    y = math.remainder(x, TAU)
-    if y <= -math.pi:
-        y += TAU
-    return y
-
-
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized wrap_angle; in-range entries pass through bit-identical."""
+    """Map every angle to the unique congruent value in (-pi, pi]."""
     a = np.asarray(angles, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ParameterError("angles must be finite")
-    in_range = (a > -np.pi) & (a <= np.pi)
-    if np.all(in_range):
-        return a.copy()
-    y = a - TAU * np.round(a / TAU)
-    y = np.where(y <= -np.pi, y + TAU, y)
-    return np.where(in_range, a, y)
+    r = np.fmod(a, TAU)
+    r = np.where(r > np.pi, r - TAU, r)
+    return np.where(r <= -np.pi, r + TAU, r)
+
+
+def wrap_angle(x: float) -> float:
+    """Scalar wrap_angles."""
+    return float(wrap_angles(x))

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._angles import wrap_angle, wrap_angles
 from .clustering import ClusterAssignment
-from .errors import ParameterError, ProtocolError
+from .errors import ParameterError
 from .model import AdamState, adam_step
 
 __all__ = [
@@ -69,9 +69,9 @@ def _client_counts(uploads: np.ndarray, counts) -> np.ndarray:
     """The sample counts as floats, after checking there is one per upload row."""
     counts = np.asarray(counts, dtype=np.float64)
     if len(uploads) == 0:
-        raise ProtocolError("no client updates to aggregate")
+        raise ParameterError("no client updates to aggregate")
     if counts.shape != (len(uploads),):
-        raise ProtocolError(f"{counts.size} sample counts for {len(uploads)} client updates")
+        raise ParameterError(f"{counts.size} sample counts for {len(uploads)} client updates")
     return counts
 
 
@@ -84,23 +84,15 @@ def cluster_weighted_average(classical: np.ndarray, counts, assignment: ClusterA
     """
     counts = _client_counts(classical, counts)
     if len(classical) != len(assignment.labels):
-        raise ProtocolError(
+        raise ParameterError(
             f"assignment covers {len(assignment.labels)} clients but {len(classical)} updates arrived"
         )
     out = np.empty((assignment.n_clusters, classical.shape[1]))
     for cluster in range(assignment.n_clusters):
         members = np.flatnonzero(assignment.labels == cluster)
-        weights = counts[members] / counts[members].sum()
+        weights = AggregationWeights.from_counts(counts[members]).weights
         out[cluster] = (weights[:, None] * classical[members]).sum(axis=0)
     return out
-
-
-def _resultant(angles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums of sines and cosines along the last axis.
-
-    + 0.0 normalizes a possible -0.0 sum so atan2 lands on +pi, not -pi.
-    """
-    return (w * np.sin(angles)).sum(axis=-1) + 0.0, (w * np.cos(angles)).sum(axis=-1) + 0.0
 
 
 def circular_mean(angles, weights: AggregationWeights) -> tuple[float, float]:
@@ -115,12 +107,14 @@ def circular_mean(angles, weights: AggregationWeights) -> tuple[float, float]:
     w = weights.weights
     if a.shape != w.shape:
         raise ParameterError("angles and weights must have equal length")
-    s, c = (float(x) for x in _resultant(a, w))
+    # + 0.0 turns a -0.0 sine sum into +0.0, so atan2 lands on +pi, not -pi
+    s = float((w * np.sin(a)).sum()) + 0.0
+    c = float((w * np.cos(a)).sum()) + 0.0
     return math.atan2(s, c), math.hypot(s, c)
 
 
 def aggregate_quantum(angles: np.ndarray, counts, fallback: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Per-dimension circular mean of the clients' (n_clients, L, Q) angles, weighted by counts.
+    """circular_mean of every angle dimension of the clients' (n_clients, L, Q) angles, weighted by counts.
 
     Dimensions whose resultant length falls below DEGENERATE_RESULTANT keep
     the fallback (previous global) value; their flat indices are returned
@@ -128,18 +122,17 @@ def aggregate_quantum(angles: np.ndarray, counts, fallback: np.ndarray) -> tuple
     shape.
     """
     weights = AggregationWeights.from_counts(_client_counts(angles, counts))
-    # one row per angle dimension, so each row sum is that dimension's 1-D sum
-    per_dimension = np.ascontiguousarray(angles.reshape(len(angles), -1).T)
+    per_client = angles.reshape(len(angles), -1)
     out = np.array(fallback, dtype=np.float64).reshape(-1)
-    if len(out) != len(per_dimension):
+    if len(out) != per_client.shape[1]:
         raise ParameterError("fallback angle count does not match the updates")
-    sines, cosines = _resultant(per_dimension, weights.weights)
     degenerate: list[int] = []
-    for j, (s, c) in enumerate(zip(sines.tolist(), cosines.tolist())):
-        if math.hypot(s, c) < DEGENERATE_RESULTANT:
+    for j in range(len(out)):
+        mean, length = circular_mean(per_client[:, j], weights)
+        if length < DEGENERATE_RESULTANT:
             degenerate.append(j)
         else:
-            out[j] = math.atan2(s, c)
+            out[j] = mean
     return wrap_angles(out).reshape(np.shape(fallback)), degenerate
 
 
@@ -147,11 +140,12 @@ def arithmetic_mean_quantum(angles: np.ndarray, counts) -> np.ndarray:
     """Count-weighted arithmetic mean of the clients' (n_clients, L, Q) raw angles, wrapped afterwards.
 
     This ignores periodicity on purpose: it is the baseline aggregation and
-    the ablation arm that demonstrates why the circular mean exists. The
-    result is an (L, Q) array.
+    the ablation arm that demonstrates why the circular mean exists. It is
+    the one-cluster cluster_weighted_average of the flattened angles, and
+    the result is an (L, Q) array.
     """
-    weights = AggregationWeights.from_counts(_client_counts(angles, counts))
-    mean = (weights.weights[:, None] * angles.reshape(len(angles), -1)).sum(axis=0)
+    flat = angles.reshape(len(angles), -1)
+    mean = cluster_weighted_average(flat, counts, ClusterAssignment.single(len(angles)))[0]
     return wrap_angles(mean).reshape(angles.shape[1:])
 
 

@@ -227,22 +227,14 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_strategies(raw: str | None) -> list[str]:
-    if raw is None:
-        return list(STRATEGIES)
-    strategies = [s.strip() for s in raw.split(",") if s.strip()]
-    if not strategies:
-        raise ConfigError("no strategies given")
-    return strategies
-
-
-def _parse_alphas(raw: str | None) -> list[float] | None:
-    if raw is None or "," not in raw:
-        return None
-    try:
-        return [float(a) for a in raw.split(",") if a.strip()]
-    except ValueError:
-        raise ConfigError(f"key 'alpha' expects numbers, got '{raw}'")
+def _parse_list(raw: str, key: str) -> list:
+    """A comma-separated flag value as a list of config-field values, each given once."""
+    values = [_coerce(key, part.strip()) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise ConfigError(f"no {key} given")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key} list '{raw}' repeats a value")
+    return values
 
 
 def run_compare(strategies: list[str], alphas: list[float], base_config: ExperimentConfig, out_dir: Path):
@@ -303,16 +295,12 @@ def _print_table(rows: list[list[str]]) -> None:
 
 def cmd_compare(args) -> int:
     overrides = _flag_overrides(args)
-    alphas = _parse_alphas(args.alpha)
-    if alphas is not None:
-        overrides.pop("alpha", None)
-    strategies = _parse_strategies(args.strategy)
-    overrides.pop("strategy", None)
-    base = parse_config(args.config, overrides)
-    if alphas is None:
-        alphas = [base.alpha]
+    strategies = _parse_list(overrides.pop("strategy", ",".join(STRATEGIES)), "strategy")
+    alphas = _parse_list(overrides["alpha"], "alpha") if "alpha" in overrides else []
+    # the base config takes the first flagged alpha, so flags still win over the file
+    base = parse_config(args.config, {**overrides, "alpha": alphas[0] if alphas else None})
     out = _out_dir(args)
-    comparison, ablations = run_compare(strategies, alphas, base, out)
+    comparison, ablations = run_compare(strategies, alphas or [base.alpha], base, out)
     _write_table(comparison, out / "comparison.csv")
     print("final-round accuracy per strategy and alpha:")
     _print_table(comparison)

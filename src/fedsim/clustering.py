@@ -180,9 +180,14 @@ class ClusterAssignment:
             raise ParameterError("n_clusters must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.n_clusters:
             raise ParameterError("labels must lie in [0, n_clusters)")
-        present = np.unique(self.labels)
-        if len(present) != self.n_clusters:
+        # bincount, not np.unique: unique's first call imports numpy.ma (about 8 ms)
+        if self.cluster_sizes().min() == 0:
             raise ParameterError("every cluster must have at least one member")
+
+    @classmethod
+    def single(cls, n_clients: int) -> "ClusterAssignment":
+        """All n_clients in one cluster."""
+        return cls(np.zeros(n_clients, dtype=np.int64), 1)
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)

@@ -25,9 +25,5 @@ class NumericError(FedsimError):
     """A numerical routine failed to converge."""
 
 
-class ProtocolError(FedsimError):
-    """A client/server exchange violated the round protocol."""
-
-
 class ConfigError(FedsimError):
     """Invalid, unknown, or inconsistent configuration."""

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregation import (
+    AggregationWeights,
     aggregate_quantum,
     arithmetic_mean_quantum,
     cluster_weighted_average,
@@ -206,13 +207,15 @@ class ServerState:
     """Everything the server carries between rounds.
 
     Row m of cluster_models is cluster m's classical parameter vector (the
-    first n_classical entries of a ParamLayout); quantum is the global
-    (L, Q) angle array.
+    first n_classical entries of a ParamLayout), and assignment puts every
+    client in one of those clusters: a state that never clustered holds the
+    one-cluster assignment of all clients. quantum is the global (L, Q)
+    angle array.
     """
 
     round_index: int
     cluster_models: np.ndarray
-    assignment: ClusterAssignment | None
+    assignment: ClusterAssignment
     quantum: np.ndarray
     opt_state: AdamState
 
@@ -247,13 +250,13 @@ def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
 
 
 def init_state(config: ExperimentConfig, context: RunContext) -> ServerState:
-    """Round-0 server state: one broadcast model, empty optimizer moments."""
+    """Round-0 server state: one model for one cluster of all clients, empty optimizer moments."""
     layout = _layout(config, context)
     params = init_params(layout, derived_seed(config.seed, _SEED_INIT))
     return ServerState(
         round_index=0,
         cluster_models=params[None, :layout.n_classical],
-        assignment=None,
+        assignment=ClusterAssignment.single(len(context.clients)),
         quantum=layout.angles(params),
         opt_state=AdamState.zeros(config.qubits * config.layers),
     )
@@ -280,18 +283,21 @@ def evaluate(
     dataset: Dataset,
     test_indices: np.ndarray,
     n_classes: int,
-) -> tuple[float, float, dict[int, float]]:
+) -> tuple[float, float, tuple[float, ...]]:
     """Score every cluster model (row of cluster_models) on the full shared test split.
 
     The aggregate accuracy (and loss) weights each cluster's score by its
     share of the clients' sample counts (counts[i] belongs to client i of
-    the assignment); a single model without an assignment or counts
-    scores plainly. Several models cannot be weighted without both, and
-    raise ParameterError. Per-cluster accuracies are returned unreduced so
-    nothing is hidden by the weighting.
+    the assignment, and the assignment must have one cluster per model); a
+    single model given None for both scores plainly. Several models cannot
+    be weighted without both, and raise ParameterError. Per-cluster
+    accuracies are returned unreduced, in cluster order, so nothing is
+    hidden by the weighting.
     """
     if len(test_indices) == 0:
         raise ParameterError("test split is empty")
+    if assignment is not None and assignment.n_clusters != len(cluster_models):
+        raise ParameterError(f"{len(cluster_models)} cluster models for {assignment.n_clusters} clusters")
     if assignment is None or counts is None:
         if len(cluster_models) != 1:
             raise ParameterError(f"{len(cluster_models)} cluster models need an assignment and sample counts")
@@ -300,19 +306,19 @@ def evaluate(
         counts = np.asarray(counts, dtype=np.float64)
         if counts.shape != assignment.labels.shape:
             raise ParameterError(f"{counts.size} sample counts for {len(assignment.labels)} assigned clients")
-        total = counts.sum()
-        shares = [float(counts[assignment.labels == cid].sum() / total) for cid in range(len(cluster_models))]
+        cluster_counts = np.bincount(assignment.labels, weights=counts, minlength=assignment.n_clusters)
+        shares = AggregationWeights.from_counts(cluster_counts).weights.tolist()
     xs = dataset.features[test_indices]
     ys = dataset.labels[test_indices]
-    per_cluster: dict[int, float] = {}
+    per_cluster = []
     agg_acc = 0.0
     agg_loss = 0.0
-    for cid, (model, share) in enumerate(zip(cluster_models, shares)):
+    for model, share in zip(cluster_models, shares):
         acc, loss = _score_model(model, quantum, xs, ys, n_classes)
-        per_cluster[cid] = acc
+        per_cluster.append(acc)
         agg_acc += share * acc
         agg_loss += share * loss
-    return agg_acc, agg_loss, per_cluster
+    return agg_acc, agg_loss, tuple(per_cluster)
 
 
 def _round_metrics(
@@ -327,14 +333,12 @@ def _round_metrics(
     """Score the server state on the test split and report it as one row.
 
     Round 0 trains nobody, so it has no losses and its mean train loss is
-    nan. A state without an assignment holds one model that all n_clients
-    share.
+    nan.
     """
     acc, loss, per_cluster = evaluate(
         state.cluster_models, state.quantum, state.assignment, context.counts,
         context.dataset, context.test_indices, config.classes,
     )
-    sizes = (config.n_clients,) if state.assignment is None else state.assignment.cluster_sizes()
     return RoundMetrics(
         round_index=state.round_index,
         strategy=config.strategy,
@@ -343,8 +347,8 @@ def _round_metrics(
         accuracy=acc,
         loss=loss,
         mean_train_loss=math.nan if losses is None else fmean(losses.tolist()),
-        per_cluster_accuracy=tuple(per_cluster[c] for c in sorted(per_cluster)),
-        cluster_sizes=tuple(int(s) for s in sizes),
+        per_cluster_accuracy=per_cluster,
+        cluster_sizes=tuple(state.assignment.cluster_sizes().tolist()),
         eigengaps=eigengaps,
         degeneracies=degeneracies,
         duration_ms=(time.perf_counter() - start) * 1000.0,
@@ -354,10 +358,11 @@ def _round_metrics(
 def run_round(state: ServerState, config: ExperimentConfig, context: RunContext) -> tuple[ServerState, RoundMetrics]:
     """One full round: broadcast, local training, aggregation, evaluation.
 
-    Client i trains from its cluster's classical parameters when the state
-    holds an assignment, otherwise from the single global model; everyone
-    receives the same global quantum parameters, and a broadcast is the
-    concatenation of the two. The clients train as one cohort, in one
+    Client i trains from the classical parameters of its cluster in the
+    state's assignment; everyone receives the same global quantum
+    parameters, and a broadcast is the concatenation of the two. An
+    unclustered strategy always aggregates into one cluster of all
+    clients. The clients train as one cohort, in one
     local_train call, and its (n_clients, P) stack goes straight to
     aggregation. Per-client seeds derive from (master seed, round, client
     id), so a round is reproducible regardless of scheduling. A client
@@ -370,13 +375,12 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     layout = _layout(config, context)
 
     n_clients = len(context.clients)
-    labels = np.zeros(n_clients, dtype=np.int64) if state.assignment is None else state.assignment.labels
     angles = np.broadcast_to(state.quantum.reshape(-1), (n_clients, state.quantum.size))
     try:
         uploads, losses = local_train(
             context.clients,
             context.dataset,
-            np.concatenate([state.cluster_models[labels], angles], axis=1),
+            np.concatenate([state.cluster_models[state.assignment.labels], angles], axis=1),
             layout,
             config.local_epochs,
             config.batch_size,
@@ -395,7 +399,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         _, gaps = laplacian_eigengaps(sim)
         eigengaps = tuple(float(g) for g in gaps)
     else:
-        assignment = ClusterAssignment(np.zeros(n_clients, dtype=np.int64), 1)
+        assignment = ClusterAssignment.single(n_clients)
     cluster_models = cluster_weighted_average(uploads[:, :layout.n_classical], counts, assignment)
 
     if strategy.circular:
@@ -410,7 +414,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     next_state = ServerState(
         round_index=round_index,
         cluster_models=cluster_models,
-        assignment=assignment if strategy.clustered else None,
+        assignment=assignment,
         quantum=quantum,
         opt_state=opt_state,
     )

@@ -27,6 +27,12 @@ def angle_stack(*clients):
     return np.array(clients, dtype=np.float64).reshape(len(clients), -1, 1)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

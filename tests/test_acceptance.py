@@ -21,6 +21,7 @@ from fedsim.aggregation import (
     wrap_angle,
 )
 from fedsim.clustering import (
+    ClusterAssignment,
     adjusted_rand_index,
     normalized_laplacian,
     similarity_matrix,
@@ -362,7 +363,7 @@ def branch_cut_state():
     return ServerState(
         round_index=0,
         cluster_models=branch_cut_classical()[None],
-        assignment=None,
+        assignment=ClusterAssignment.single(ABLATION_CONFIG["n_clients"]),
         quantum=np.full((1, 2), math.pi - 0.002),
         opt_state=AdamState.zeros(2),
     )
@@ -457,7 +458,7 @@ def test_criterion_10_strategy_equivalences():
         fc_state = ServerState(
             round_index=state.round_index,
             cluster_models=state.cluster_models.copy(),
-            assignment=None,
+            assignment=ClusterAssignment.single(settings["n_clients"]),
             quantum=state.quantum.copy(),
             opt_state=AdamState.zeros(state.quantum.size),
         )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.aggregation import (
+    DEGENERATE_RESULTANT,
     AggregationWeights,
     aggregate_quantum,
     arithmetic_mean_quantum,
@@ -16,14 +17,88 @@ from fedsim.aggregation import (
     wrap_angles,
 )
 from fedsim.clustering import ClusterAssignment
-from fedsim.errors import ParameterError, ProtocolError
+from fedsim.errors import ParameterError
 from fedsim.model import AdamState, ParamLayout
 
-from conftest import angle_stack
+from conftest import angle_stack, same_bits
 
 
 def angular_gap(a, b):
     return abs(wrap_angle(a - b))
+
+
+# Reference implementations: the scalar math.remainder wrap, the
+# row-at-a-time resultant of aggregate_quantum, the inline arithmetic mean
+# and the inline per-cluster weights that the shared primitives in
+# fedsim.aggregation replace. Outputs must match them bit for bit.
+
+
+def reference_wrap_angle(x):
+    if -math.pi < x <= math.pi:
+        return x
+    y = math.remainder(x, 2.0 * math.pi)
+    if y <= -math.pi:
+        y += 2.0 * math.pi
+    return y
+
+
+def reference_wrap(values):
+    return np.array([reference_wrap_angle(float(x)) for x in np.ravel(values)]).reshape(np.shape(values))
+
+
+def reference_weights(counts):
+    counts = np.asarray(counts, dtype=np.float64)
+    return counts / counts.sum()
+
+
+def reference_aggregate_quantum(angles, counts, fallback):
+    rows = np.ascontiguousarray(angles.reshape(len(angles), -1).T)
+    w = reference_weights(counts)
+    sines = (w * np.sin(rows)).sum(axis=-1) + 0.0
+    cosines = (w * np.cos(rows)).sum(axis=-1) + 0.0
+    out = np.array(fallback, dtype=np.float64).reshape(-1)
+    degenerate = []
+    for j, (s, c) in enumerate(zip(sines.tolist(), cosines.tolist())):
+        if math.hypot(s, c) < DEGENERATE_RESULTANT:
+            degenerate.append(j)
+        else:
+            out[j] = math.atan2(s, c)
+    return reference_wrap(out).reshape(np.shape(fallback)), degenerate
+
+
+def reference_arithmetic_mean_quantum(angles, counts):
+    mean = (reference_weights(counts)[:, None] * angles.reshape(len(angles), -1)).sum(axis=0)
+    return reference_wrap(mean).reshape(angles.shape[1:])
+
+
+def reference_cluster_weighted_average(classical, counts, labels, n_clusters):
+    counts = np.asarray(counts, dtype=np.float64)
+    out = np.empty((n_clusters, classical.shape[1]))
+    for cluster in range(n_clusters):
+        members = np.flatnonzero(labels == cluster)
+        weights = counts[members] / counts[members].sum()
+        out[cluster] = (weights[:, None] * classical[members]).sum(axis=0)
+    return out
+
+
+# client counts around numpy's pairwise summation, which starts at 8 terms
+CLIENT_COUNTS = (1, 2, 7, 8, 9, 200)
+
+
+def edge_case_angles(rng, n):
+    """(n, 3, 2) angles: uniform dimensions, one at pi, one straddling the cut, two of signed zeros."""
+    angles = rng.uniform(-math.pi, math.pi, (n, 6))
+    angles[:, 0] = math.pi
+    angles[:, 1] = rng.choice([math.pi, math.pi - 1e-3, -math.pi + 1e-3, -math.pi + 1e-12], n)
+    angles[:, 2] = rng.choice([-0.0, 0.0], n)
+    angles[:, 3] = -0.0
+    return angles.reshape(n, 3, 2)
+
+
+def collapsed_angles(n_pairs):
+    """(2 * n_pairs, 1, 1) angles in opposite pairs, so with equal counts the resultant collapses."""
+    base = np.linspace(-3.0, 0.1, n_pairs)
+    return np.concatenate([base, base + math.pi]).reshape(-1, 1, 1)
 
 
 class TestWrapAngle:
@@ -58,6 +133,16 @@ class TestWrapAngle:
         wrapped = wrap_angles(xs)
         for x, y in zip(xs, wrapped):
             assert y == pytest.approx(wrap_angle(x), abs=1e-12)
+
+    @pytest.mark.parametrize("magnitude", [math.pi, 5 * math.pi, 100.0, 1e6, 1e10, 1e15])
+    def test_matches_the_remainder_reference_bitwise(self, magnitude):
+        xs = np.random.default_rng(7).uniform(-magnitude, magnitude, 20000)
+        exact = [0.0, -0.0, math.pi, -math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 4.0)]
+        xs = np.concatenate([xs, exact, np.arange(-8, 9) * math.pi])
+        wrapped = wrap_angles(xs)
+        assert same_bits(wrapped, reference_wrap(xs))
+        assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
+        assert all(same_bits(wrap_angle(x), y) for x, y in zip(xs[::97].tolist(), wrapped[::97]))
 
 
 class TestAggregationWeights:
@@ -110,11 +195,11 @@ class TestClusterWeightedAverage:
                 assert result[cluster][k] == pytest.approx(expected, abs=1e-12)
 
     def test_missing_update_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParameterError):
             cluster_weighted_average(classical_rows(0.0), [5], ClusterAssignment(np.array([0, 1]), 2))
 
     def test_counts_length_mismatch_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParameterError):
             cluster_weighted_average(classical_rows(0.0, 1.0), [5], ClusterAssignment(np.array([0, 1]), 2))
 
 
@@ -204,9 +289,9 @@ class TestAggregateQuantum:
             aggregate_quantum(angle_stack([0.1, 0.2]), [5], np.zeros((3, 1)))
 
     def test_counts_length_mismatch_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParameterError):
             aggregate_quantum(angle_stack([0.1], [0.2]), [5], np.zeros((1, 1)))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParameterError):
             aggregate_quantum(np.zeros((0, 1, 1)), [], np.zeros((1, 1)))
 
     def test_reads_a_view_of_the_upload_stack(self):
@@ -240,8 +325,59 @@ class TestArithmeticMeanQuantum:
         assert result.ravel()[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_counts_length_mismatch_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ParameterError):
             arithmetic_mean_quantum(angle_stack([0.4], [0.8]), [1, 3, 2])
+
+
+class TestMatchesReferences:
+    @pytest.mark.parametrize("n", CLIENT_COUNTS)
+    def test_aggregate_quantum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            angles = edge_case_angles(rng, n)
+            counts = rng.integers(1, 120, n)
+            fallback = rng.uniform(-math.pi, math.pi, (3, 2))
+            got, got_degenerate = aggregate_quantum(angles, counts, fallback)
+            want, want_degenerate = reference_aggregate_quantum(angles, counts, fallback)
+            assert same_bits(got, want)
+            assert got_degenerate == want_degenerate
+
+    @pytest.mark.parametrize("n_pairs", [1, 4, 100])
+    def test_aggregate_quantum_collapsed_dimension(self, n_pairs):
+        angles = collapsed_angles(n_pairs)
+        counts = np.full(len(angles), 5)
+        got, degenerate = aggregate_quantum(angles, counts, np.full((1, 1), 0.25))
+        want, want_degenerate = reference_aggregate_quantum(angles, counts, np.full((1, 1), 0.25))
+        assert same_bits(got, want)
+        assert degenerate == want_degenerate
+        if n_pairs == 1:
+            assert degenerate == [0] and got[0, 0] == 0.25
+
+    @pytest.mark.parametrize("n", CLIENT_COUNTS)
+    def test_arithmetic_mean_quantum(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            angles = edge_case_angles(rng, n)
+            counts = rng.integers(1, 120, n)
+            assert same_bits(arithmetic_mean_quantum(angles, counts), reference_arithmetic_mean_quantum(angles, counts))
+        collapsed = collapsed_angles(max(n // 2, 1))
+        counts = np.full(len(collapsed), 7)
+        assert same_bits(
+            arithmetic_mean_quantum(collapsed, counts), reference_arithmetic_mean_quantum(collapsed, counts)
+        )
+
+    @pytest.mark.parametrize("n", CLIENT_COUNTS)
+    def test_cluster_weighted_average(self, n):
+        rng = np.random.default_rng(200 + n)
+        classical = rng.standard_normal((n, 11))
+        counts = rng.integers(1, 120, n)
+        # one cluster; every client alone; the first clients alone, the rest together
+        for labels in (np.zeros(n), np.arange(n), np.minimum(np.arange(n), 3)):
+            assignment = ClusterAssignment(labels, int(labels.max()) + 1)
+            assert same_bits(
+                cluster_weighted_average(classical, counts, assignment),
+                reference_cluster_weighted_average(classical, counts, assignment.labels, assignment.n_clusters),
+            )
 
 
 class TestFedadamUpdate:

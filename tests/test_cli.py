@@ -17,7 +17,7 @@ from fedsim.cli import (
     serialize_config,
     write_metrics,
 )
-from fedsim.errors import ConfigError, NumericError
+from fedsim.errors import ConfigError, FedsimError, NumericError
 from fedsim.orchestrator import STRATEGIES, ExperimentConfig, RoundMetrics, Strategy
 
 from conftest import write_idx_pair
@@ -281,6 +281,28 @@ class TestCompareCommand:
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--strategy", "fedavg", "--alpha", ","], "no alpha given"),
+        (["--strategy", ","], "no strategy given"),
+        (["--strategy", "fedavg,fedavg"], "strategy list 'fedavg,fedavg' repeats a value"),
+        (["--strategy", "fedavg", "--alpha", "0.3,0.3"], "repeats a value"),
+        (["--strategy", "fedavg", "--alpha", "0.3,0.30"], "repeats a value"),
+    ])
+    def test_empty_or_repeated_lists_are_config_errors(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        assert main(["compare", "--out", str(out)] + flags + FAST_FLAGS) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flagged_alphas_win_over_the_file(self, tmp_path):
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text("alpha = 0\n")
+        code = main(["compare", "--config", str(cfg), "--strategy", "fedavg", "--alpha", "0.7,0.9",
+                     "--out", str(tmp_path)] + FAST_FLAGS)
+        assert code == 0
+        assert (tmp_path / "comparison.csv").read_text().splitlines()[0] == "strategy,alpha_0.7,alpha_0.9"
+
+
 class TestEigengapCommand:
     def test_report_printed(self, capsys):
         code = main(["eigengap", "--clients", "4", "--seed", "3"])
@@ -353,6 +375,23 @@ class TestExitCodes:
         ])
         assert code == 5
         assert "i/o error" in capsys.readouterr().err
+
+
+def error_categories(base=FedsimError):
+    for category in base.__subclasses__():
+        yield category
+        yield from error_categories(category)
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("category", list(error_categories()), ids=lambda c: c.__name__)
+    def test_every_error_category_exits_with_one_line(self, monkeypatch, tmp_path, capsys, category):
+        def fail(config):
+            raise category("stub failure")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert 2 <= main(["run", "--out", str(tmp_path)] + FAST_FLAGS) <= 5
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestParser:

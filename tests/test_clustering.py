@@ -21,6 +21,8 @@ from fedsim.clustering import (
 from fedsim.data import ClassDistribution
 from fedsim.errors import NumericError, ParameterError
 
+from conftest import same_bits
+
 LN2 = math.log(2.0)
 
 simplexes = st.integers(min_value=2, max_value=6).flatmap(
@@ -110,11 +112,6 @@ def random_mixes(rng, n, n_classes):
     props[rng.random(props.shape) < 0.3] = 0.0
     props[props.sum(axis=1) == 0.0, 0] = 1.0
     return props / props.sum(axis=1, keepdims=True)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestJsDivergence:

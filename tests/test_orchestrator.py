@@ -96,6 +96,19 @@ class TestRunContext:
             assert dist.count == expected.count == len(client)
         np.testing.assert_array_equal(context.counts, [len(c) for c in context.clients])
 
+    def test_init_state_holds_one_cluster_of_all_clients_without_np_unique(self, monkeypatch):
+        # np.unique's first call in a process imports numpy.ma, which set-up should not pay for
+        config = small_config(n_clients=5)
+        context = build_context(config)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        state = init_state(config, context)
+        assert state.assignment.n_clusters == 1
+        np.testing.assert_array_equal(state.assignment.labels, np.zeros(5))
+
     @pytest.mark.parametrize("strategy", ["fedcompass", "fedavg"])
     def test_a_round_takes_no_class_distribution(self, monkeypatch, strategy):
         config = small_config(strategy=strategy, clusters=2, rounds=2)
@@ -187,7 +200,7 @@ class TestStrategyTable:
         state, new_state, row = first_round(name, prox_mu=0.25)
         assert prox_mus == [0.25 if switches.proximal else 0.0]
         assert (row.eigengaps is not None) == switches.clustered
-        assert (new_state.assignment is not None) == switches.clustered
+        assert switches.clustered or new_state.assignment.n_clusters == 1
         assert new_state.opt_state.t == state.opt_state.t + int(switches.server_step)
 
     def test_no_circular_clusters_as_fedcompass(self):
@@ -334,7 +347,7 @@ class TestEvaluate:
         )
         assert acc == pytest.approx(0.75, abs=1e-12)
         assert loss == pytest.approx(0.75, abs=1e-12)
-        assert per_cluster == {0: 0.5, 1: 1.0}
+        assert per_cluster == (0.5, 1.0)
 
     def test_several_models_are_not_summed_without_weights(self, monkeypatch):
         # two models scoring 0.0625 each must not report an aggregate of 0.125
@@ -350,6 +363,21 @@ class TestEvaluate:
                     models, state.quantum, labels, counts,
                     context.dataset, context.test_indices, config.classes,
                 )
+
+    def test_every_cluster_needs_its_model(self, monkeypatch):
+        # one model scoring 0.25 under a two-cluster assignment must not report 0.125
+        config = small_config()
+        context = build_context(config)
+        state = init_state(config, context)
+        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: (0.25, 1.0))
+        assignment = ClusterAssignment(np.array([0, 0, 1, 1]), 2)
+        for models in (state.cluster_models, np.repeat(state.cluster_models, 3, axis=0)):
+            for counts in (np.array([5, 5, 5, 5]), None):
+                with pytest.raises(ParameterError):
+                    evaluate(
+                        models, state.quantum, assignment, counts,
+                        context.dataset, context.test_indices, config.classes,
+                    )
 
     def test_counts_must_match_the_assignment(self):
         config = small_config()
@@ -373,7 +401,7 @@ class TestEvaluate:
             context.dataset, context.test_indices, config.classes,
         )
         assert acc == 0.625
-        assert per_cluster == {0: 0.625}
+        assert per_cluster == (0.625,)
 
     def test_perfect_stub_classifier_scores_one(self, monkeypatch):
         config = small_config()
