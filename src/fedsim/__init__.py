@@ -64,11 +64,13 @@ from .model import (
 )
 from .orchestrator import (
     STRATEGIES,
+    Clustering,
     ExperimentConfig,
     RoundMetrics,
     RunContext,
     ServerState,
     build_context,
+    cluster_clients,
     derived_seed,
     evaluate,
     init_state,

@@ -21,13 +21,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .clustering import laplacian_eigengaps, similarity_matrix
 from .errors import ConfigError, DataFormatError, NumericError, ParameterError, PartitionError
 from .orchestrator import (
     STRATEGIES,
     ExperimentConfig,
     RoundMetrics,
     build_context,
+    run_clustering,
     run_experiment,
 )
 
@@ -314,9 +314,8 @@ def cmd_compare(args) -> int:
 
 def cmd_eigengap(args) -> int:
     config = parse_config(args.config, _flag_overrides(args))
-    context = build_context(config)
-    sim = similarity_matrix(context.distributions, config.lambda1, config.lambda2)
-    values, gaps = laplacian_eigengaps(sim)
+    clustering = run_clustering(config, build_context(config))
+    values, gaps = clustering.eigenvalues, clustering.eigengaps
     print("normalized-Laplacian spectrum for the partition:")
     print(f"{'k':>3}  {'eigenvalue':>12}  {'gap to next':>12}")
     for k, value in enumerate(values):

@@ -11,6 +11,11 @@ ingredient (no_clustering the clustering, no_circular the circular mean);
 fedavg does none of the three, and fedprox is fedavg plus the proximal
 term in the local objective.
 
+The clustering's inputs (the partition's class distributions, lambda1,
+lambda2 and clusters) never change during a run, so a clustered strategy
+clusters the clients once per run, in `build_context`, and every round
+reuses that assignment and eigengap report.
+
 State transitions are functional: run_round returns a fresh ServerState,
 so a failed round leaves the previous state untouched.
 """
@@ -181,18 +186,60 @@ class RoundMetrics:
     duration_ms: float
 
 
+@dataclass(frozen=True)
+class Clustering:
+    """A run's spectral clustering and the config inputs it was built from.
+
+    eigenvalues is the ascending normalized-Laplacian spectrum of the
+    clients' similarity graph.
+    """
+
+    lambda1: float
+    lambda2: float
+    clusters: int
+    seed: int
+    assignment: ClusterAssignment
+    eigenvalues: np.ndarray
+
+    @property
+    def eigengaps(self) -> tuple[float, ...]:
+        """The spectrum's consecutive gaps, as every clustered round reports them."""
+        return tuple(np.diff(self.eigenvalues).tolist())
+
+    def built_from(self, config: ExperimentConfig) -> bool:
+        return (self.lambda1, self.lambda2, self.clusters, self.seed) == (
+            config.lambda1, config.lambda2, config.clusters, config.seed,
+        )
+
+
+def cluster_clients(distributions: list[ClassDistribution], config: ExperimentConfig) -> Clustering:
+    """Cluster the clients by their class distributions, with k-means on round 1's seed path.
+
+    One similarity matrix feeds both spectral_cluster and the eigengap
+    report.
+    """
+    sim = similarity_matrix(distributions, config.lambda1, config.lambda2)
+    assignment = spectral_cluster(sim, config.clusters, derived_seed(config.seed, _SEED_KMEANS, 1))
+    values, _ = laplacian_eigengaps(sim)
+    return Clustering(config.lambda1, config.lambda2, config.clusters, config.seed, assignment, values)
+
+
 @dataclass
 class RunContext:
-    """Immutable per-run environment: data, partition, and the test split.
+    """Immutable per-run environment: data, partition, clustering, and the test split.
 
     The partition never changes during a run, so each client's class
     distribution is taken once; distributions[i] belongs to clients[i], and
-    both lists are in client-id order.
+    both lists are in client-id order. For the same reason a clustered
+    strategy's clustering is computed once, from those distributions, and
+    kept with the inputs it was built from; an unclustered strategy's
+    context holds None.
     """
 
     dataset: Dataset
     clients: list[ClientDataset]
     distributions: list[ClassDistribution]
+    clustering: Clustering | None
     train_indices: np.ndarray
     test_indices: np.ndarray
 
@@ -221,7 +268,10 @@ class ServerState:
 
 
 def build_context(config: ExperimentConfig) -> RunContext:
-    """Materialize the dataset, the global test split, and the client partition."""
+    """Materialize the dataset, the global test split, and the client partition.
+
+    A clustered strategy's context also holds the run's clustering.
+    """
     if config.dataset == "synthetic":
         dataset = generate_synthetic(
             config.classes,
@@ -242,7 +292,15 @@ def build_context(config: ExperimentConfig) -> RunContext:
         indices=train_idx,
     )
     distributions = [class_distribution(client, dataset) for client in clients]
-    return RunContext(dataset, clients, distributions, train_idx, test_idx)
+    clustering = cluster_clients(distributions, config) if STRATEGIES[config.strategy].clustered else None
+    return RunContext(dataset, clients, distributions, clustering, train_idx, test_idx)
+
+
+def run_clustering(config: ExperimentConfig, context: RunContext) -> Clustering:
+    """The context's clustering if it was built from config's inputs, else a fresh one for config."""
+    if context.clustering is not None and context.clustering.built_from(config):
+        return context.clustering
+    return cluster_clients(context.distributions, config)
 
 
 def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
@@ -360,11 +418,14 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
 
     Client i trains from the classical parameters of its cluster in the
     state's assignment; everyone receives the same global quantum
-    parameters, and a broadcast is the concatenation of the two. An
-    unclustered strategy always aggregates into one cluster of all
-    clients. The clients train as one cohort, in one
-    local_train call, and its (n_clients, P) stack goes straight to
-    aggregation. Per-client seeds derive from (master seed, round, client
+    parameters, and a broadcast is the concatenation of the two. A
+    clustered strategy aggregates into the run's clustering: the context's
+    record when it was built from this config's lambda1, lambda2, clusters
+    and seed, else the same clustering computed afresh, so every round
+    reports the same assignment and eigengaps. An unclustered strategy
+    always aggregates into one cluster of all clients. The clients train
+    as one cohort, in one local_train call, and its (n_clients, P) stack
+    goes straight to aggregation. Per-client seeds derive from (master seed, round, client
     id), so a round is reproducible regardless of scheduling. A client
     whose training diverges raises NumericError naming the round and the
     client.
@@ -394,10 +455,8 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
 
     eigengaps = None
     if strategy.clustered:
-        sim = similarity_matrix(context.distributions, config.lambda1, config.lambda2)
-        assignment = spectral_cluster(sim, config.clusters, derived_seed(config.seed, _SEED_KMEANS, round_index))
-        _, gaps = laplacian_eigengaps(sim)
-        eigengaps = tuple(float(g) for g in gaps)
+        clustering = run_clustering(config, context)
+        assignment, eigengaps = clustering.assignment, clustering.eigengaps
     else:
         assignment = ClusterAssignment.single(n_clients)
     cluster_models = cluster_weighted_average(uploads[:, :layout.n_classical], counts, assignment)

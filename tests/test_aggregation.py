@@ -226,6 +226,13 @@ class TestCircularMean:
         _, magnitude = circular_mean(np.array([0.0, math.pi]), w)
         assert magnitude < 1e-12
 
+    def test_negative_zero_angle_gives_positive_zero(self):
+        # a numpy whose sums start from the first element sums this sine to -0.0 (numpy 2 starts
+        # from +0.0); the + 0.0 guard keeps the mean at +0.0, as it keeps a -0.0 sine sum off -pi
+        mean, magnitude = circular_mean(np.array([-0.0]), AggregationWeights.from_counts([1]))
+        assert math.copysign(1.0, mean) == 1.0
+        assert magnitude == 1.0
+
     @settings(max_examples=100, deadline=None)
     @given(
         angles=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2, max_size=8),

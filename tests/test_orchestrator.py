@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -8,13 +9,14 @@ import pytest
 import fedsim.orchestrator as orch
 from fedsim.aggregation import aggregate_quantum, fedadam_update
 from fedsim.cli import metrics_rows
-from fedsim.clustering import ClusterAssignment
+from fedsim.clustering import ClusterAssignment, laplacian_eigengaps, similarity_matrix, spectral_cluster
 from fedsim.data import class_distribution
 from fedsim.errors import ConfigError, NumericError, ParameterError
 from fedsim.model import ParamLayout
 from fedsim.orchestrator import (
     ExperimentConfig,
     build_context,
+    cluster_clients,
     derived_seed,
     evaluate,
     init_state,
@@ -127,6 +129,92 @@ class TestRunContext:
             assert (row.accuracy, row.loss, row.mean_train_loss) == (
                 expected.accuracy, expected.loss, expected.mean_train_loss,
             )
+
+
+def forbid_clustering(monkeypatch):
+    def stub(*args, **kwargs):
+        raise AssertionError("clustering recomputed")
+
+    for name in ("similarity_matrix", "spectral_cluster", "laplacian_eigengaps"):
+        monkeypatch.setattr(orch, name, stub)
+
+
+def run_rounds(config, context):
+    """The last state and every round's metrics of config.rounds rounds on context."""
+    state, rows = init_state(config, context), []
+    for _ in range(config.rounds):
+        state, row = run_round(state, config, context)
+        rows.append(row)
+    return state, rows
+
+
+class TestClusteringOncePerRun:
+    def test_every_round_keeps_one_assignment_at_200_clients(self):
+        # re-seeding k-means every round gave sizes (76, 34, 54, 36), then (75, 39, 44, 42), ...
+        rows = run_experiment(ExperimentConfig(
+            strategy="fedcompass", n_clients=200, alpha=1.0, rounds=5, local_epochs=1, batch_size=32,
+            local_lr=0.03, server_lr=0.05, per_class=300, clusters=4, seed=42,
+        ))
+        assert {row.cluster_sizes for row in rows[1:]} == {rows[1].cluster_sizes}
+        assert {row.eigengaps for row in rows[1:]} == {rows[1].eigengaps}
+
+    @pytest.mark.parametrize("strategy", ["fedcompass", "fedcompass_no_circular"])
+    def test_clustered_context_holds_round_one_clustering(self, strategy):
+        config = small_config(strategy=strategy, n_clients=6, clusters=3, lambda1=0.5, lambda2=2.0)
+        context = build_context(config)
+        record = context.clustering
+        assert (record.lambda1, record.lambda2, record.clusters, record.seed) == (0.5, 2.0, 3, config.seed)
+        assert record.built_from(config)
+        sim = similarity_matrix(context.distributions, 0.5, 2.0)
+        expected = spectral_cluster(sim, 3, derived_seed(config.seed, 5, 1))
+        np.testing.assert_array_equal(record.assignment.labels, expected.labels)
+        values, gaps = laplacian_eigengaps(sim)
+        np.testing.assert_array_equal(record.eigenvalues, values)
+        assert record.eigengaps == tuple(gaps.tolist())
+
+    def test_rounds_reuse_the_context_clustering(self, monkeypatch):
+        config = small_config(strategy="fedcompass", clusters=2, rounds=3)
+        context = build_context(config)
+        forbid_clustering(monkeypatch)
+        state, rows = run_rounds(config, context)
+        assert state.assignment is context.clustering.assignment
+        assert [row.eigengaps for row in rows] == [context.clustering.eigengaps] * 3
+
+    @pytest.mark.parametrize("change", [dict(clusters=3), dict(lambda1=0.25), dict(lambda2=4.0)])
+    def test_a_clustering_built_from_other_inputs_is_not_reused(self, change):
+        built = small_config(strategy="fedcompass", clusters=2, rounds=2)
+        config = dataclasses.replace(built, **change).validate()
+        shared = build_context(built)
+        assert not shared.clustering.built_from(config)
+        state, rows = run_rounds(config, shared)
+        expected_state, expected_rows = run_rounds(config, build_context(config))
+        assert metrics_rows(rows) == metrics_rows(expected_rows)
+        assert [r.eigengaps for r in rows] == [r.eigengaps for r in expected_rows]
+        assert (rows[-1].cluster_sizes, rows[-1].eigengaps) != (
+            tuple(shared.clustering.assignment.cluster_sizes().tolist()), shared.clustering.eigengaps,
+        )
+        np.testing.assert_array_equal(state.assignment.labels, expected_state.assignment.labels)
+        np.testing.assert_array_equal(state.cluster_models, expected_state.cluster_models)
+        np.testing.assert_array_equal(state.quantum, expected_state.quantum)
+
+    def test_an_unclustered_context_clusters_a_clustered_config(self):
+        # the shape of criterion 10: a fedavg context run with a clustered config
+        avg = small_config(strategy="fedavg")
+        config = dataclasses.replace(avg, strategy="fedcompass", clusters=2)
+        context = build_context(avg)
+        assert context.clustering is None
+        _, row = run_round(init_state(config, context), config, context)
+        expected = cluster_clients(context.distributions, config)
+        assert row.eigengaps == expected.eigengaps
+        assert row.cluster_sizes == tuple(expected.assignment.cluster_sizes().tolist())
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedcompass_no_clustering"])
+    def test_unclustered_strategies_pay_no_clustering(self, monkeypatch, strategy):
+        config = small_config(strategy=strategy, clusters=2)
+        forbid_clustering(monkeypatch)
+        context = build_context(config)
+        assert context.clustering is None
+        run_round(init_state(config, context), config, context)
 
 
 class TestSingleClientRound:

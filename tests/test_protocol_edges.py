@@ -4,9 +4,12 @@ Small configs are drawn over every strategy, with tiny and huge alpha,
 size-1 clusters, too-small data, divergent local steps and global angles
 at or next to +-pi. Every run either succeeds with finite metrics, wrapped
 angles and complete cluster sizes, reproducing its metrics rows byte for
-byte on a rerun, or fails with the exit code that names its cause.
+byte on a rerun, or fails with the exit code that names its cause. Two
+edges that random draws reach only by chance get strategies of their own:
+a degenerate Laplacian spectrum and a collapsed circular resultant.
 """
 
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 import fedsim.cli as cli
 import fedsim.orchestrator as orch
+from fedsim.aggregation import wrap_angles
 from fedsim.errors import ConfigError, PartitionError
 
 # global angles at and next to both ends of (-pi, pi]
@@ -52,10 +56,52 @@ def edge_runs(draw):
     return orch.ExperimentConfig(**fields), draw(st.booleans())
 
 
-def run_cli(config, edge_angles):
-    """Exit code, stderr, metrics and every server state of one `fedsim run`."""
+@st.composite
+def even_split_runs(draw, n_clients, strategies):
+    """Configs whose clients all hold the same class counts, hence equal distributions and weights.
+
+    Alpha 1e308 overflows every class's gamma sum, so the partition splits
+    each class evenly (its alpha -> inf limit), and per_class leaves each
+    class a test share of at least one sample and a train share of
+    per_client * n_clients samples.
+    """
+    per_client = draw(st.integers(1, 2))
+    per_class = next(
+        p for p in itertools.count(1)
+        if round(orch.TEST_FRACTION * p) >= 1 and p - round(orch.TEST_FRACTION * p) == per_client * n_clients
+    )
+    fields = dict(
+        strategy=draw(st.sampled_from(strategies)),
+        n_clients=n_clients,
+        alpha=1e308,
+        rounds=draw(st.integers(1, 2)),
+        local_epochs=1,
+        batch_size=draw(st.integers(1, 4)),
+        local_lr=draw(st.sampled_from([0.05, 0.5])),
+        server_lr=draw(st.sampled_from([0.05, 3.0])),
+        clusters=draw(st.integers(1, n_clients)),
+        prox_mu=0.1,
+        features=3,
+        hidden=2,
+        qubits=2,
+        layers=1,
+        classes=2,
+        per_class=per_class,
+        spread=0.3,
+        seed=draw(st.integers(0, 1000)),
+    )
+    return orch.ExperimentConfig(**fields), draw(st.booleans())
+
+
+def run_cli(config, edge_angles, antipodal=False):
+    """Exit code, stderr, metrics and every server state of one `fedsim run`.
+
+    With antipodal set, client 1 uploads the angles of client 0 turned by
+    pi.
+    """
     states, runs = [], []
     real_init_state, real_run_round, real_run_experiment = orch.init_state, orch.run_round, cli.run_experiment
+    real_local_train = orch.local_train
 
     def init_state(config, context):
         state = real_init_state(config, context)
@@ -73,9 +119,17 @@ def run_cli(config, edge_angles):
         runs.append(real_run_experiment(config))
         return runs[-1]
 
+    def local_train(clients, dataset, init, layout, *args):
+        uploads, losses = real_local_train(clients, dataset, init, layout, *args)
+        if antipodal:
+            angles = layout.angles(uploads)
+            angles[1] = wrap_angles(angles[0] + math.pi)
+        return uploads, losses
+
     with tempfile.TemporaryDirectory() as out, \
             mock.patch.object(orch, "init_state", init_state), \
             mock.patch.object(orch, "run_round", run_round), \
+            mock.patch.object(orch, "local_train", local_train), \
             mock.patch.object(cli, "run_experiment", run_experiment), \
             mock.patch("sys.stderr") as stderr, \
             mock.patch("sys.stdout"), \
@@ -114,7 +168,11 @@ def test_edge_configs_run_clean_or_fail_with_their_cause(drawn):
         if code == cli.EXIT_NUMERIC:
             assert "round" in err and "client" in err
         return
+    assert_clean_run(config, edge_angles, metrics, states)
 
+
+def assert_clean_run(config, edge_angles, metrics, states, antipodal=False):
+    """Finite metrics, complete clusters and wrapped angles, reproduced byte for byte on a rerun."""
     assert [m.round_index for m in metrics] == list(range(config.rounds + 1))
     for m in metrics:
         values = [m.accuracy, m.loss, *m.per_cluster_accuracy, *(m.eigengaps or ())]
@@ -129,6 +187,41 @@ def test_edge_configs_run_clean_or_fail_with_their_cause(drawn):
         assert np.all(state.quantum > -math.pi) and np.all(state.quantum <= math.pi)
         assert np.all(np.isfinite(state.cluster_models))
 
-    rerun_code, _, rerun, _ = run_cli(config, edge_angles)
+    rerun_code, _, rerun, _ = run_cli(config, edge_angles, antipodal)
     assert rerun_code == cli.EXIT_OK
     assert cli.metrics_rows(rerun) == cli.metrics_rows(metrics)
+
+
+CLUSTERED = [name for name, switches in orch.STRATEGIES.items() if switches.clustered]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.integers(3, 5).flatmap(lambda n: even_split_runs(n, CLUSTERED)))
+def test_degenerate_laplacian_spectrum_clusters_clean(drawn):
+    # equal distributions and counts make every similarity 1: the normalized Laplacian
+    # I - J/n has eigenvalue 0 once and 1 repeated n - 1 times, so all gaps after the first are 0
+    config, edge_angles = drawn
+    context = orch.build_context(config.validate())
+    assert len({(tuple(d.proportions), d.count) for d in context.distributions}) == 1
+    code, err, metrics, states = run_cli(config, edge_angles)
+    assert code == cli.EXIT_OK, err
+    for m in metrics[1:]:
+        assert m.eigengaps[0] > 1.0 - 1e-9
+        assert max(abs(g) for g in m.eigengaps[1:]) < 1e-9
+    assert_clean_run(config, edge_angles, metrics, states)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(even_split_runs(2, list(orch.STRATEGIES)))
+def test_collapsed_circular_resultant_keeps_the_global_angles(drawn):
+    # two equal-weight clients upload antipodal angles, so every dimension's resultant collapses
+    config, edge_angles = drawn
+    code, err, metrics, states = run_cli(config, edge_angles, antipodal=True)
+    assert code == cli.EXIT_OK, err
+    if orch.STRATEGIES[config.strategy].circular:
+        n_angles = config.qubits * config.layers
+        assert [m.degeneracies for m in metrics[1:]] == [n_angles] * config.rounds
+        # the degenerate aggregate keeps the previous angles, so the server step's gap is 0
+        for state in states[1:]:
+            np.testing.assert_array_equal(state.quantum, states[0].quantum)
+    assert_clean_run(config, edge_angles, metrics, states, antipodal=True)
