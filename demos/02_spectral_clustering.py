@@ -11,7 +11,6 @@ M well-separated groups.
 import numpy as np
 
 from fedsim import (
-    ClassDistribution,
     adjusted_rand_index,
     laplacian_eigengaps,
     similarity_matrix,
@@ -19,16 +18,15 @@ from fedsim import (
 )
 
 rng = np.random.default_rng(3)
-dists = []
-for classes in ((0, 1), (2, 3)):
-    for _ in range(5):
-        mix = rng.dirichlet([2.0, 2.0])
-        p = np.zeros(4)
-        p[list(classes)] = mix
-        dists.append(ClassDistribution(p, int(rng.integers(80, 120))))
+mixes = np.zeros((10, 4))
+counts = np.zeros(10, dtype=np.int64)
+for block, classes in enumerate(((0, 1), (2, 3))):
+    for i in range(5 * block, 5 * block + 5):
+        mixes[i, list(classes)] = rng.dirichlet([2.0, 2.0])
+        counts[i] = rng.integers(80, 120)
 planted = np.array([0] * 5 + [1] * 5)
 
-sim = similarity_matrix(dists, lambda1=1.0, lambda2=1.0)
+sim = similarity_matrix(mixes, counts, lambda1=1.0, lambda2=1.0)
 print("similarity matrix (rows/cols = clients, two planted blocks of 5):")
 for row in sim.entries:
     print("  " + " ".join(f"{v:4.2f}" for v in row))

@@ -33,10 +33,8 @@ from .clustering import (
     symmetric_eig,
 )
 from .data import (
-    ClassDistribution,
-    ClientDataset,
     Dataset,
-    class_distribution,
+    class_counts,
     dirichlet_partition,
     generate_synthetic,
     load_idx,

@@ -21,13 +21,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .clustering import laplacian_eigengaps
 from .errors import ConfigError, DataFormatError, NumericError, ParameterError, PartitionError
 from .orchestrator import (
     STRATEGIES,
     ExperimentConfig,
     RoundMetrics,
     build_context,
-    run_clustering,
+    client_similarity,
     run_experiment,
 )
 
@@ -241,13 +242,20 @@ def run_compare(strategies: list[str], alphas: list[float], base_config: Experim
     """Run each strategy at each alpha with the shared seed and partition.
 
     Every (strategy, alpha) config is validated before the first run, so a
-    bad one fails the sweep before anything is trained or written.
+    bad one fails the sweep before anything is trained or written; so are
+    the alphas' output names, and two alphas that print alike under `:g`
+    raise ConfigError, since their files and columns would collide.
     Returns (final-accuracy table rows, {alpha: per-round ablation rows}).
     The ablation tables list, for every round, one accuracy column per
     requested strategy with the server step (the fedcompass family), and
     are produced whenever one of those drops clustering or the circular
     mean.
     """
+    names: dict[str, float] = {}
+    for a in alphas:
+        first = names.setdefault(f"{a:g}", a)
+        if first != a:
+            raise ConfigError(f"alphas {first!r} and {a!r} both print as {a:g}, so their outputs would collide")
     configs = {
         (s, a): dataclasses.replace(base_config, strategy=s, alpha=a).validate() for a in alphas for s in strategies
     }
@@ -295,7 +303,9 @@ def _print_table(rows: list[list[str]]) -> None:
 
 def cmd_compare(args) -> int:
     overrides = _flag_overrides(args)
-    strategies = _parse_list(overrides.pop("strategy", ",".join(STRATEGIES)), "strategy")
+    # a flagged list wins over the file's one strategy, which wins over every strategy
+    in_file = _read_config_file(args.config).get("strategy") if args.config is not None else None
+    strategies = _parse_list(overrides.pop("strategy", in_file or ",".join(STRATEGIES)), "strategy")
     alphas = _parse_list(overrides["alpha"], "alpha") if "alpha" in overrides else []
     # the base config takes the first flagged alpha, so flags still win over the file
     base = parse_config(args.config, {**overrides, "alpha": alphas[0] if alphas else None})
@@ -314,8 +324,12 @@ def cmd_compare(args) -> int:
 
 def cmd_eigengap(args) -> int:
     config = parse_config(args.config, _flag_overrides(args))
-    clustering = run_clustering(config, build_context(config))
-    values, gaps = clustering.eigenvalues, clustering.eigengaps
+    context = build_context(config)
+    # a clustered strategy's context already holds the spectrum; no other needs k-means
+    if context.clustering is None:
+        values, gaps = laplacian_eigengaps(client_similarity(context.class_counts, config))
+    else:
+        values, gaps = context.clustering.eigenvalues, context.clustering.eigengaps
     print("normalized-Laplacian spectrum for the partition:")
     print(f"{'k':>3}  {'eigenvalue':>12}  {'gap to next':>12}")
     for k, value in enumerate(values):

@@ -1,10 +1,10 @@
 """Client similarity, spectral embedding, and k-means grouping.
 
-Clients are compared through their class distributions; the resulting
-similarity graph is cut with a normalized-Laplacian spectral embedding
-followed by seeded k-means. Eigenpairs come from LAPACK's symmetric
-solver (`np.linalg.eigh`), with a sign convention that makes them
-deterministic.
+Clients are compared through their class mixes and sample counts; the
+resulting similarity graph is cut with a normalized-Laplacian spectral
+embedding followed by seeded k-means. Eigenpairs come from LAPACK's
+symmetric solver (`np.linalg.eigh`), with a sign convention that makes
+them deterministic.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ def js_divergence(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ParameterError("p and q must be vectors of equal length")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise ParameterError("probabilities must be finite")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ParameterError("probabilities must be non-negative")
-    if abs(float(p.sum()) - 1.0) > 1e-9 or abs(float(q.sum()) - 1.0) > 1e-9:
-        raise ParameterError("p and q must each sum to 1")
+    _check_mixes(np.stack([p, q]))
     m = 0.5 * (p + q)
 
     def half_kl(a):
@@ -44,6 +39,16 @@ def js_divergence(p, q) -> float:
         return 0.5 * float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
 
     return max(0.0, half_kl(p) + half_kl(q))
+
+
+def _check_mixes(props: np.ndarray) -> None:
+    """ParameterError unless every row of props is finite, non-negative and sums to 1 within 1e-9."""
+    if not np.all(np.isfinite(props)):
+        raise ParameterError("probabilities must be finite")
+    if np.any(props < 0):
+        raise ParameterError("probabilities must be non-negative")
+    if np.any(np.abs(props.sum(axis=1) - 1.0) > 1e-9):
+        raise ParameterError("probabilities must each sum to 1")
 
 
 def _half_kl_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -95,26 +100,34 @@ class SimilarityMatrix:
         return self.entries.shape[0]
 
 
-def similarity_matrix(dists, lambda1: float = 1.0, lambda2: float = 1.0) -> SimilarityMatrix:
+def similarity_matrix(proportions, counts, lambda1: float = 1.0, lambda2: float = 1.0) -> SimilarityMatrix:
     """Similarity exp(-l1 * JS(p_i, p_j) - l2 * |n_i - n_j| / (n_i + n_j)).
 
-    The first exponent term penalizes diverging class mixes, the second
-    penalizes mismatched sample counts; lambda1/lambda2 weight the two.
-    The diagonal is exactly 1 (both terms vanish for i = j). All pairs
-    i < j are computed at once and mirrored into the lower triangle, so
-    temporaries are O(n^2 * C / 2); `js_divergence` is the scalar
-    reference for each entry.
+    Row i of the (n, C) `proportions` is client i's class mix p_i, and
+    entry i of the (n,) `counts` its sample count n_i. The first exponent
+    term penalizes diverging class mixes, the second penalizes mismatched
+    sample counts; lambda1/lambda2 weight the two. Every row must be finite,
+    non-negative and sum to 1 within 1e-9, and every count finite and
+    >= 1, else ParameterError. The diagonal is exactly 1 (both terms vanish
+    for i = j). All pairs i < j are computed at once and mirrored into the
+    lower triangle, so temporaries are O(n^2 * C / 2); `js_divergence` is
+    the scalar reference for each entry.
     """
     if lambda1 < 0 or lambda2 < 0:
         raise ParameterError("lambda1 and lambda2 must be >= 0")
-    n = len(dists)
-    if n < 1:
-        raise ParameterError("need at least one client distribution")
     try:
-        props = np.stack([d.proportions for d in dists])
+        props = np.asarray(proportions, dtype=np.float64)
     except ValueError as exc:
         raise ParameterError("class distributions must have equal length") from exc
-    counts = np.array([d.count for d in dists], dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.float64)
+    if props.ndim != 2 or len(props) < 1:
+        raise ParameterError("proportions must be a non-empty (n_clients, C) array")
+    n = len(props)
+    if counts.shape != (n,):
+        raise ParameterError(f"{counts.size} sample counts for {n} class distributions")
+    _check_mixes(props)
+    if not np.all(np.isfinite(counts) & (counts >= 1)):
+        raise ParameterError("counts must be finite and >= 1")
     rows, cols = np.triu_indices(n, k=1)
     div = _pair_divergences(props, rows, cols)
     size_gap = np.abs(counts[rows] - counts[cols]) / (counts[rows] + counts[cols])

@@ -1,5 +1,10 @@
 """Dataset generation, IDX loading, Dirichlet partitioning, and class statistics.
 
+A partition is a list of index arrays: entry i holds client i's sorted
+positions into the shared dataset, so a client's id is its place in the
+list. Its class mixes are one (n_clients, C) count matrix, taken by
+`class_counts`.
+
 Everything here is a pure function of its arguments (seeds included); there
 is no module-level random state.
 """
@@ -45,43 +50,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass
-class ClientDataset:
-    """One client's view of the shared dataset, as index positions."""
-
-    client_id: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if len(self.indices) < 1:
-            raise ParameterError(f"client {self.client_id} has no samples")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass
-class ClassDistribution:
-    """Per-class sample proportions plus the sample count they were taken over."""
-
-    proportions: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        self.proportions = np.asarray(self.proportions, dtype=np.float64)
-        if self.proportions.ndim != 1:
-            raise ParameterError("proportions must be a vector")
-        if self.count < 1:
-            raise ParameterError("count must be >= 1")
-        if not np.all(np.isfinite(self.proportions)):
-            raise ParameterError("proportions must be finite")
-        if np.any(self.proportions < 0):
-            raise ParameterError("proportions must be non-negative")
-        if abs(float(self.proportions.sum()) - 1.0) > 1e-9:
-            raise ParameterError("proportions must sum to 1")
 
 
 def generate_synthetic(classes: int, features: int, per_class: int, spread: float, seed: int) -> Dataset:
@@ -181,8 +149,10 @@ def dirichlet_partition(
     alpha: float,
     seed: int,
     indices: np.ndarray | None = None,
-) -> list[ClientDataset]:
+) -> list[np.ndarray]:
     """Allocate samples to clients using one Dirichlet(alpha) draw per class.
+
+    Returns one sorted int64 index array per client, in client-id order.
 
     For every class, a simplex point drawn via normalized gamma variates
     decides how that class's (shuffled) samples are sliced across clients.
@@ -223,13 +193,12 @@ def dirichlet_partition(
         if draw is None:
             continue  # the shares underflowed or overflowed; redraw
         if np.sum([counts for _, counts in draw], axis=0).min() >= 1:
-            return [ClientDataset(client_id, held) for client_id, held in enumerate(_client_indices(draw, n_clients))]
+            return _client_indices(draw, n_clients)
         if first_draw is None:
             first_draw = draw
     if first_draw is None:
         first_draw = _class_slices(class_pools, n_clients, alpha, np.random.default_rng(seed), limits=True)
-    held = _fill_empty_clients(_client_indices(first_draw, n_clients))
-    return [ClientDataset(client_id, samples) for client_id, samples in enumerate(held)]
+    return _fill_empty_clients(_client_indices(first_draw, n_clients))
 
 
 def _class_slices(class_pools, n_clients: int, alpha: float, rng: np.random.Generator, limits: bool = False):
@@ -286,10 +255,16 @@ def _fill_empty_clients(held: list[np.ndarray]) -> list[np.ndarray]:
     return held
 
 
-def class_distribution(client: ClientDataset, dataset: Dataset) -> ClassDistribution:
-    """Per-class proportions of one client's samples."""
-    if len(client.indices) == 0:
-        raise ParameterError("client has no samples")
-    labels = dataset.labels[client.indices]
-    counts = np.bincount(labels, minlength=dataset.n_classes).astype(np.float64)
-    return ClassDistribution(counts / len(labels), int(len(labels)))
+def class_counts(clients: list[np.ndarray], dataset: Dataset) -> np.ndarray:
+    """Every client's per-class sample counts, as one (n_clients, C) int64 matrix.
+
+    Row i tallies the labels of clients[i], an index array into dataset; the
+    whole matrix is one bincount over (client, label) cells. A client with
+    no samples raises ParameterError.
+    """
+    sizes = np.array([len(client) for client in clients], dtype=np.int64)
+    if np.any(sizes < 1):
+        raise ParameterError(f"client {int(np.argmin(sizes))} has no samples")
+    samples = np.concatenate([np.zeros(0, dtype=np.int64), *clients])
+    cells = np.repeat(np.arange(len(sizes)) * dataset.n_classes, sizes) + dataset.labels[samples]
+    return np.bincount(cells, minlength=len(sizes) * dataset.n_classes).reshape(len(sizes), dataset.n_classes)

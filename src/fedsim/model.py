@@ -54,7 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._angles import wrap_angles
-from .data import ClientDataset, Dataset
+from .data import Dataset
 from .errors import NumericError, ParameterError
 
 HALF_PI = 0.5 * math.pi
@@ -602,7 +602,7 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.
 
 
 def local_train(
-    clients: Sequence[ClientDataset],
+    clients: Sequence[np.ndarray],
     dataset: Dataset,
     inits: np.ndarray,
     layout: ParamLayout,
@@ -614,11 +614,12 @@ def local_train(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mini-batch Adam for a cohort of clients in lockstep, each from a fresh optimizer state.
 
-    Client g starts from row g of the (G, P) `inits` and reshuffles its
-    samples every epoch from a generator seeded with seeds[g]. It keeps its
-    own Adam moments and loss totals; its step count is the cohort's step
-    index s, so every client that still has a batch at step s takes its
-    step together with the others. All of those
+    clients[g] is client g's index array into dataset, and an empty one
+    raises ParameterError. Client g starts from row g of the (G, P)
+    `inits` and reshuffles its samples every epoch from a generator seeded
+    with seeds[g]. It keeps its own Adam moments and loss totals; its step
+    count is the cohort's step index s, so every client that still has a
+    batch at step s takes its step together with the others. All of those
     whose batches hold the same number n of samples share one
     hybrid_loss_and_grads call and one Adam step, so a step makes one call
     per distinct batch size; the call's memory is about twice its shift-rule
@@ -632,12 +633,15 @@ def local_train(
     (G,) mean losses of each client's final epoch. A step that leaves any
     of a client's parameters non-finite stops that client before the
     circuit could see an infinite angle; NumericError then names the first
-    such client in cohort order.
+    such client by its position in the cohort.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
     if len(seeds) != len(clients):
         raise ParameterError("expected one seed per client")
+    sizes = np.array([len(client) for client in clients], dtype=np.int64)
+    if np.any(sizes < 1):
+        raise ParameterError(f"client {int(np.argmin(sizes))} has no samples")
     inits = np.asarray(inits, dtype=np.float64)
     if inits.shape != (len(clients), layout.size):
         raise ParameterError("expected one initial parameter vector per client")
@@ -649,9 +653,8 @@ def local_train(
     for client, seed in zip(clients, seeds):
         rng = np.random.default_rng(seed)
         epoch = [epoch_batches(len(client), batch_size, rng) for _ in range(epochs)]
-        schedules.append([client.indices[batch] for batches in epoch for batch in batches])
+        schedules.append([client[batch] for batches in epoch for batch in batches])
     per_epoch = np.array([len(s) // epochs for s in schedules])
-    sizes = np.array([len(client) for client in clients])
     totals = np.zeros(len(clients))
     last_epoch_loss = np.full(len(clients), math.nan)
     diverged = np.zeros(len(clients), dtype=bool)
@@ -676,8 +679,7 @@ def local_train(
         done = [g for g in active if step % per_epoch[g] == per_epoch[g] - 1]
         last_epoch_loss[done] = totals[done] / sizes[done]
     if diverged.any():
-        first = clients[int(np.argmax(diverged))]
-        raise NumericError(f"client {first.client_id}: local training diverged to non-finite parameters")
+        raise NumericError(f"client {int(np.argmax(diverged))}: local training diverged to non-finite parameters")
     params[:, layout.n_classical:] = wrap_angles(params[:, layout.n_classical:])
     return params, last_epoch_loss
 

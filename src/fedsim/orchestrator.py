@@ -11,8 +11,8 @@ ingredient (no_clustering the clustering, no_circular the circular mean);
 fedavg does none of the three, and fedprox is fedavg plus the proximal
 term in the local objective.
 
-The clustering's inputs (the partition's class distributions, lambda1,
-lambda2 and clusters) never change during a run, so a clustered strategy
+The clustering's inputs (the partition's class counts, lambda1, lambda2
+and clusters) never change during a run, so a clustered strategy
 clusters the clients once per run, in `build_context`, and every round
 reuses that assignment and eigengap report.
 
@@ -39,15 +39,14 @@ from .aggregation import (
 )
 from .clustering import (
     ClusterAssignment,
+    SimilarityMatrix,
     laplacian_eigengaps,
     similarity_matrix,
     spectral_cluster,
 )
 from .data import (
-    ClassDistribution,
-    ClientDataset,
     Dataset,
-    class_distribution,
+    class_counts,
     dirichlet_partition,
     generate_synthetic,
     load_idx,
@@ -212,13 +211,19 @@ class Clustering:
         )
 
 
-def cluster_clients(distributions: list[ClassDistribution], config: ExperimentConfig) -> Clustering:
-    """Cluster the clients by their class distributions, with k-means on round 1's seed path.
+def client_similarity(counts: np.ndarray, config: ExperimentConfig) -> SimilarityMatrix:
+    """The clients' similarity graph under config's lambdas, from their (n_clients, C) class counts."""
+    sizes = counts.sum(axis=1)
+    return similarity_matrix(counts / sizes[:, None], sizes, config.lambda1, config.lambda2)
+
+
+def cluster_clients(counts: np.ndarray, config: ExperimentConfig) -> Clustering:
+    """Cluster the clients by their (n_clients, C) class counts, with k-means on round 1's seed path.
 
     One similarity matrix feeds both spectral_cluster and the eigengap
     report.
     """
-    sim = similarity_matrix(distributions, config.lambda1, config.lambda2)
+    sim = client_similarity(counts, config)
     assignment = spectral_cluster(sim, config.clusters, derived_seed(config.seed, _SEED_KMEANS, 1))
     values, _ = laplacian_eigengaps(sim)
     return Clustering(config.lambda1, config.lambda2, config.clusters, config.seed, assignment, values)
@@ -228,17 +233,17 @@ def cluster_clients(distributions: list[ClassDistribution], config: ExperimentCo
 class RunContext:
     """Immutable per-run environment: data, partition, clustering, and the test split.
 
-    The partition never changes during a run, so each client's class
-    distribution is taken once; distributions[i] belongs to clients[i], and
-    both lists are in client-id order. For the same reason a clustered
-    strategy's clustering is computed once, from those distributions, and
-    kept with the inputs it was built from; an unclustered strategy's
-    context holds None.
+    clients[i] is client i's index array into dataset, and row i of the
+    (n_clients, C) class_counts matrix tallies its labels; the partition
+    never changes during a run, so the matrix is taken once. For the same
+    reason a clustered strategy's clustering is computed once, from that
+    matrix, and kept with the inputs it was built from; an unclustered
+    strategy's context holds None.
     """
 
     dataset: Dataset
-    clients: list[ClientDataset]
-    distributions: list[ClassDistribution]
+    clients: list[np.ndarray]
+    class_counts: np.ndarray
     clustering: Clustering | None
     train_indices: np.ndarray
     test_indices: np.ndarray
@@ -246,7 +251,7 @@ class RunContext:
     @property
     def counts(self) -> np.ndarray:
         """Every client's sample count, in client-id order."""
-        return np.array([d.count for d in self.distributions])
+        return self.class_counts.sum(axis=1)
 
 
 @dataclass
@@ -291,16 +296,16 @@ def build_context(config: ExperimentConfig) -> RunContext:
         derived_seed(config.seed, _SEED_PARTITION),
         indices=train_idx,
     )
-    distributions = [class_distribution(client, dataset) for client in clients]
-    clustering = cluster_clients(distributions, config) if STRATEGIES[config.strategy].clustered else None
-    return RunContext(dataset, clients, distributions, clustering, train_idx, test_idx)
+    counts = class_counts(clients, dataset)
+    clustering = cluster_clients(counts, config) if STRATEGIES[config.strategy].clustered else None
+    return RunContext(dataset, clients, counts, clustering, train_idx, test_idx)
 
 
 def run_clustering(config: ExperimentConfig, context: RunContext) -> Clustering:
     """The context's clustering if it was built from config's inputs, else a fresh one for config."""
     if context.clustering is not None and context.clustering.built_from(config):
         return context.clustering
-    return cluster_clients(context.distributions, config)
+    return cluster_clients(context.class_counts, config)
 
 
 def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
@@ -447,7 +452,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
             config.batch_size,
             config.local_lr,
             config.prox_mu if strategy.proximal else 0.0,
-            [derived_seed(config.seed, _SEED_CLIENT, round_index, c.client_id) for c in context.clients],
+            [derived_seed(config.seed, _SEED_CLIENT, round_index, client) for client in range(n_clients)],
         )
     except NumericError as exc:
         raise NumericError(f"round {round_index}, {exc}") from exc

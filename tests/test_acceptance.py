@@ -28,7 +28,6 @@ from fedsim.clustering import (
     spectral_cluster,
     symmetric_eig,
 )
-from fedsim.data import ClassDistribution
 from fedsim.model import (
     AdamState,
     ParamLayout,
@@ -232,22 +231,21 @@ def planted_two_block_population(seed):
     while cross-block class divergence stays maximal.
     """
     rng = np.random.default_rng(seed)
-    dists = []
-    for classes in ((0, 1), (2, 3)):
+    proportions = np.zeros((10, 4))
+    counts = []
+    for block, classes in enumerate(((0, 1), (2, 3))):
         shares = rng.dirichlet(np.full(5, 0.1))
-        sizes = np.maximum(1, np.round(shares * 500).astype(int))
-        proportions = np.zeros(4)
-        proportions[list(classes)] = 0.5
-        dists.extend(ClassDistribution(proportions.copy(), int(n)) for n in sizes)
-    return dists, np.array([0] * 5 + [1] * 5)
+        counts.extend(np.maximum(1, np.round(shares * 500).astype(int)))
+        proportions[5 * block:5 * block + 5, list(classes)] = 0.5
+    return proportions, np.array(counts), np.array([0] * 5 + [1] * 5)
 
 
 def test_criterion_05_clustering_recovery():
     start = time.perf_counter()
     recovered = 0
     for seed in range(100):
-        dists, truth = planted_two_block_population(seed)
-        sim = similarity_matrix(dists, lambda1=2.0, lambda2=1.0)
+        proportions, counts, truth = planted_two_block_population(seed)
+        sim = similarity_matrix(proportions, counts, lambda1=2.0, lambda2=1.0)
         assignment = spectral_cluster(sim, 2, seed)
         if adjusted_rand_index(assignment.labels, truth) == 1.0:
             recovered += 1
@@ -275,11 +273,8 @@ def test_criterion_06_eigen_laplacian_suite():
     worst_null = 0.0
     for trial in range(20):
         n = int(rng.integers(2, 15))
-        dists = [
-            ClassDistribution(p, int(c))
-            for p, c in zip(rng.dirichlet(np.ones(4), n), rng.integers(10, 500, n))
-        ]
-        sim = similarity_matrix(dists, float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))
+        proportions, counts = rng.dirichlet(np.ones(4), n), rng.integers(10, 500, n)
+        sim = similarity_matrix(proportions, counts, float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))
         smallest = symmetric_eig(normalized_laplacian(sim))[0][0]
         worst_null = max(worst_null, abs(smallest))
         assert abs(smallest) < 1e-8
@@ -379,7 +374,7 @@ def test_criterion_08_ablation_direction():
         np.tile(np.concatenate([state.cluster_models[0], state.quantum.ravel()]), (len(context.clients), 1)),
         ParamLayout(2, 2, 2, 1),
         probe.local_epochs, probe.batch_size, probe.local_lr, 0.0,
-        [derived_seed(probe.seed, 4, 1, client.client_id) for client in context.clients],
+        [derived_seed(probe.seed, 4, 1, client_id) for client_id in range(len(context.clients))],
     )
     uploads = params[:, -2:]
     straddling = [j for j in range(2) if uploads[:, j].max() > 3.0 and uploads[:, j].min() < -3.0]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim.cli as cli
+from fedsim import clustering
 from fedsim.cli import (
     CSV_HEADER,
     RunManifest,
@@ -17,8 +18,9 @@ from fedsim.cli import (
     serialize_config,
     write_metrics,
 )
+from fedsim.clustering import laplacian_eigengaps
 from fedsim.errors import ConfigError, FedsimError, NumericError
-from fedsim.orchestrator import STRATEGIES, ExperimentConfig, RoundMetrics, Strategy
+from fedsim.orchestrator import STRATEGIES, ExperimentConfig, RoundMetrics, Strategy, build_context, client_similarity
 
 from conftest import write_idx_pair
 
@@ -287,6 +289,7 @@ class TestCompareCommand:
         (["--strategy", "fedavg,fedavg"], "strategy list 'fedavg,fedavg' repeats a value"),
         (["--strategy", "fedavg", "--alpha", "0.3,0.3"], "repeats a value"),
         (["--strategy", "fedavg", "--alpha", "0.3,0.30"], "repeats a value"),
+        (["--strategy", "fedavg", "--alpha", "0.3,0.3000001"], "both print as 0.3"),
     ])
     def test_empty_or_repeated_lists_are_config_errors(self, tmp_path, capsys, flags, named):
         out = tmp_path / "out"
@@ -302,6 +305,20 @@ class TestCompareCommand:
         assert code == 0
         assert (tmp_path / "comparison.csv").read_text().splitlines()[0] == "strategy,alpha_0.7,alpha_0.9"
 
+    def test_the_file_strategy_is_run_unless_flagged(self, tmp_path):
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text("strategy = fedprox\n")
+        file_only, flagged = tmp_path / "file_only", tmp_path / "flagged"
+        assert main(["compare", "--config", str(cfg), "--out", str(file_only)] + FAST_FLAGS) == 0
+        assert [row.split(",")[0] for row in (file_only / "comparison.csv").read_text().splitlines()] == [
+            "strategy", "fedprox",
+        ]
+        assert main(["compare", "--config", str(cfg), "--strategy", "fedavg,fedcompass",
+                     "--out", str(flagged)] + FAST_FLAGS) == 0
+        assert [row.split(",")[0] for row in (flagged / "comparison.csv").read_text().splitlines()] == [
+            "strategy", "fedavg", "fedcompass",
+        ]
+
 
 class TestEigengapCommand:
     def test_report_printed(self, capsys):
@@ -310,6 +327,21 @@ class TestEigengapCommand:
         out = capsys.readouterr().out
         assert "eigenvalue" in out
         assert len(out.splitlines()) >= 6
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedcompass_no_clustering"])
+    def test_an_unclustered_strategy_runs_no_kmeans(self, monkeypatch, capsys, strategy):
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means run")
+
+        config = parse_config(None, dict(strategy=strategy, n_clients=6, seed=3, lambda1=0.5))
+        values, gaps = laplacian_eigengaps(client_similarity(build_context(config).class_counts, config))
+        monkeypatch.setattr(clustering, "kmeans", no_kmeans)
+        code = main(["eigengap", "--strategy", strategy, "--clients", "6", "--seed", "3", "--lambda1", "0.5"])
+        assert code == 0
+        gap_cells = [f"{gap:.6f}" for gap in gaps] + [""]
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            f"{k:>3}  {value:>12.6f}  {gap:>12}" for k, (value, gap) in enumerate(zip(values, gap_cells))
+        ]
 
     def test_eigensolver_failure_exits_4(self, monkeypatch, capsys):
         def fail(a):

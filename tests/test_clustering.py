@@ -18,7 +18,6 @@ from fedsim.clustering import (
     spectral_cluster,
     symmetric_eig,
 )
-from fedsim.data import ClassDistribution
 from fedsim.errors import NumericError, ParameterError
 
 from conftest import same_bits
@@ -154,42 +153,33 @@ class TestJsDivergence:
         assert js_divergence(p, q) == pytest.approx(js_divergence(q, p), abs=1e-15)
 
 
-def dist(props, count=100):
-    return ClassDistribution(np.asarray(props, dtype=float), count)
-
-
 class TestSimilarityMatrix:
     def test_identical_clients_all_ones(self):
-        dists = [dist([0.25, 0.25, 0.25, 0.25])] * 3
-        sim = similarity_matrix(dists, 1.0, 1.0)
+        sim = similarity_matrix(np.full((3, 4), 0.25), np.full(3, 100), 1.0, 1.0)
         np.testing.assert_array_equal(sim.entries, np.ones((3, 3)))
 
     def test_nearly_equal_mixes_stay_in_unit_interval(self):
         # a JS term a few ulps below 0 would push this entry above 1 at lambda1 = 10
-        sim = similarity_matrix([dist(NEAR_P), dist(NEAR_Q)], 10.0, 1.0)
+        sim = similarity_matrix(np.array([NEAR_P, NEAR_Q]), np.array([100, 100]), 10.0, 1.0)
         np.testing.assert_array_equal(sim.entries, np.ones((2, 2)))
 
     def test_zero_lambdas_all_ones(self):
-        dists = [dist([1, 0], 10), dist([0, 1], 1000)]
-        sim = similarity_matrix(dists, 0.0, 0.0)
+        sim = similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10, 1000]), 0.0, 0.0)
         np.testing.assert_array_equal(sim.entries, np.ones((2, 2)))
 
     def test_disjoint_pair_equal_counts(self):
-        sim = similarity_matrix([dist([1, 0]), dist([0, 1])], 1.0, 1.0)
+        sim = similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([100, 100]), 1.0, 1.0)
         assert sim.entries[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_symmetry_and_unit_diagonal(self, rng):
-        dists = [dist(p) for p in rng.dirichlet(np.ones(4), size=8)]
-        sim = similarity_matrix(dists, 2.0, 0.5)
+        sim = similarity_matrix(rng.dirichlet(np.ones(4), size=8), np.full(8, 100), 2.0, 0.5)
         np.testing.assert_array_equal(sim.entries, sim.entries.T)
         np.testing.assert_array_equal(np.diagonal(sim.entries), np.ones(8))
 
     def test_monotone_in_divergence(self):
-        base = dist([0.5, 0.5])
-        near = dist([0.45, 0.55])
-        far = dist([0.1, 0.9])
-        s_near = similarity_matrix([base, near], 1.0, 0.0).entries[0, 1]
-        s_far = similarity_matrix([base, far], 1.0, 0.0).entries[0, 1]
+        counts = np.array([100, 100])
+        s_near = similarity_matrix(np.array([[0.5, 0.5], [0.45, 0.55]]), counts, 1.0, 0.0).entries[0, 1]
+        s_far = similarity_matrix(np.array([[0.5, 0.5], [0.1, 0.9]]), counts, 1.0, 0.0).entries[0, 1]
         assert s_near > s_far
 
     def test_type_invariants_enforced(self):
@@ -211,7 +201,7 @@ class TestSimilarityMatrix:
         counts = rng.integers(1, 400, size=25)
         assert np.any(props == 0.0) and len(set(counts.tolist())) > 1
         lambda1, lambda2 = 1.7, 0.6
-        sim = similarity_matrix([dist(p, int(c)) for p, c in zip(props, counts)], lambda1, lambda2)
+        sim = similarity_matrix(props, counts, lambda1, lambda2)
         for i in range(25):
             for j in range(25):
                 gap = abs(int(counts[i]) - int(counts[j])) / int(counts[i] + counts[j])
@@ -227,12 +217,16 @@ class TestSimilarityMatrix:
             props = random_mixes(rng, n, n_classes)
             counts = rng.integers(1, 400, size=n)
             lambda1, lambda2 = rng.uniform(0.0, 5.0, size=2)
-            sim = similarity_matrix([dist(p, int(c)) for p, c in zip(props, counts)], lambda1, lambda2)
+            sim = similarity_matrix(props, counts, lambda1, lambda2)
             assert same_bits(sim.entries, reference_similarity_entries(props, counts, lambda1, lambda2)), n
 
     def test_rejects_distributions_of_different_length(self):
-        with pytest.raises(ParameterError):
-            similarity_matrix([dist([0.5, 0.5]), dist([0.2, 0.3, 0.5])])
+        with pytest.raises(ParameterError, match="equal length"):
+            similarity_matrix([[0.5, 0.5], [0.2, 0.3, 0.5]], [100, 100])
+        with pytest.raises(ParameterError, match="3 sample counts for 2"):
+            similarity_matrix(np.array([[0.5, 0.5], [0.2, 0.8]]), np.array([100, 100, 100]))
+        with pytest.raises(ParameterError, match="non-empty"):
+            similarity_matrix(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestNormalizedLaplacian:
@@ -249,16 +243,14 @@ class TestNormalizedLaplacian:
         np.testing.assert_allclose(np.abs(direction), np.full(3, 1 / math.sqrt(3)), atol=1e-10)
 
     def test_known_nullvector_of_random_similarity(self, rng):
-        dists = [dist(p, int(c)) for p, c in zip(rng.dirichlet(np.ones(3), size=10), rng.integers(50, 200, 10))]
-        sim = similarity_matrix(dists, 1.0, 1.0)
+        sim = similarity_matrix(rng.dirichlet(np.ones(3), size=10), rng.integers(50, 200, 10), 1.0, 1.0)
         lap = normalized_laplacian(sim)
         null = np.sqrt(sim.entries.sum(axis=1))
         residual = np.linalg.norm(lap @ null)
         assert residual < 1e-8 * np.linalg.norm(null)
 
     def test_spectrum_in_zero_two(self, rng):
-        dists = [dist(p) for p in rng.dirichlet(np.ones(4), size=12)]
-        lap = normalized_laplacian(similarity_matrix(dists, 1.5, 0.0))
+        lap = normalized_laplacian(similarity_matrix(rng.dirichlet(np.ones(4), size=12), np.full(12, 100), 1.5, 0.0))
         values = np.linalg.eigvalsh(lap)  # independent eigensolver as oracle
         assert values[0] > -1e-10
         assert values[-1] < 2.0 + 1e-10
@@ -446,8 +438,7 @@ class TestKmeans:
 
     def test_spectral_embedding_of_wide_round_matches(self):
         rng = np.random.default_rng(42)
-        dists = [dist(p, int(c)) for p, c in zip(random_mixes(rng, 200, 4), rng.integers(1, 11, 200))]
-        sim = similarity_matrix(dists, 1.0, 1.0)
+        sim = similarity_matrix(random_mixes(rng, 200, 4), rng.integers(1, 11, 200), 1.0, 1.0)
         embedding = symmetric_eig(normalized_laplacian(sim))[1][:, :4].copy()
         embedding /= np.linalg.norm(embedding, axis=1)[:, None]
         np.testing.assert_array_equal(kmeans(embedding, 4, 42).labels, reference_kmeans(embedding, 4, 42))
@@ -482,8 +473,7 @@ class TestSpectralCluster:
         assert adjusted_rand_index(result.labels, truth) == 1.0
 
     def test_n_singletons(self, rng):
-        dists = [dist(p) for p in rng.dirichlet(np.ones(4) * 5, size=6)]
-        sim = similarity_matrix(dists, 4.0, 0.0)
+        sim = similarity_matrix(rng.dirichlet(np.ones(4) * 5, size=6), np.full(6, 100), 4.0, 0.0)
         result = spectral_cluster(sim, 6, 1)
         assert result.n_clusters == 6
         assert len(set(result.labels.tolist())) == 6

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.clustering import js_divergence
+from fedsim.clustering import js_divergence, similarity_matrix
 from fedsim.data import (
     MAX_PARTITION_ATTEMPTS,
-    ClassDistribution,
-    ClientDataset,
-    class_distribution,
     _fill_empty_clients,
+    class_counts,
     dirichlet_partition,
     generate_synthetic,
     load_idx,
@@ -144,7 +142,7 @@ class TestDirichletPartition:
     def test_partition_property(self):
         data = generate_synthetic(4, 3, 60, 0.3, 9)
         clients = dirichlet_partition(data, 7, 0.3, 42)
-        combined = np.concatenate([c.indices for c in clients])
+        combined = np.concatenate(clients)
         assert len(combined) == len(set(combined.tolist()))
         np.testing.assert_array_equal(np.sort(combined), np.arange(len(data)))
 
@@ -157,7 +155,7 @@ class TestDirichletPartition:
     def test_partition_property_randomized(self, n_clients, alpha, seed):
         data = generate_synthetic(3, 2, 40, 0.3, 1)
         clients = dirichlet_partition(data, n_clients, alpha, seed)
-        combined = np.sort(np.concatenate([c.indices for c in clients]))
+        combined = np.sort(np.concatenate(clients))
         np.testing.assert_array_equal(combined, np.arange(len(data)))
         assert all(len(c) >= 1 for c in clients)
 
@@ -165,7 +163,7 @@ class TestDirichletPartition:
         data = generate_synthetic(4, 3, 60, 0.3, 9)
         train, _ = stratified_split(data, 0.2, 1)
         clients = dirichlet_partition(data, 5, 0.5, 42, indices=train)
-        combined = np.sort(np.concatenate([c.indices for c in clients]))
+        combined = np.sort(np.concatenate(clients))
         np.testing.assert_array_equal(combined, train)
 
     def test_determinism(self):
@@ -173,7 +171,7 @@ class TestDirichletPartition:
         a = dirichlet_partition(data, 10, 0.3, 42)
         b = dirichlet_partition(data, 10, 0.3, 42)
         for ca, cb in zip(a, b):
-            np.testing.assert_array_equal(ca.indices, cb.indices)
+            np.testing.assert_array_equal(ca, cb)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -190,8 +188,8 @@ class TestDirichletPartition:
                 dirichlet_partition(data, n_clients, alpha, seed)
             return
         clients = dirichlet_partition(data, n_clients, alpha, seed)
-        assert [c.client_id for c in clients] == list(range(n_clients))
-        combined = np.concatenate([c.indices for c in clients])
+        assert len(clients) == n_clients and all(c.dtype == np.int64 for c in clients)
+        combined = np.concatenate(clients)
         np.testing.assert_array_equal(np.sort(combined), np.arange(len(data)))
         assert all(len(c) >= 1 for c in clients)
 
@@ -207,7 +205,7 @@ class TestDirichletPartition:
         clients = dirichlet_partition(data, n_clients, alpha, seed)
         if reference is not None:
             for client, want in zip(clients, reference):
-                np.testing.assert_array_equal(client.indices, want)
+                np.testing.assert_array_equal(client, want)
 
     def test_repair_rule(self):
         # each empty client, in id order, takes the highest index of the largest client (lowest id on ties)
@@ -221,7 +219,7 @@ class TestDirichletPartition:
         assert redraw_only_partition(data, 200, 0.3, 42) is None
         clients = dirichlet_partition(data, 200, 0.3, 42)
         assert min(len(c) for c in clients) == 1
-        np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
+        np.testing.assert_array_equal(np.sort(np.concatenate(clients)), np.arange(len(data)))
 
     def test_tiny_alpha_partitions_on_every_seed(self):
         # at alpha 1e-5 every redraw's gamma variates underflow, on every seed
@@ -229,9 +227,9 @@ class TestDirichletPartition:
         for seed in range(40):
             assert redraw_only_partition(data, 10, 1e-5, seed) is None
             clients = dirichlet_partition(data, 10, 1e-5, seed)
-            assert [c.client_id for c in clients] == list(range(10))
+            assert len(clients) == 10 and all(c.dtype == np.int64 for c in clients)
             assert min(len(c) for c in clients) >= 1
-            np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
+            np.testing.assert_array_equal(np.sort(np.concatenate(clients)), np.arange(len(data)))
 
     def test_vanishing_alpha_gives_each_class_whole_to_one_client_then_repairs(self):
         # attempt 0's generator again: a class whose variates all underflow goes to one uniformly drawn client
@@ -246,15 +244,15 @@ class TestDirichletPartition:
                 held[winner] = np.sort(np.concatenate([held[winner], class_pool]))
             clients = dirichlet_partition(data, 6, 1e-300, seed)
             for client, want in zip(clients, _fill_empty_clients(held)):
-                np.testing.assert_array_equal(client.indices, want)
+                np.testing.assert_array_equal(client, want)
 
     def test_overflowing_alpha_splits_each_class_evenly(self):
         # gamma variates near 1e308 overflow their sum; the alpha -> inf limit is an even split
         data = generate_synthetic(4, 2, 100, 0.3, 0)
         clients = dirichlet_partition(data, 10, 1e308, 3)
-        np.testing.assert_array_equal(np.sort(np.concatenate([c.indices for c in clients])), np.arange(len(data)))
+        np.testing.assert_array_equal(np.sort(np.concatenate(clients)), np.arange(len(data)))
         for client in clients:
-            counts = np.bincount(data.labels[client.indices], minlength=4)
+            counts = np.bincount(data.labels[client], minlength=4)
             assert np.all(np.abs(counts - 10) <= 1)
 
     def test_retries_exhausted_raises(self):
@@ -276,7 +274,8 @@ class TestDirichletPartition:
 
         def mean_pairwise_js(alpha, seed):
             clients = dirichlet_partition(data, 6, alpha, seed)
-            dists = [class_distribution(c, data).proportions for c in clients]
+            counts = class_counts(clients, data)
+            dists = counts / counts.sum(axis=1)[:, None]
             divs = [
                 js_divergence(dists[i], dists[j])
                 for i in range(len(dists))
@@ -290,51 +289,69 @@ class TestDirichletPartition:
 
 
 class TestClassDistribution:
+    """Class mixes as class_counts tallies them and as similarity_matrix accepts them."""
+
     def test_counting_example(self):
         data = generate_synthetic(4, 2, 10, 0.1, 0)
-        client = ClientDataset(0, np.flatnonzero(np.isin(data.labels, [0, 1, 3]))[:4])
         # pick indices with labels 0, 0, 1, 3
         idx = np.concatenate([
             np.flatnonzero(data.labels == 0)[:2],
             np.flatnonzero(data.labels == 1)[:1],
             np.flatnonzero(data.labels == 3)[:1],
         ])
-        dist = class_distribution(ClientDataset(0, idx), data)
-        np.testing.assert_allclose(dist.proportions, [0.5, 0.25, 0.0, 0.25])
-        assert dist.count == 4
+        counts = class_counts([idx], data)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [[2, 1, 0, 1]])
+        np.testing.assert_allclose(counts[0] / counts[0].sum(), [0.5, 0.25, 0.0, 0.25])
 
     def test_single_sample_client(self):
         data = generate_synthetic(4, 2, 5, 0.1, 0)
         idx = np.flatnonzero(data.labels == 2)[:1]
-        dist = class_distribution(ClientDataset(1, idx), data)
-        np.testing.assert_array_equal(dist.proportions, [0, 0, 1, 0])
-        assert dist.count == 1
+        counts = class_counts([np.flatnonzero(data.labels == 0), idx], data)
+        np.testing.assert_array_equal(counts[1], [0, 0, 1, 0])
+        assert counts[1].sum() == 1
 
     def test_matches_brute_force_tally(self, rng):
         data = generate_synthetic(5, 2, 30, 0.3, 2)
-        idx = rng.choice(len(data), size=40, replace=False)
-        dist = class_distribution(ClientDataset(0, idx), data)
-        # independent oracle: recount one label at a time
-        tally = np.zeros(5)
-        for i in idx:
-            tally[data.labels[i]] += 1
-        np.testing.assert_allclose(dist.proportions, tally / len(idx), atol=1e-15)
+        clients = [rng.choice(len(data), size=size, replace=False) for size in (40, 1, 17)]
+        counts = class_counts(clients, data)
+        mixes = counts / counts.sum(axis=1)[:, None]
+        # independent oracle: recount one label at a time; the mixes equal its shares exactly
+        for idx, row, mix in zip(clients, counts, mixes):
+            tally = np.zeros(5)
+            for i in idx:
+                tally[data.labels[i]] += 1
+            np.testing.assert_array_equal(row, tally)
+            np.testing.assert_array_equal(mix, tally / len(idx))
 
     def test_distribution_validity_invariants(self):
         data = generate_synthetic(4, 2, 50, 0.3, 8)
-        for client in dirichlet_partition(data, 8, 0.2, 3):
-            dist = class_distribution(client, data)
-            assert abs(dist.proportions.sum() - 1.0) <= 1e-9
-            assert np.all(dist.proportions >= 0)
+        clients = dirichlet_partition(data, 8, 0.2, 3)
+        counts = class_counts(clients, data)
+        np.testing.assert_array_equal(counts.sum(axis=1), [len(c) for c in clients])
+        props = counts / counts.sum(axis=1)[:, None]
+        assert np.all(np.abs(props.sum(axis=1) - 1.0) <= 1e-9)
+        assert np.all(props >= 0)
 
     def test_invalid_distribution_rejected(self):
-        with pytest.raises(ParameterError):
-            ClassDistribution(np.array([0.5, 0.6]), 10)
-        with pytest.raises(ParameterError):
-            ClassDistribution(np.array([-0.1, 1.1]), 10)
-        with pytest.raises(ParameterError):
-            ClassDistribution(np.array([0.5, 0.5]), 0)
+        with pytest.raises(ParameterError, match="sum to 1"):
+            similarity_matrix(np.array([[0.5, 0.6]]), np.array([10]))
+        with pytest.raises(ParameterError, match="non-negative"):
+            similarity_matrix(np.array([[-0.1, 1.1]]), np.array([10]))
+        with pytest.raises(ParameterError, match="counts"):
+            similarity_matrix(np.array([[0.5, 0.5]]), np.array([0]))
+        # the row at fault may be any row, not only the first
+        with pytest.raises(ParameterError, match="sum to 1"):
+            similarity_matrix(np.array([[0.5, 0.5], [0.5, 0.6]]), np.array([10, 10]))
+        with pytest.raises(ParameterError, match="counts"):
+            similarity_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([10, 0]))
+        # a client without samples has no class mix at all
+        data = generate_synthetic(2, 2, 5, 0.1, 0)
+        with pytest.raises(ParameterError, match="client 1 has no samples"):
+            class_counts([np.arange(3), np.zeros(0, dtype=np.int64)], data)
 
     def test_non_finite_proportions_rejected(self):
-        with pytest.raises(ParameterError):
-            ClassDistribution(np.array([np.nan, 0.5, 0.5]), 10)
+        with pytest.raises(ParameterError, match="finite"):
+            similarity_matrix(np.array([[np.nan, 0.5, 0.5]]), np.array([10]))
+        with pytest.raises(ParameterError, match="finite"):
+            similarity_matrix(np.array([[0.5, 0.5]]), np.array([np.nan]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedsim import model
-from fedsim.data import ClientDataset, Dataset, generate_synthetic
+from fedsim.data import Dataset, generate_synthetic
 from fedsim.errors import NumericError, ParameterError
 from fedsim.model import (
     HALF_PI,
@@ -438,7 +438,7 @@ def train_alone(client, dataset, init, layout, epochs, batch_size, lr, prox_mu, 
 class TestLocalTrain:
     def toy_setup(self, seed=0, classes=2, qubits=2):
         data = generate_synthetic(classes, 2, 30, 0.05, seed)
-        client = ClientDataset(0, np.arange(len(data)))
+        client = np.arange(len(data))
         layout = ParamLayout(2, 4, qubits, 1)
         return data, client, layout, init_params(layout, seed + 1)
 
@@ -552,7 +552,7 @@ class TestCohortStacking:
         data = generate_synthetic(3, 4, 30, 0.3, 8)
         order = np.random.default_rng(2).permutation(len(data))
         bounds = np.cumsum((0, *sizes))
-        clients = [ClientDataset(10 + g, np.sort(order[a:b])) for g, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+        clients = [np.sort(order[a:b]) for a, b in zip(bounds, bounds[1:])]
         layout = ParamLayout(4, 5, 3, 2)
         inits = np.stack([init_params(layout, 30 + g) for g in range(len(clients))])
         return data, clients, layout, inits
@@ -578,7 +578,7 @@ class TestCohortStacking:
         data = generate_synthetic(3, 4, 7 * batch_size, 0.3, 8)
         order = np.random.default_rng(3).permutation(len(data))
         per_client = 2 * batch_size
-        clients = [ClientDataset(g, np.sort(order[g * per_client:(g + 1) * per_client])) for g in range(10)]
+        clients = [np.sort(order[g * per_client:(g + 1) * per_client]) for g in range(10)]
         layout = ParamLayout(4, 5, 3, 2)
         inits = np.stack([init_params(layout, 50 + g) for g in range(10)])
         seeds = [300 + g for g in range(10)]
@@ -626,6 +626,12 @@ class TestCohortStacking:
         with pytest.raises(ParameterError):
             local_train(clients, data, inits[0], layout, 1, 4, 0.05, 0.0, seeds)
 
+    def test_an_empty_client_is_a_parameter_error(self):
+        data, clients, layout, inits = self.mixed_cohort()
+        cohort = [clients[0], np.zeros(0, dtype=np.int64), clients[2]]
+        with pytest.raises(ParameterError, match="^client 1 has no samples"):
+            local_train(cohort, data, inits[:3], layout, 1, 4, 0.05, 0.0, [0, 1, 2])
+
     def test_divergence_names_the_first_diverged_client_in_cohort_order(self):
         # a NaN feature makes the gradient of any batch that holds it NaN
         data, _, layout, inits = self.mixed_cohort()
@@ -634,15 +640,19 @@ class TestCohortStacking:
         data = Dataset(features, data.labels, data.n_classes)
         # a seed whose shuffle of the late client's [1, 2] puts NaN sample 1 second: it diverges at step 1
         seed = next(s for s in range(100) if np.random.default_rng(s).permutation(2)[0] == 1)
-        healthy = ClientDataset(0, [5, 6, 7])
-        late = ClientDataset(1, [1, 2])
-        early = ClientDataset(2, [0])
+        healthy, late, early = np.array([5, 6, 7]), np.array([1, 2]), np.array([0])
+        # the error names the client's position in the cohort, whichever diverged first in time
         with np.errstate(all="ignore"):
-            for cohort, first in (([healthy, late, early], "client 1"), ([healthy, early, late], "client 2")):
+            for cohort, first in (
+                ([healthy, late, early], "client 1"),
+                ([late, healthy, early], "client 0"),
+                ([healthy, early, late], "client 1"),
+                ([healthy, healthy, late], "client 2"),
+            ):
                 with pytest.raises(NumericError, match=f"^{first}:"):
                     local_train(cohort, data, inits[:3], layout, 1, 1, 0.05, 0.0, [seed] * 3)
             # as the client-by-client loop saw it: the late client trains first, alone, and diverges at step 1
-            with pytest.raises(NumericError, match="^client 1:"):
+            with pytest.raises(NumericError, match="^client 0:"):
                 train_alone(late, data, inits[1], layout, 1, 1, 0.05, 0.0, seed)
             train_alone(healthy, data, inits[0], layout, 1, 1, 0.05, 0.0, seed)
 

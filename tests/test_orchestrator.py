@@ -10,7 +10,7 @@ import fedsim.orchestrator as orch
 from fedsim.aggregation import aggregate_quantum, fedadam_update
 from fedsim.cli import metrics_rows
 from fedsim.clustering import ClusterAssignment, laplacian_eigengaps, similarity_matrix, spectral_cluster
-from fedsim.data import class_distribution
+from fedsim.data import class_counts
 from fedsim.errors import ConfigError, NumericError, ParameterError
 from fedsim.model import ParamLayout
 from fedsim.orchestrator import (
@@ -90,12 +90,11 @@ class TestRunContext:
     def test_distributions_are_taken_once_per_client_in_id_order(self):
         config = small_config(n_clients=6)
         context = build_context(config)
-        assert [c.client_id for c in context.clients] == list(range(6))
-        assert len(context.distributions) == len(context.clients)
-        for client, dist in zip(context.clients, context.distributions):
-            expected = class_distribution(client, context.dataset)
-            np.testing.assert_array_equal(dist.proportions, expected.proportions)
-            assert dist.count == expected.count == len(client)
+        assert len(context.clients) == 6
+        assert context.class_counts.shape == (6, config.classes) and context.class_counts.dtype == np.int64
+        for client, row in zip(context.clients, context.class_counts):
+            np.testing.assert_array_equal(row, class_counts([client], context.dataset)[0])
+            assert row.sum() == len(client)
         np.testing.assert_array_equal(context.counts, [len(c) for c in context.clients])
 
     def test_init_state_holds_one_cluster_of_all_clients_without_np_unique(self, monkeypatch):
@@ -118,11 +117,11 @@ class TestRunContext:
         reference = run_experiment(config)
 
         def stub(*args, **kwargs):
-            raise AssertionError("class_distribution called during a round")
+            raise AssertionError("class_counts called during a round")
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "fedsim" and hasattr(module, "class_distribution"):
-                monkeypatch.setattr(module, "class_distribution", stub)
+            if name.split(".")[0] == "fedsim" and hasattr(module, "class_counts"):
+                monkeypatch.setattr(module, "class_counts", stub)
         state = init_state(config, context)
         for expected in reference[1:]:
             state, row = run_round(state, config, context)
@@ -165,7 +164,8 @@ class TestClusteringOncePerRun:
         record = context.clustering
         assert (record.lambda1, record.lambda2, record.clusters, record.seed) == (0.5, 2.0, 3, config.seed)
         assert record.built_from(config)
-        sim = similarity_matrix(context.distributions, 0.5, 2.0)
+        counts = context.class_counts
+        sim = similarity_matrix(counts / counts.sum(axis=1)[:, None], counts.sum(axis=1), 0.5, 2.0)
         expected = spectral_cluster(sim, 3, derived_seed(config.seed, 5, 1))
         np.testing.assert_array_equal(record.assignment.labels, expected.labels)
         values, gaps = laplacian_eigengaps(sim)
@@ -204,7 +204,7 @@ class TestClusteringOncePerRun:
         context = build_context(avg)
         assert context.clustering is None
         _, row = run_round(init_state(config, context), config, context)
-        expected = cluster_clients(context.distributions, config)
+        expected = cluster_clients(context.class_counts, config)
         assert row.eigengaps == expected.eigengaps
         assert row.cluster_sizes == tuple(expected.assignment.cluster_sizes().tolist())
 
@@ -329,9 +329,9 @@ class TestFedavgAggregationOracle:
                 config.batch_size,
                 config.local_lr,
                 0.0,
-                [derived_seed(config.seed, 4, 1, client.client_id)],
+                [derived_seed(config.seed, 4, 1, client_id)],
             )[0][0]
-            for client in context.clients
+            for client_id, client in enumerate(context.clients)
         ]
         counts = np.array([len(client) for client in context.clients], dtype=float)
         weights = counts / counts.sum()
