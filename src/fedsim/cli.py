@@ -251,11 +251,9 @@ def run_compare(strategies: list[str], alphas: list[float], base_config: Experim
     are produced whenever one of those drops clustering or the circular
     mean.
     """
-    names: dict[str, float] = {}
-    for a in alphas:
-        first = names.setdefault(f"{a:g}", a)
-        if first != a:
-            raise ConfigError(f"alphas {first!r} and {a!r} both print as {a:g}, so their outputs would collide")
+    names = [f"{a:g}" for a in alphas]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"alphas {alphas} print as {names}, so their outputs would collide")
     configs = {
         (s, a): dataclasses.replace(base_config, strategy=s, alpha=a).validate() for a in alphas for s in strategies
     }
@@ -325,11 +323,7 @@ def cmd_compare(args) -> int:
 def cmd_eigengap(args) -> int:
     config = parse_config(args.config, _flag_overrides(args))
     context = build_context(config)
-    # a clustered strategy's context already holds the spectrum; no other needs k-means
-    if context.clustering is None:
-        values, gaps = laplacian_eigengaps(client_similarity(context.class_counts, config))
-    else:
-        values, gaps = context.clustering.eigenvalues, context.clustering.eigengaps
+    values, gaps = laplacian_eigengaps(client_similarity(context.class_counts, config))
     print("normalized-Laplacian spectrum for the partition:")
     print(f"{'k':>3}  {'eigenvalue':>12}  {'gap to next':>12}")
     for k, value in enumerate(values):

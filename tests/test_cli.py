@@ -289,7 +289,7 @@ class TestCompareCommand:
         (["--strategy", "fedavg,fedavg"], "strategy list 'fedavg,fedavg' repeats a value"),
         (["--strategy", "fedavg", "--alpha", "0.3,0.3"], "repeats a value"),
         (["--strategy", "fedavg", "--alpha", "0.3,0.30"], "repeats a value"),
-        (["--strategy", "fedavg", "--alpha", "0.3,0.3000001"], "both print as 0.3"),
+        (["--strategy", "fedavg", "--alpha", "0.3,0.3000001"], "print as ['0.3', '0.3']"),
     ])
     def test_empty_or_repeated_lists_are_config_errors(self, tmp_path, capsys, flags, named):
         out = tmp_path / "out"
@@ -341,6 +341,16 @@ class TestEigengapCommand:
         gap_cells = [f"{gap:.6f}" for gap in gaps] + [""]
         assert capsys.readouterr().out.splitlines()[2:] == [
             f"{k:>3}  {value:>12.6f}  {gap:>12}" for k, (value, gap) in enumerate(zip(values, gap_cells))
+        ]
+
+    def test_a_clustered_strategy_reports_its_runs_spectrum(self, capsys):
+        config = parse_config(None, dict(strategy="fedcompass", n_clients=6, seed=3, lambda1=0.5))
+        clustering_ = build_context(config).clustering
+        assert main(["eigengap", "--strategy", "fedcompass", "--clients", "6", "--seed", "3", "--lambda1", "0.5"]) == 0
+        gap_cells = [f"{gap:.6f}" for gap in clustering_.eigengaps] + [""]
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            f"{k:>3}  {value:>12.6f}  {gap:>12}"
+            for k, (value, gap) in enumerate(zip(clustering_.eigenvalues, gap_cells))
         ]
 
     def test_eigensolver_failure_exits_4(self, monkeypatch, capsys):
