@@ -180,7 +180,7 @@ def dirichlet_partition(
     """
     if n_clients < 1:
         raise ParameterError("n_clients must be >= 1")
-    if alpha <= 0:
+    if not alpha > 0:  # nan included
         raise ParameterError("alpha must be > 0")
     pool = np.arange(len(dataset), dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
     if len(pool) < n_clients:

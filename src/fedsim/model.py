@@ -14,17 +14,19 @@ aggregation all work on plain vectors.
 There is one simulation path, and it works on blocks of batches: the
 statevectors of G blocks of circuits are one amplitude-major
 (G, 2^Q, rows) array, the encoding layer a product state built one qubit
-at a time, each variational RY gate a broadcast 2x2 update in place, the
-CNOT ring one index permutation and <Z> one product per block against a
-+-1 sign table. A block's circuits are its samples' base angles plus the
+at a time, each variational RY gate three passes over the whole state (its
+halves swapped times -sin | +sin, the state times cos, the two summed),
+the CNOT ring one index permutation and <Z> one product per block against
+a +-1 sign table. A block's circuits are its samples' base angles plus the
 rows of an offset table: one row of -0.0 for a forward pass; for a
 training call that row followed by the +-pi/2 shifts, so the logits and
 the shift-rule gradient come from one simulation. Cosines and sines are
 taken once per sample, gate and distinct offset, a few per gate however
 long the table, and each gate gathers its own from them. The simulator
-holds two state-size buffers, the state and one scratch array, so a stack
-of any size costs about twice its final state. A single sample is a
-one-row batch, a single batch a one-block stack.
+holds two state-size buffers, the state and one scratch array, so a
+training stack costs little more than twice its final state (see
+_simulate). A single sample is a one-row batch, a single batch a
+one-block stack.
 
 Clients train as a cohort. Parameters, gradients and Adam moments of G
 clients stack on a leading client axis as (G, P) arrays, and G equal-size
@@ -238,8 +240,9 @@ def _simulate(rotations: np.ndarray, offsets: OffsetTable) -> np.ndarray:
 
     Half angles, cosines and sines are taken one layer at a time, once per
     (sample, gate, distinct offset): 0.5 * (base + offset), from the same
-    float sums as a full shifted angle array would hold. Each gate gathers
-    its (G, rows * m) cosines and sines from that small table.
+    float sums as a full shifted angle array would hold. A layer's table
+    holds cos, -sin and sin, and each gate gathers its (G, 3, rows * m)
+    values from it in one take.
 
     Row 0 of each circuit's angles is the encoding layer. It acts on
     |0...0>, so its state is a product state, built one qubit at a time,
@@ -247,53 +250,60 @@ def _simulate(rotations: np.ndarray, offsets: OffsetTable) -> np.ndarray:
     clear) and sine (bit set). Each nonzero amplitude is the same product,
     in the same order, as RY gates applied to |0...0> compute; only the sign
     of an amplitude that is exactly zero may differ. Rows 1..L are the
-    variational layers, each a broadcast 2x2 update per qubit followed by
-    the CNOT ring (skipped when Q = 1). Holding the state amplitude-major
-    lets every update run over contiguous runs of circuits.
+    variational layers, each an RY gate per qubit followed by the CNOT ring
+    (skipped when Q = 1). A gate on qubit q maps the amplitude pair (a0, a1)
+    with q's bit clear and set to (c * a0 - s * a1, c * a1 + s * a0) in
+    three passes over the whole state: the scratch buffer takes (-s, +s)
+    times the state with its two halves swapped, (-s * a1, s * a0); the
+    state is multiplied by c; then the scratch is added. This is exact
+    against the direct form, byte for byte: negation is exact, so
+    (-s) * a1 is -(s * a1), and IEEE 754 defines x - y as x + (-y), signed
+    zeros included. Holding the state amplitude-major lets every pass run
+    over contiguous runs of circuits.
 
     Memory: two state-size buffers. Gates update the state in place, with
     the other buffer holding their temporaries; the product-state rounds
-    and the ring write into the other buffer, and the two swap roles. A
-    layer's cosines and sines add 2 * Q * d values per sample, d the most
-    distinct offsets of any gate: under a tenth of the state for a
-    training table at Q = 4 (d = 4 against 2^Q * (2K+1) amplitudes), but
-    2Q / 2^Q of it for a one-row table.
+    and the ring write into the other buffer, and the two swap roles. On
+    top of them come the layer table, 3 * Q * d values per sample (d the
+    most distinct offsets of any gate), and per gate 3 gathered values
+    per circuit plus the 3 * d per sample that the take copies out of the
+    table. Against 2^Q amplitudes per circuit that is about a third of
+    the state for a training table at Q = 4 (d = 4, 2K + 1 = 25 circuits
+    per sample), but (3Q + 6) / 2^Q of it for a one-row table (d = 1): a
+    forward pass at Q = 4 holds under 3.25 states.
     """
     g, rows, depth, n_qubits = rotations.shape
     circuits = rows * len(offsets.table)
     buffers = (np.empty((g, 2**n_qubits, circuits)), np.empty((g, 2**n_qubits, circuits)))
-    # per buffer and qubit q, the amplitudes with q's bit clear and with it set,
-    # each with axes (block, higher qubits, lower qubits, circuit)
-    halves = [
-        [(view[:, :, 0], view[:, :, 1]) for view in (b.reshape(g, 2**q, 2, -1, circuits) for q in range(n_qubits))]
-        for b in buffers
-    ]
+    # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, circuit)
+    views = [[b.reshape(g, 2**q, 2, -1, circuits) for q in range(n_qubits)] for b in buffers]
+    trig = np.empty((g, 3, rows, n_qubits, offsets.distinct.shape[1]))  # a layer's cos, -sin and sin
+    gathered = np.empty((g, 3, rows, len(offsets.table)))  # one gate's, per circuit
+    gate = gathered.reshape(g, 1, 3, 1, circuits)
     now = 0
     buffers[now][:, 0] = 1.0  # the empty product, before the encoding layer's first qubit
     for layer in range(depth):
         gates = slice(layer * n_qubits, (layer + 1) * n_qubits)
-        half_angles = 0.5 * (rotations[:, :, layer, :, None] + offsets.distinct[gates])
-        trig = np.empty((2, *half_angles.shape))
-        np.cos(half_angles, out=trig[0])
-        np.sin(half_angles, out=trig[1])
+        half_angles = trig[:, 1]  # the -sin slot holds the half angles until the sines are taken
+        np.add(rotations[:, :, layer, :, None], offsets.distinct[gates], out=half_angles)
+        half_angles *= 0.5
+        np.cos(half_angles, out=trig[:, 0])
+        np.sin(half_angles, out=trig[:, 2])
+        np.negative(trig[:, 2], out=trig[:, 1])
         for q, where in enumerate(offsets.lookup[gates]):
-            c, s = np.take(trig[:, :, :, q], where, axis=-1).reshape(2, g, 1, circuits)
+            np.take(trig[:, :, :, q], where, axis=-1, out=gathered, mode="clip")
             if layer == 0:
                 # the first 2^q amplitudes (qubits 0..q-1) times qubit q's cosine and sine give the first 2^(q+1)
                 prefix = buffers[now][:, :2**q]
                 out = buffers[1 - now][:, :2 ** (q + 1)].reshape(g, 2**q, 2, circuits)
-                np.multiply(prefix, c, out=out[:, :, 0])
-                np.multiply(prefix, s, out=out[:, :, 1])
+                np.multiply(prefix, gate[:, 0, 0], out=out[:, :, 0])
+                np.multiply(prefix, gate[:, 0, 2], out=out[:, :, 1])
                 now = 1 - now
             else:
-                c, s = c[:, None], s[:, None]
-                (a0, a1), (t0, t1) = halves[now][q], halves[1 - now][q]
-                np.multiply(s, a1, out=t0)
-                np.multiply(s, a0, out=t1)
-                a0 *= c
-                a0 -= t0  # c * a0 - s * a1
-                a1 *= c
-                a1 += t1  # s * a0 + c * a1
+                state, scratch = views[now][q], views[1 - now][q]
+                np.multiply(gate[:, :, 1:], state[:, :, ::-1], out=scratch)  # -s * a1 | s * a0
+                state *= gate[:, :, :1]
+                state += scratch  # c * a0 - s * a1 | c * a1 + s * a0
         if layer > 0 and n_qubits > 1:
             # mode="clip" (the index is always in range) writes straight into out; "raise" buffers it
             np.take(buffers[now], _ring_gather(n_qubits), axis=1, out=buffers[1 - now], mode="clip")

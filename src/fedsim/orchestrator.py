@@ -140,15 +140,16 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 0")
         if self.dataset == "synthetic" and round(TEST_FRACTION * self.per_class) < 1:
             raise ConfigError(f"per_class ({self.per_class}) is too small: its test share rounds to 0 samples")
-        if self.alpha <= 0:
+        # each float check is written so that nan fails it
+        if not self.alpha > 0:
             raise ConfigError("alpha must be > 0")
-        if self.local_lr < 0 or self.server_lr <= 0:
+        if not (self.local_lr >= 0 and self.server_lr > 0):
             raise ConfigError("local_lr must be >= 0 and server_lr > 0")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ConfigError("lambda1 and lambda2 must be >= 0")
         if not 1 <= self.clusters <= self.n_clients:
             raise ConfigError("clusters must lie in [1, n_clients]")
-        if self.prox_mu < 0:
+        if not self.prox_mu >= 0:
             raise ConfigError("prox_mu must be >= 0")
         if self.features < 2:
             raise ConfigError("features must be >= 2")
@@ -156,7 +157,7 @@ class ExperimentConfig:
             raise ConfigError("classes must be >= 2")
         if self.classes > self.qubits:
             raise ConfigError(f"classes ({self.classes}) must not exceed qubits ({self.qubits})")
-        if self.spread < 0:
+        if not self.spread >= 0:
             raise ConfigError("spread must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -325,17 +326,22 @@ def init_state(config: ExperimentConfig, context: RunContext) -> ServerState:
     )
 
 
-def _score_model(classical, angles, xs, ys, n_classes) -> tuple[float, float]:
+def _score_models(classical, angles, xs, ys, n_classes) -> tuple[np.ndarray, np.ndarray]:
+    """Accuracies and mean losses of an (M, n_classical) stack of models, each with the (L, Q) angles.
+
+    The M models score the same test rows as one (M, n, ·) stack, so each
+    row of the result is bit-identical to scoring its model alone.
+    """
     # the hidden width is the one unknown in n_classical = H * (F + 1 + Q) + Q
     layers, qubits = angles.shape
-    features = xs.shape[1]
-    hidden = (len(classical) - qubits) // (features + 1 + qubits)
+    m, (n, features) = len(classical), xs.shape
+    hidden = (classical.shape[1] - qubits) // (features + 1 + qubits)
     dense = ParamLayout(features, hidden, qubits, layers).dense(classical)
-    embeddings, _ = mlp_forward(dense, xs)
-    logits = circuit_forward(embeddings, angles, n_classes)
-    losses, _ = softmax_cross_entropy(logits, ys)
-    correct = np.count_nonzero(np.argmax(logits, axis=1) == ys)
-    return correct / len(ys), float(losses.mean())
+    embeddings, _ = mlp_forward(dense, np.broadcast_to(xs, (m, n, features)))
+    logits = circuit_forward(embeddings, np.broadcast_to(angles, (m, layers, qubits)), n_classes)
+    losses, _ = softmax_cross_entropy(logits, np.broadcast_to(ys, (m, n)))
+    correct = np.count_nonzero(np.argmax(logits, axis=-1) == ys, axis=-1)
+    return correct / n, losses.mean(axis=-1)
 
 
 def evaluate(
@@ -347,7 +353,7 @@ def evaluate(
     test_indices: np.ndarray,
     n_classes: int,
 ) -> tuple[float, float, tuple[float, ...]]:
-    """Score every cluster model (row of cluster_models) on the full shared test split.
+    """Score every cluster model (row of cluster_models) on the full shared test split, in one stacked pass.
 
     The aggregate accuracy (and loss) weights each cluster's score by its
     share of the clients' sample counts (counts[i] belongs to client i of
@@ -373,15 +379,13 @@ def evaluate(
         shares = AggregationWeights.from_counts(cluster_counts).weights.tolist()
     xs = dataset.features[test_indices]
     ys = dataset.labels[test_indices]
-    per_cluster = []
+    accuracies, losses = _score_models(cluster_models, quantum, xs, ys, n_classes)
     agg_acc = 0.0
     agg_loss = 0.0
-    for model, share in zip(cluster_models, shares):
-        acc, loss = _score_model(model, quantum, xs, ys, n_classes)
-        per_cluster.append(acc)
+    for acc, loss, share in zip(accuracies.tolist(), losses.tolist(), shares):
         agg_acc += share * acc
         agg_loss += share * loss
-    return agg_acc, agg_loss, tuple(per_cluster)
+    return agg_acc, agg_loss, tuple(accuracies.tolist())
 
 
 def _round_metrics(

@@ -374,6 +374,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "per_class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["alpha", "local_lr", "server_lr", "lambda1", "lambda2", "prox_mu", "spread"])
+    def test_nan_float_field_is_a_config_error_that_writes_nothing(self, tmp_path, capsys, field):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in fast_overrides(**{field: "nan"}).items()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_alpha_compare_is_a_config_error_that_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["compare", "--strategy", "fedavg", "--alpha", "nan", "--out", str(out)] + FAST_FLAGS)
+        assert code == cli.EXIT_CONFIG
+        assert "alpha must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alfa = 1\n")

@@ -267,6 +267,8 @@ class TestDirichletPartition:
             dirichlet_partition(data, 0, 1.0, 0)
         with pytest.raises(ParameterError):
             dirichlet_partition(data, 2, 0.0, 0)
+        with pytest.raises(ParameterError):
+            dirichlet_partition(data, 2, np.nan, 0)
 
     def test_heterogeneity_decreases_with_alpha(self):
         # Monte-Carlo: mean pairwise JS across clients shrinks as alpha grows

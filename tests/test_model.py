@@ -724,6 +724,17 @@ class TestOffsetTable:
         state_bytes = clients * rows * 2 * (layers + 1) * qubits * 2**qubits * 8
         assert peak <= 3 * state_bytes
 
+    def test_forward_pass_peak_memory_is_under_three_and_a_quarter_states(self, rng):
+        # _simulate's bound for a one-row table at Q = 4, plus the (L+1)Q rotations per sample it is given;
+        # a state of megabytes keeps numpy's fixed-size iteration buffers out of the ratio
+        clients, rows, qubits, layers = 100, 200, 4, 2
+        embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
+        angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
+        peak = peak_memory(lambda: circuit_forward(embeddings, angles))
+        state_bytes = clients * rows * 2**qubits * 8
+        rotation_bytes = clients * rows * (layers + 1) * qubits * 8
+        assert peak <= 3.25 * state_bytes + rotation_bytes
+
 
 def reference_simulate(rotations, offsets):
     """The simulator as it was before the fused pass: gate by gate from |0...0>, one angle per circuit and gate.

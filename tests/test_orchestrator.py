@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import fedsim.orchestrator as orch
-from fedsim.aggregation import aggregate_quantum, fedadam_update
+from fedsim.aggregation import AggregationWeights, aggregate_quantum, fedadam_update
 from fedsim.cli import metrics_rows
 from fedsim.clustering import ClusterAssignment, laplacian_eigengaps, similarity_matrix, spectral_cluster
 from fedsim.data import class_counts
 from fedsim.errors import ConfigError, NumericError, ParameterError
-from fedsim.model import ParamLayout
+from fedsim.model import ParamLayout, circuit_forward, init_params, mlp_forward, softmax_cross_entropy
 from fedsim.orchestrator import (
     ExperimentConfig,
     build_context,
@@ -32,6 +32,41 @@ def layout_of(config, context):
 def broadcast(state):
     """The single global model as a flat parameter vector."""
     return np.concatenate([state.cluster_models[0], state.quantum.ravel()])
+
+
+def stub_scores(monkeypatch, score):
+    """Have each cluster model score score(model) = (accuracy, loss) in place of the stacked circuit pass."""
+    def scores(classical, angles, xs, ys, n_classes):
+        accuracies, losses = zip(*(score(model) for model in classical))
+        return np.array(accuracies), np.array(losses)
+
+    monkeypatch.setattr(orch, "_score_models", scores)
+
+
+def reference_score_model(classical, angles, xs, ys, n_classes):
+    """One model's accuracy and mean loss, as evaluate scored each cluster model alone before the stacked pass."""
+    layers, qubits = angles.shape
+    features = xs.shape[1]
+    hidden = (len(classical) - qubits) // (features + 1 + qubits)
+    dense = ParamLayout(features, hidden, qubits, layers).dense(classical)
+    embeddings, _ = mlp_forward(dense, xs)
+    logits = circuit_forward(embeddings, angles, n_classes)
+    losses, _ = softmax_cross_entropy(logits, ys)
+    correct = np.count_nonzero(np.argmax(logits, axis=1) == ys)
+    return correct / len(ys), float(losses.mean())
+
+
+def reference_evaluate(cluster_models, quantum, shares, xs, ys, n_classes):
+    """evaluate's scores from one reference_score_model call per model, weighted in cluster order."""
+    per_cluster = []
+    agg_acc = 0.0
+    agg_loss = 0.0
+    for model, share in zip(cluster_models, shares):
+        acc, loss = reference_score_model(model, quantum, xs, ys, n_classes)
+        per_cluster.append(acc)
+        agg_acc += share * acc
+        agg_loss += share * loss
+    return agg_acc, agg_loss, tuple(per_cluster)
 
 
 def small_config(**overrides):
@@ -77,6 +112,11 @@ class TestConfig:
 
     def test_rounds_zero_allowed(self):
         assert small_config(rounds=0).rounds == 0
+
+    @pytest.mark.parametrize("field", ["alpha", "local_lr", "server_lr", "lambda1", "lambda2", "prox_mu", "spread"])
+    def test_nan_float_fields_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: math.nan})
 
 
 class TestDerivedSeed:
@@ -424,7 +464,7 @@ class TestEvaluate:
         context = build_context(config)
         state = init_state(config, context)
         scores = {0: (0.5, 1.0), 1: (1.0, 0.5)}
-        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: scores[int(c[0])])
+        stub_scores(monkeypatch, lambda c: scores[int(c[0])])
         models = np.repeat(state.cluster_models, 2, axis=0)
         models[:, 0] = [0, 1]
         assignment = ClusterAssignment(np.array([0, 0, 0, 1]), 2)
@@ -442,7 +482,7 @@ class TestEvaluate:
         config = small_config()
         context = build_context(config)
         state = init_state(config, context)
-        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: (0.0625, 1.0))
+        stub_scores(monkeypatch, lambda c: (0.0625, 1.0))
         models = np.repeat(state.cluster_models, 2, axis=0)
         assignment = ClusterAssignment(np.array([0, 0, 1, 1]), 2)
         for labels, counts in ((None, None), (None, np.array([5, 5, 5, 5])), (assignment, None)):
@@ -457,7 +497,7 @@ class TestEvaluate:
         config = small_config()
         context = build_context(config)
         state = init_state(config, context)
-        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: (0.25, 1.0))
+        stub_scores(monkeypatch, lambda c: (0.25, 1.0))
         assignment = ClusterAssignment(np.array([0, 0, 1, 1]), 2)
         for models in (state.cluster_models, np.repeat(state.cluster_models, 3, axis=0)):
             for counts in (np.array([5, 5, 5, 5]), None):
@@ -483,7 +523,7 @@ class TestEvaluate:
         config = small_config()
         context = build_context(config)
         state = init_state(config, context)
-        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: (0.625, 0.9))
+        stub_scores(monkeypatch, lambda c: (0.625, 0.9))
         acc, loss, per_cluster = evaluate(
             state.cluster_models, state.quantum, None, None,
             context.dataset, context.test_indices, config.classes,
@@ -495,7 +535,7 @@ class TestEvaluate:
         config = small_config()
         context = build_context(config)
         state = init_state(config, context)
-        monkeypatch.setattr(orch, "_score_model", lambda c, q, x, y, n: (1.0, 0.0))
+        stub_scores(monkeypatch, lambda c: (1.0, 0.0))
         acc, _, _ = evaluate(
             state.cluster_models, state.quantum, None, None,
             context.dataset, context.test_indices, config.classes,
@@ -512,6 +552,29 @@ class TestEvaluate:
         )
         assert 0.0 <= acc <= 1.0
         assert loss > 0.0
+
+    @pytest.mark.parametrize("qubits,layers,classes", [(2, 1, 2), (4, 2, 4), (5, 3, 3)])
+    def test_stacked_pass_matches_per_model_loop_byte_for_byte(self, qubits, layers, classes):
+        config = small_config(qubits=qubits, layers=layers, classes=classes, n_clients=6)
+        context = build_context(config)
+        layout = layout_of(config, context)
+        rng = np.random.default_rng(qubits)
+        for m in range(1, 5):
+            models = np.stack([init_params(layout, seed)[:layout.n_classical] for seed in range(m)])
+            models += rng.normal(0.0, 0.3, models.shape)
+            quantum = rng.uniform(-math.pi, math.pi, (layers, qubits))
+            labels = np.arange(6) % m
+            counts = rng.integers(1, 50, 6)
+            shares = AggregationWeights.from_counts(np.bincount(labels, weights=counts, minlength=m)).weights.tolist()
+            for rows in (1, 2, len(context.test_indices)):
+                test = context.test_indices[:rows]
+                xs, ys = context.dataset.features[test], context.dataset.labels[test]
+                stacked = evaluate(
+                    models, quantum, ClusterAssignment(labels, m), counts, context.dataset, test, classes,
+                )
+                reference = reference_evaluate(models, quantum, shares, xs, ys, classes)
+                assert np.array(stacked[:2]).tobytes() == np.array(reference[:2]).tobytes(), (m, rows)
+                assert np.array(stacked[2]).tobytes() == np.array(reference[2]).tobytes(), (m, rows)
 
     def test_empty_test_set_rejected(self):
         config = small_config()
