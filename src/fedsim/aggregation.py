@@ -172,7 +172,7 @@ def fedadam_update(
         raise ParameterError("parameter and state dimensions must match")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ParameterError("beta1 and beta2 must lie in [0, 1)")
-    if eta <= 0 or eps <= 0:
+    if not (eta > 0 and eps > 0):
         raise ParameterError("eta and eps must be > 0")
     g = wrap_angles(phi_t - phi_bar).reshape(-1)
     stepped, next_state = adam_step(phi_t.reshape(-1), g, state, eta, beta1, beta2, eps)

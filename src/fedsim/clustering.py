@@ -113,7 +113,7 @@ def similarity_matrix(proportions, counts, lambda1: float = 1.0, lambda2: float 
     lower triangle, so temporaries are O(n^2 * C / 2); `js_divergence` is
     the scalar reference for each entry.
     """
-    if lambda1 < 0 or lambda2 < 0:
+    if not (lambda1 >= 0 and lambda2 >= 0):
         raise ParameterError("lambda1 and lambda2 must be >= 0")
     try:
         props = np.asarray(proportions, dtype=np.float64)

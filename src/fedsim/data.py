@@ -67,7 +67,7 @@ def generate_synthetic(classes: int, features: int, per_class: int, spread: floa
         raise ParameterError("need classes >= 2 and features >= 2")
     if per_class < 1:
         raise ParameterError("per_class must be >= 1")
-    if spread < 0:
+    if not spread >= 0:
         raise ParameterError("spread must be >= 0")
     means = np.zeros((classes, features))
     for c in range(classes):

@@ -17,14 +17,15 @@ statevectors of G blocks of circuits are one amplitude-major
 at a time, each variational RY gate three passes over the whole state (its
 halves swapped times -sin | +sin, the state times cos, the two summed),
 the CNOT ring one index permutation and <Z> one product per block against
-a +-1 sign table. A block's circuits are its samples' base angles plus the
-rows of an offset table: one row of -0.0 for a forward pass; for a
-training call that row followed by the +-pi/2 shifts, so the logits and
-the shift-rule gradient come from one simulation. Cosines and sines are
-taken once per sample, gate and distinct offset, a few per gate however
-long the table, and each gate gathers its own from them. The simulator
-holds two state-size buffers, the state and one scratch array, so a
-training stack costs little more than twice its final state (see
+a +-1 sign table. The simulator runs one of two passes: a forward pass,
+one circuit per sample; or a training pass, each sample's forward circuit
+followed by its 2K shift-rule circuits (each of its K rotations shifted by
++pi/2, then each by -pi/2), so the logits and the shift-rule gradient
+come from one simulation. Cosines and sines are taken once per sample,
+gate and offset (-0.0, +pi/2, -pi/2), three per gate however many
+circuits a sample runs, and each gate spreads its own over them. The
+simulator holds two state-size buffers, the state and one scratch array,
+so a training stack costs little more than twice its final state (see
 _simulate). A single sample is a one-row batch, a single batch a
 one-block stack.
 
@@ -188,61 +189,25 @@ def _ring_gather(n_qubits: int) -> np.ndarray:
     return ring
 
 
-class OffsetTable(NamedTuple):
-    """An (m, K) table of angle offsets, K = (L+1) * Q, split per gate into its distinct values.
+def _simulate(rotations: np.ndarray, shifts: bool = False) -> np.ndarray:
+    """Amplitude-major (G, 2^Q, rows * m) statevectors of G blocks of circuits, m = 1 or 2K + 1.
 
-    Column j of the table offsets gate j (layer j // Q, qubit j % Q). Two
-    offsets count as distinct when their bit patterns differ, so +0.0 and
-    -0.0 stay apart. Build one with _offset_table; every array is read-only.
-    """
-
-    table: np.ndarray  # (m, K)
-    distinct: np.ndarray  # (K, d) the distinct values of each column, padded with 0.0
-    lookup: np.ndarray  # (K, m) where row r's offset of gate j sits in distinct[j]
-
-
-def _offset_table(table: np.ndarray) -> OffsetTable:
-    """The OffsetTable of an (m, K) array of offsets."""
-    table = np.array(table, dtype=np.float64)
-    columns = [np.unique(column.view(np.uint64), return_inverse=True) for column in table.T]
-    distinct = np.zeros((table.shape[1], max(len(values) for values, _ in columns)))
-    lookup = np.empty(table.T.shape, dtype=np.intp)
-    for j, (values, where) in enumerate(columns):
-        distinct[j, :len(values)] = values.view(np.float64)
-        lookup[j] = where
-    for array in (table, distinct, lookup):
-        array.flags.writeable = False
-    return OffsetTable(table, distinct, lookup)
-
-
-@functools.lru_cache(maxsize=None)
-def _forward_offsets(n_gates: int) -> OffsetTable:
-    """The one-row table of a forward pass: -0.0 leaves every angle, signed zeros included, as it is. Cached per K."""
-    return _offset_table(np.full((1, n_gates), -0.0))
-
-
-@functools.lru_cache(maxsize=None)
-def _training_offsets(n_gates: int) -> OffsetTable:
-    """The (2K+1)-row table of a training pass: the forward row, then +pi/2 I, then -pi/2 I. Cached per K."""
-    shifts = HALF_PI * np.concatenate([np.eye(n_gates), -np.eye(n_gates)])
-    return _offset_table(np.concatenate([np.full((1, n_gates), -0.0), shifts]))
-
-
-def _simulate(rotations: np.ndarray, offsets: OffsetTable) -> np.ndarray:
-    """Amplitude-major (G, 2^Q, rows * m) statevectors of G blocks of circuits: base RY angles plus an offset table.
-
-    rotations holds the (G, rows, L+1, Q) base angles of each block's rows
-    and offsets an (m, (L+1) * Q) table; circuit i * m + r of block g runs
-    rotations[g, i] + offsets.table[r] (flattened layer-major), so column
-    i * m + r of block g is its statevector. A forward pass is a one-row
-    table of -0.0, the identity of float addition; a training pass adds the
-    2(L+1)Q rows of +-pi/2 times the identity.
+    rotations holds the (G, rows, L+1, Q) RY angles of each block's rows,
+    K = (L+1) * Q of them per row, gate j rotating qubit j % Q in layer
+    j // Q. Without shifts each row runs one circuit, m = 1. With shifts
+    (a training pass) each row runs m = 2K + 1: circuit 0 its own angles,
+    circuit 1 + j with gate j shifted by +pi/2 and circuit 1 + K + j by
+    -pi/2. Column i * m + r of block g is the statevector of row i's
+    circuit r.
 
     Half angles, cosines and sines are taken one layer at a time, once per
-    (sample, gate, distinct offset): 0.5 * (base + offset), from the same
-    float sums as a full shifted angle array would hold. A layer's table
-    holds cos, -sin and sin, and each gate gathers its (G, 3, rows * m)
-    values from it in one take.
+    sample, gate and offset: 0.5 * (base + offset) for the offsets -0.0,
+    +pi/2 and -pi/2 (-0.0 alone without shifts). Adding -0.0 leaves every
+    angle as it is, signed zeros included, so every circuit runs exactly
+    the angles of a forward pass of its explicitly shifted rotations. A
+    layer's trig table holds cos, -sin and sin, gate-major; each gate
+    broadcasts its unshifted values over all of a row's circuits and then
+    writes its two shifted circuits' values over theirs.
 
     Row 0 of each circuit's angles is the encoding layer. It acts on
     |0...0>, so its state is a product state, built one qubit at a time,
@@ -264,34 +229,39 @@ def _simulate(rotations: np.ndarray, offsets: OffsetTable) -> np.ndarray:
     Memory: two state-size buffers. Gates update the state in place, with
     the other buffer holding their temporaries; the product-state rounds
     and the ring write into the other buffer, and the two swap roles. On
-    top of them come the layer table, 3 * Q * d values per sample (d the
-    most distinct offsets of any gate), and per gate 3 gathered values
-    per circuit plus the 3 * d per sample that the take copies out of the
-    table. Against 2^Q amplitudes per circuit that is about a third of
-    the state for a training table at Q = 4 (d = 4, 2K + 1 = 25 circuits
-    per sample), but (3Q + 6) / 2^Q of it for a one-row table (d = 1): a
-    forward pass at Q = 4 holds under 3.25 states.
+    top of them come the layer's trig table, 3 * Q values per sample and
+    offset (3Q without shifts, 9Q with them), and one gate's 3 values per
+    circuit. Against 2^Q amplitudes per circuit that is (3Q + 3) / 2^Q of
+    the state without shifts, so a forward pass at Q = 4 holds about 3
+    states (2 15/16 plus small temporaries), and under a third of the
+    state with shifts at Q = 4, L >= 1 (m >= 17 circuits per sample).
     """
     g, rows, depth, n_qubits = rotations.shape
-    circuits = rows * len(offsets.table)
+    k = depth * n_qubits
+    offsets = np.array([-0.0, HALF_PI, -HALF_PI] if shifts else [-0.0])
+    m = 2 * k + 1 if shifts else 1
+    circuits = rows * m
     buffers = (np.empty((g, 2**n_qubits, circuits)), np.empty((g, 2**n_qubits, circuits)))
     # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, circuit)
     views = [[b.reshape(g, 2**q, 2, -1, circuits) for q in range(n_qubits)] for b in buffers]
-    trig = np.empty((g, 3, rows, n_qubits, offsets.distinct.shape[1]))  # a layer's cos, -sin and sin
-    gathered = np.empty((g, 3, rows, len(offsets.table)))  # one gate's, per circuit
+    trig = np.empty((g, 3, n_qubits, len(offsets), rows))  # a layer's cos, -sin and sin per gate and offset
+    gathered = np.empty((g, 3, rows, m))  # one gate's, per circuit
     gate = gathered.reshape(g, 1, 3, 1, circuits)
     now = 0
     buffers[now][:, 0] = 1.0  # the empty product, before the encoding layer's first qubit
     for layer in range(depth):
-        gates = slice(layer * n_qubits, (layer + 1) * n_qubits)
         half_angles = trig[:, 1]  # the -sin slot holds the half angles until the sines are taken
-        np.add(rotations[:, :, layer, :, None], offsets.distinct[gates], out=half_angles)
+        np.add(np.swapaxes(rotations[:, :, layer], 1, 2)[:, :, None], offsets[:, None], out=half_angles)
         half_angles *= 0.5
         np.cos(half_angles, out=trig[:, 0])
         np.sin(half_angles, out=trig[:, 2])
         np.negative(trig[:, 2], out=trig[:, 1])
-        for q, where in enumerate(offsets.lookup[gates]):
-            np.take(trig[:, :, :, q], where, axis=-1, out=gathered, mode="clip")
+        for q in range(n_qubits):
+            gathered[...] = trig[:, :, q, 0, :, None]
+            if shifts:
+                j = layer * n_qubits + q
+                gathered[..., 1 + j] = trig[:, :, q, 1]
+                gathered[..., 1 + k + j] = trig[:, :, q, 2]
             if layer == 0:
                 # the first 2^q amplitudes (qubits 0..q-1) times qubit q's cosine and sine give the first 2^(q+1)
                 prefix = buffers[now][:, :2**q]
@@ -362,16 +332,11 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
     return np.concatenate([np.pi * rows[:, :, None, :], shared], axis=2), emb.shape[:-1], c
 
 
-def _forward_pass(rotations: np.ndarray) -> np.ndarray:
-    """Amplitude-major (G, 2^Q, n) statevectors of the unshifted circuits."""
-    return _simulate(rotations, _forward_offsets(rotations.shape[2] * rotations.shape[3]))
-
-
 def _training_pass(rotations: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """(G, n, C) logits and (G, n, 2, K, C) shift-rule expectations of every sample, from one simulation.
 
     Each sample runs its forward circuit and its 2K shifted circuits
-    together (_training_offsets). The logits are a (n, 2^Q) product per
+    together (_simulate with shifts). The logits are a (n, 2^Q) product per
     block, exactly as a forward pass alone takes them; the shifted
     expectations a (n * 2K, 2^Q) product per block, exactly as a pass of
     the shifted circuits alone would. Entry [g, i, 0, j] runs sample i
@@ -379,7 +344,7 @@ def _training_pass(rotations: np.ndarray, n_classes: int) -> tuple[np.ndarray, n
     """
     g, n, depth, n_qubits = rotations.shape
     k = depth * n_qubits
-    states = _simulate(rotations, _training_offsets(k)).reshape(g, 2**n_qubits, n, 2 * k + 1)
+    states = _simulate(rotations, shifts=True).reshape(g, 2**n_qubits, n, 2 * k + 1)
     logits = _z_expectations(states[..., 0], n_classes)
     shifted = _z_expectations(states[..., 1:], n_classes).reshape(g, n, 2, k, n_classes)
     return logits, shifted
@@ -408,7 +373,7 @@ def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     dense matrix products.
     """
     rotations, lead, _ = _circuit_inputs(embedding, angles, None)
-    return np.swapaxes(_forward_pass(rotations), 1, 2).reshape(*lead, -1)
+    return np.swapaxes(_simulate(rotations), 1, 2).reshape(*lead, -1)
 
 
 def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | None = None) -> np.ndarray:
@@ -423,7 +388,7 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     its own angles, bit-identical to G separate calls.
     """
     rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
-    return _z_expectations(_forward_pass(rotations), c).reshape(*lead, c)
+    return _z_expectations(_simulate(rotations), c).reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -461,11 +426,14 @@ def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray
 
     For (..., C) logits and labels of shape (...), the losses have shape
     (...) and the gradients (..., C); one row of logits gives a float.
+    Every label must lie in [0, C).
     """
     logits = np.asarray(logits, dtype=np.float64)
     label = np.asarray(label, dtype=np.int64)
     if label.shape != logits.shape[:-1]:
         raise ParameterError("expected one label per row of logits")
+    if np.any((label < 0) | (label >= logits.shape[-1])):
+        raise ParameterError(f"labels must lie in [0, {logits.shape[-1]})")
     expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs = expz / expz.sum(axis=-1, keepdims=True)
     loss = -np.log(np.take_along_axis(probs, label[..., None], axis=-1)[..., 0])
@@ -488,7 +456,8 @@ def hybrid_loss_and_grads(
     train on batches of the same size n: features are then (G * n, F) rows
     and labels (G * n,), client g owning rows g * n .. g * n + n - 1, and
     the result is a (G,) array of losses and a (G, P) gradient stack, each
-    client's bit-identical to a call with its vector alone.
+    client's bit-identical to a call with its vector alone. A label outside
+    [0, n_classes) raises ParameterError.
 
     The circuits run in one simulation (_training_pass): each sample's
     forward circuit, whose logits give the loss, beside its 2(L+1)Q

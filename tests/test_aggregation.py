@@ -449,6 +449,11 @@ class TestFedadamUpdate:
         after, _ = fedadam_update(phi_t, phi_bar, AdamState.zeros(1), eta=1.5)
         assert -math.pi < after[0] <= math.pi
 
+    @pytest.mark.parametrize("step", [{"eta": math.nan}, {"eps": math.nan}, {"eta": 0.0}, {"eps": -1e-8}])
+    def test_rejects_nan_or_non_positive_step_settings(self, step):
+        with pytest.raises(ParameterError, match="eta and eps"):
+            fedadam_update(np.zeros(2), np.ones(2), AdamState.zeros(2), **step)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             fedadam_update(

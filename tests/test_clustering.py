@@ -192,6 +192,11 @@ class TestSimilarityMatrix:
         with pytest.raises(ParameterError):
             SimilarityMatrix(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
+    @pytest.mark.parametrize("lambdas", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_rejects_nan_or_negative_lambdas(self, lambdas):
+        with pytest.raises(ParameterError, match="lambda1 and lambda2"):
+            similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10, 20]), *lambdas)
+
     @pytest.mark.parametrize("n_classes", [2, 4, 10, 16])
     def test_matches_scalar_reference(self, n_classes):
         # C >= 8 sums through numpy's unrolled pairwise loop, whose order

@@ -41,7 +41,9 @@ class TestGenerateSynthetic:
         b = generate_synthetic(3, 4, 50, 0.0, 999)
         np.testing.assert_array_equal(a.features, b.features)
 
-    @pytest.mark.parametrize("args", [(1, 8, 10, 0.1), (4, 1, 10, 0.1), (4, 8, 0, 0.1), (4, 8, 10, -0.5)])
+    @pytest.mark.parametrize(
+        "args", [(1, 8, 10, 0.1), (4, 1, 10, 0.1), (4, 8, 0, 0.1), (4, 8, 10, -0.5), (4, 8, 10, float("nan"))]
+    )
     def test_invalid_arguments(self, args):
         with pytest.raises(ParameterError):
             generate_synthetic(*args, seed=0)

@@ -24,7 +24,6 @@ from fedsim.model import (
     softmax_cross_entropy,
     statevector,
     _circuit_inputs,
-    _offset_table,
     _simulate,
     _z_expectations,
 )
@@ -364,6 +363,17 @@ class TestHybridLoss:
         with pytest.raises(ParameterError):
             hybrid_loss_and_grads(np.zeros((0, 4)), np.zeros(0, dtype=int), params, layout, 3)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_rejected(self, rng, label):
+        # -1 would index the last class, whose gradient probs - 0 is not that of the loss; 3 would not index at all
+        with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
+            softmax_cross_entropy(np.zeros(3), label)
+        with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
+            softmax_cross_entropy(np.zeros((2, 3)), [0, label])
+        layout, params = random_hybrid(rng)
+        with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
+            hybrid_loss_and_grads(rng.uniform(-1, 1, (2, 4)), np.array([1, label]), params, layout, 3)
+
 
 class TestAdamLocalStep:
     def test_zero_gradient_is_identity(self, rng):
@@ -678,8 +688,16 @@ def peak_memory(call):
             tracemalloc.stop()
 
 
+def fold_table(k):
+    """The (2K+1, K) offsets of a training pass's circuits: -0.0, then +pi/2 and -pi/2 at each gate in turn."""
+    table = np.full((2 * k + 1, k), -0.0)
+    table[1 + np.arange(k), np.arange(k)] = HALF_PI
+    table[1 + k + np.arange(k), np.arange(k)] = -HALF_PI
+    return table
+
+
 class TestOffsetTable:
-    """The simulator's offset table runs exactly (array_equal) the circuits of explicitly shifted angles."""
+    """A training pass's rows run exactly (array_equal) the circuits of explicitly shifted angles."""
 
     @pytest.mark.parametrize("qubits,layers", [(1, 1), (2, 1), (3, 2), (4, 2)])
     def test_shift_rows_equal_explicitly_shifted_angles(self, rng, qubits, layers):
@@ -688,19 +706,16 @@ class TestOffsetTable:
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
         angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
         rotations, _, _ = _circuit_inputs(embeddings, angles, None)
-        table = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])
-        states = circuit_major(_simulate(rotations, _offset_table(table))).reshape(clients, rows, 2 * k, -1)
-        forward = _offset_table(np.full((1, k), -0.0))
-        for r, offset in enumerate(table):
+        states = _simulate(rotations, shifts=True).reshape(clients, 2**qubits, rows, 2 * k + 1)
+        for r, offset in enumerate(fold_table(k)):
             shift = offset.reshape(depth, qubits)
-            # a one-row table of -0.0 is the forward pass
-            np.testing.assert_array_equal(states[:, :, r], circuit_major(_simulate(rotations + shift, forward)))
-            if r % k >= qubits:  # a variational angle: the public entry points can shift it too
+            np.testing.assert_array_equal(states[..., r], _simulate(rotations + shift))
+            if r == 0 or (r - 1) % k >= qubits:  # unshifted, or a variational angle shifted: public calls run it too
                 shifted = angles + shift[1:]
-                np.testing.assert_array_equal(states[:, :, r], statevector(embeddings, shifted))
+                np.testing.assert_array_equal(circuit_major(states[..., r]), statevector(embeddings, shifted))
                 np.testing.assert_array_equal(
                     circuit_forward(embeddings, shifted),
-                    _z_expectations(_simulate(rotations, _offset_table(table[r:r + 1])), qubits),
+                    _z_expectations(np.ascontiguousarray(states[..., r]), qubits),
                 )
 
     def test_shift_rule_peak_memory_is_at_most_three_states(self, rng):
@@ -725,7 +740,7 @@ class TestOffsetTable:
         assert peak <= 3 * state_bytes
 
     def test_forward_pass_peak_memory_is_under_three_and_a_quarter_states(self, rng):
-        # _simulate's bound for a one-row table at Q = 4, plus the (L+1)Q rotations per sample it is given;
+        # _simulate's bound without shifts at Q = 4, plus the (L+1)Q rotations per sample it is given;
         # a state of megabytes keeps numpy's fixed-size iteration buffers out of the ratio
         clients, rows, qubits, layers = 100, 200, 4, 2
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
@@ -776,20 +791,7 @@ def reference_z_expectations(states, n_classes):
 
 
 class TestReferenceSimulator:
-    """The simulator against reference_simulate: the same numbers, byte for byte, on every offset table."""
-
-    @staticmethod
-    def tables(rng, k):
-        shifts = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])
-        # each entry +0.0, -0.0, +pi/2, -pi/2 or uniform
-        kinds = rng.integers(0, 5, (5, k))
-        pool = np.array([0.0, -0.0, HALF_PI, -HALF_PI])
-        mixed = np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, (5, k)))
-        return {
-            "forward": np.full((1, k), -0.0),
-            "fold": np.concatenate([np.full((1, k), -0.0), shifts]),
-            "random": mixed,
-        }
+    """The simulator against reference_simulate: the same numbers, byte for byte, for both of its passes."""
 
     @staticmethod
     def rotations(rng, shape):
@@ -805,15 +807,13 @@ class TestReferenceSimulator:
     def test_matches_gate_by_gate_reference(self, rng, qubits, layers):
         depth = layers + 1
         k = depth * qubits
-        forward = _offset_table(np.full((1, k), -0.0))
-        for name, table in self.tables(rng, k).items():
-            offsets = _offset_table(table)
+        for shifts, table in ((False, np.full((1, k), -0.0)), (True, fold_table(k))):
             for clients in range(1, 5):
                 for rows in range(1, 6):
                     rotations = self.rotations(rng, (clients, rows, depth, qubits))
                     reference = reference_simulate(rotations, table)
-                    states = _simulate(rotations, offsets)
-                    where = f"{name} table, {clients} clients, {rows} rows"
+                    states = _simulate(rotations, shifts=shifts)
+                    where = f"shifts={shifts}, {clients} clients, {rows} rows"
                     # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
                     np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
                     probabilities = np.ascontiguousarray(circuit_major(np.square(states)))
@@ -824,16 +824,8 @@ class TestReferenceSimulator:
                     # every row runs exactly its explicitly offset angles, signed zeros included
                     blocks = states.reshape(clients, 2**qubits, rows, len(table))
                     for r, row in enumerate(table):
-                        alone = _simulate(rotations + row.reshape(depth, qubits), forward)
+                        alone = _simulate(rotations + row.reshape(depth, qubits))
                         assert np.ascontiguousarray(blocks[..., r]).tobytes() == alone.tobytes(), f"{where}, row {r}"
-
-    def test_distinct_offsets_keep_signed_zeros_apart(self):
-        offsets = _offset_table(np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 2.0]]))
-        assert offsets.distinct.shape == (2, 2)
-        assert sorted(np.signbit(offsets.distinct[0])) == [False, True]
-        # every row's offset comes back, bit for bit, from its gate's distinct values
-        gathered = np.take_along_axis(offsets.distinct, offsets.lookup, axis=1)
-        assert gathered.tobytes() == offsets.table.T.tobytes()
 
 
 def model_layer_digest():
