@@ -170,10 +170,8 @@ def fedadam_update(
     phi_t = np.asarray(phi_t, dtype=np.float64)
     if phi_t.shape != np.shape(phi_bar) or phi_t.size != len(state.m):
         raise ParameterError("parameter and state dimensions must match")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ParameterError("beta1 and beta2 must lie in [0, 1)")
-    if not (eta > 0 and eps > 0):
-        raise ParameterError("eta and eps must be > 0")
+    if not (0 < eta < math.inf and eps > 0):  # written so that nan fails it; adam_step checks the betas
+        raise ParameterError("eta and eps must be > 0, and eta finite")
     g = wrap_angles(phi_t - phi_bar).reshape(-1)
     stepped, next_state = adam_step(phi_t.reshape(-1), g, state, eta, beta1, beta2, eps)
     return wrap_angles(stepped).reshape(phi_t.shape), next_state

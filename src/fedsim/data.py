@@ -11,6 +11,7 @@ is no module-level random state.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -58,8 +59,8 @@ def generate_synthetic(classes: int, features: int, per_class: int, spread: floa
     The class means depend only on (classes, features): class c sits at the
     unit vector along axis c mod features, scaled up by one for every full
     cycle through the axes. The seed drives only the noise, whose
-    per-dimension standard deviation is `spread` (zero is allowed and yields
-    every sample exactly at its class mean).
+    per-dimension standard deviation is `spread`, finite and >= 0 (zero
+    yields every sample exactly at its class mean).
 
     Samples are emitted class-major: all of class 0, then class 1, etc.
     """
@@ -67,8 +68,8 @@ def generate_synthetic(classes: int, features: int, per_class: int, spread: floa
         raise ParameterError("need classes >= 2 and features >= 2")
     if per_class < 1:
         raise ParameterError("per_class must be >= 1")
-    if not spread >= 0:
-        raise ParameterError("spread must be >= 0")
+    if not 0 <= spread < math.inf:
+        raise ParameterError("spread must be finite and >= 0")
     means = np.zeros((classes, features))
     for c in range(classes):
         means[c, c % features] = 1.0 + (c // features)

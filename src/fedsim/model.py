@@ -17,13 +17,16 @@ statevectors of G blocks of circuits are one amplitude-major
 at a time, each variational RY gate three passes over the whole state (its
 halves swapped times -sin | +sin, the state times cos, the two summed),
 the CNOT ring one index permutation and <Z> one product per block against
-a +-1 sign table. The simulator runs one of two passes: a forward pass,
+a cached +-1 sign table. The simulator runs one of two passes: a forward pass,
 one circuit per sample; or a training pass, each sample's forward circuit
 followed by its 2K shift-rule circuits (each of its K rotations shifted by
 +pi/2, then each by -pi/2), so the logits and the shift-rule gradient
-come from one simulation. Cosines and sines are taken once per sample,
-gate and offset (-0.0, +pi/2, -pi/2), three per gate however many
-circuits a sample runs, and each gate spreads its own over them. The
+come from one simulation. Cosines and sines are taken once per gate and
+offset (-0.0, +pi/2, -pi/2), three per gate however many circuits a
+sample runs: per sample for the encoding gates, and per client for the
+variational gates, whose angles all of a client's samples share. A
+training pass builds each sample's 2Q + 1 distinct encoding states (none
+or one encoding gate shifted) once, and copies them to its circuits. The
 simulator holds two state-size buffers, the state and one scratch array,
 so a training stack costs little more than twice its final state (see
 _simulate). A single sample is a one-row batch, a single batch a
@@ -189,103 +192,175 @@ def _ring_gather(n_qubits: int) -> np.ndarray:
     return ring
 
 
-def _simulate(rotations: np.ndarray, shifts: bool = False) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _encoding_variant(n_qubits: int, k: int) -> np.ndarray:
+    """Read-only index, per circuit of a sample's training pass, of the encoding state it starts from.
+
+    Circuit 1 + q (q < Q) shifts encoding gate q by +pi/2 and runs
+    encoding state 1 + q, circuit 1 + K + q shifts it by -pi/2 and runs
+    state 1 + Q + q; every other circuit runs state 0, the unshifted one.
+    Cached per (Q, K).
+    """
+    variant = np.zeros(2 * k + 1, dtype=np.intp)
+    variant[1:1 + n_qubits] = np.arange(1, 1 + n_qubits)
+    variant[1 + k:1 + k + n_qubits] = np.arange(1 + n_qubits, 1 + 2 * n_qubits)
+    variant.flags.writeable = False
+    return variant
+
+
+def _half_angle_trig(base: np.ndarray, offsets: np.ndarray, kinds: int) -> np.ndarray:
+    """cos, then -sin and sin (kinds = 3) or sin (kinds = 2), of 0.5 * (base + offset): (G, kinds, ..., offsets).
+
+    base is (G, ...); each entry is taken with every offset, in the order given.
+    """
+    trig = np.empty((len(base), kinds, *base.shape[1:], len(offsets)))
+    half_angles = trig[:, 1]  # the second slot holds the half angles until the sines are taken
+    np.add(base[..., None], offsets, out=half_angles)
+    half_angles *= 0.5
+    np.cos(half_angles, out=trig[:, 0])
+    np.sin(half_angles, out=trig[:, -1])
+    if kinds == 3:
+        np.negative(trig[:, 2], out=trig[:, 1])
+    return trig
+
+
+def _simulate(encoding: np.ndarray, angles: np.ndarray, shifts: bool = False) -> np.ndarray:
     """Amplitude-major (G, 2^Q, rows * m) statevectors of G blocks of circuits, m = 1 or 2K + 1.
 
-    rotations holds the (G, rows, L+1, Q) RY angles of each block's rows,
-    K = (L+1) * Q of them per row, gate j rotating qubit j % Q in layer
-    j // Q. Without shifts each row runs one circuit, m = 1. With shifts
-    (a training pass) each row runs m = 2K + 1: circuit 0 its own angles,
-    circuit 1 + j with gate j shifted by +pi/2 and circuit 1 + K + j by
-    -pi/2. Column i * m + r of block g is the statevector of row i's
-    circuit r.
+    encoding holds the (G, rows, Q) encoding angles of each block's rows
+    and angles the (G, L, Q) variational angles of each block, which all
+    of its rows share; K = (L+1) * Q rotations per row, gate j rotating
+    qubit j % Q in layer j // Q (layer 0 the encoding). Without shifts each
+    row runs one circuit, m = 1. With shifts (a training pass) each row
+    runs m = 2K + 1: circuit 0 its own angles, circuit 1 + j with gate j
+    shifted by +pi/2 and circuit 1 + K + j by -pi/2. Column i * m + r of
+    block g is the statevector of row i's circuit r.
 
-    Half angles, cosines and sines are taken one layer at a time, once per
-    sample, gate and offset: 0.5 * (base + offset) for the offsets -0.0,
-    +pi/2 and -pi/2 (-0.0 alone without shifts). Adding -0.0 leaves every
-    angle as it is, signed zeros included, so every circuit runs exactly
-    the angles of a forward pass of its explicitly shifted rotations. A
-    layer's trig table holds cos, -sin and sin, gate-major; each gate
-    broadcasts its unshifted values over all of a row's circuits and then
-    writes its two shifted circuits' values over theirs.
+    Half angles, cosines and sines are taken once per gate and offset:
+    0.5 * (angle + offset) for the offsets -0.0, +pi/2 and -pi/2 (-0.0
+    alone without shifts), once per row for the encoding gates and once
+    per block for the variational gates, whose angles a block's rows share.
+    Adding -0.0 leaves every angle as it is, signed zeros included, so
+    every circuit runs exactly the angles of a forward pass of its
+    explicitly shifted rotations.
 
-    Row 0 of each circuit's angles is the encoding layer. It acts on
-    |0...0>, so its state is a product state, built one qubit at a time,
-    qubit 0 outermost: the amplitudes so far times the qubit's cosine (bit
-    clear) and sine (bit set). Each nonzero amplitude is the same product,
-    in the same order, as RY gates applied to |0...0> compute; only the sign
-    of an amplitude that is exactly zero may differ. Rows 1..L are the
-    variational layers, each an RY gate per qubit followed by the CNOT ring
-    (skipped when Q = 1). A gate on qubit q maps the amplitude pair (a0, a1)
-    with q's bit clear and set to (c * a0 - s * a1, c * a1 + s * a0) in
-    three passes over the whole state: the scratch buffer takes (-s, +s)
-    times the state with its two halves swapped, (-s * a1, s * a0); the
-    state is multiplied by c; then the scratch is added. This is exact
-    against the direct form, byte for byte: negation is exact, so
-    (-s) * a1 is -(s * a1), and IEEE 754 defines x - y as x + (-y), signed
-    zeros included. Holding the state amplitude-major lets every pass run
-    over contiguous runs of circuits.
+    The encoding layer acts on |0...0>, so its state is a product state,
+    built one qubit at a time, qubit 0 outermost: the amplitudes so far
+    times the qubit's cosine (bit clear) and sine (bit set). Each nonzero
+    amplitude is the same product, in the same order, as RY gates applied
+    to |0...0> compute; only the sign of an amplitude that is exactly zero
+    may differ. A training pass's circuits start from one of 2Q + 1
+    encoding states per row (unshifted, or one encoding gate shifted by
+    +-pi/2): those are built, and each circuit copies its own
+    (_encoding_variant). Layers 1..L are the variational layers, each an
+    RY gate per qubit followed by the CNOT ring (skipped when Q = 1). A
+    block's gate values are one (3, L * Q, m) table, cos, -sin and sin per
+    gate and circuit of a row; each gate spreads its own over the block's
+    rows. A gate on qubit q maps the amplitude pair (a0, a1) with q's bit
+    clear and set to (c * a0 - s * a1, c * a1 + s * a0) in three passes
+    over the whole state: the scratch buffer takes (-s, +s) times the state
+    with its two halves swapped, (-s * a1, s * a0); the state is multiplied
+    by c; then the scratch is added. This is exact against the direct
+    form, byte for byte: negation is exact, so (-s) * a1 is -(s * a1), and
+    IEEE 754 defines x - y as x + (-y), signed zeros included. Holding the
+    state amplitude-major lets every pass run over contiguous runs of
+    circuits.
 
     Memory: two state-size buffers. Gates update the state in place, with
-    the other buffer holding their temporaries; the product-state rounds
-    and the ring write into the other buffer, and the two swap roles. On
-    top of them come the layer's trig table, 3 * Q values per sample and
-    offset (3Q without shifts, 9Q with them), and one gate's 3 values per
-    circuit. Against 2^Q amplitudes per circuit that is (3Q + 3) / 2^Q of
-    the state without shifts, so a forward pass at Q = 4 holds about 3
-    states (2 15/16 plus small temporaries), and under a third of the
-    state with shifts at Q = 4, L >= 1 (m >= 17 circuits per sample).
+    the other buffer holding their temporaries; the product-state rounds,
+    the copy to each circuit and the ring write into the other buffer, and
+    the two swap roles. On top of them come the encoding's cosines and
+    sines, 2 * Q values per row and encoding state, 2Q of them without
+    shifts and 2Q(2Q + 1) with them, until the encoding is done; then the
+    block's gate table and one gate's 3 values per circuit. Against 2^Q
+    amplitudes per circuit that is 2Q / 2^Q of the state without shifts,
+    so a forward pass at Q = 4 holds about two and a half states, and about
+    a quarter of the state or less with shifts at Q = 4, L >= 1 (m >= 17
+    circuits per row).
     """
-    g, rows, depth, n_qubits = rotations.shape
-    k = depth * n_qubits
+    g, rows, n_qubits = encoding.shape
+    layers = angles.shape[1]
+    k = (layers + 1) * n_qubits
+    dim = 2**n_qubits
     offsets = np.array([-0.0, HALF_PI, -HALF_PI] if shifts else [-0.0])
     m = 2 * k + 1 if shifts else 1
+    variants = 2 * n_qubits + 1 if shifts else 1
     circuits = rows * m
-    buffers = (np.empty((g, 2**n_qubits, circuits)), np.empty((g, 2**n_qubits, circuits)))
+    buffers = (np.empty((g, dim, circuits)), np.empty((g, dim, circuits)))
+
+    # encoding: cos and sin per row, qubit and encoding state, (G, 2, rows, Q, variants)
+    factors = _half_angle_trig(encoding, offsets, 2)
+    if shifts:
+        unshifted = factors
+        factors = np.empty((g, 2, rows, n_qubits, variants))
+        factors[...] = unshifted[..., :1]
+        # flat over (qubit, state), qubit q's own shifted states 1 + q and 1 + Q + q sit at q * (variants + 1) + 1, + 1 + Q
+        by_state = factors.reshape(g, 2, rows, -1)
+        by_state[..., 1::variants + 1] = unshifted[..., 1]
+        by_state[..., 1 + n_qubits::variants + 1] = unshifted[..., 2]
+        del unshifted, by_state  # a view would keep factors alive past the encoding
+    now = 0
+    product = factors[:, :, :, 0]  # (G, 2^(q+1), rows, variants) after qubit q
+    for q in range(1, n_qubits):
+        out = buffers[now].reshape(-1)[:g * 2 ** (q + 1) * rows * variants].reshape(g, 2**q, 2, rows, variants)
+        np.multiply(product[:, :, None], factors[:, None, :, :, q], out=out)
+        product = out.reshape(g, 2 ** (q + 1), rows, variants)
+        now = 1 - now
+    if shifts:
+        np.take(product, _encoding_variant(n_qubits, k), axis=3, out=buffers[now].reshape(g, dim, rows, m), mode="clip")
+    elif n_qubits > 1:
+        now = 1 - now  # the last round wrote the whole state
+    else:
+        buffers[now][...] = product.reshape(g, dim, rows)
+    del factors, product
+
+    # variational gates: cos, -sin and sin per block, gate and circuit of a row, (G, 3, L * Q, m)
+    table = _half_angle_trig(angles.reshape(g, -1), offsets, 3)
+    if shifts:
+        per_offset = table
+        table = np.empty((g, 3, layers * n_qubits, m))
+        table[...] = per_offset[..., :1]
+        # flat over (gate, circuit), variational gate i (gate j = Q + i) has its shifted circuits 1 + j and 1 + K + j
+        # at i * (m + 1) + 1 + Q, + 1 + K + Q
+        by_circuit = table.reshape(g, 3, -1)
+        by_circuit[..., 1 + n_qubits::m + 1] = per_offset[..., 1]
+        by_circuit[..., 1 + k + n_qubits::m + 1] = per_offset[..., 2]
+        del per_offset
     # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, circuit)
     views = [[b.reshape(g, 2**q, 2, -1, circuits) for q in range(n_qubits)] for b in buffers]
-    trig = np.empty((g, 3, n_qubits, len(offsets), rows))  # a layer's cos, -sin and sin per gate and offset
     gathered = np.empty((g, 3, rows, m))  # one gate's, per circuit
     gate = gathered.reshape(g, 1, 3, 1, circuits)
-    now = 0
-    buffers[now][:, 0] = 1.0  # the empty product, before the encoding layer's first qubit
-    for layer in range(depth):
-        half_angles = trig[:, 1]  # the -sin slot holds the half angles until the sines are taken
-        np.add(np.swapaxes(rotations[:, :, layer], 1, 2)[:, :, None], offsets[:, None], out=half_angles)
-        half_angles *= 0.5
-        np.cos(half_angles, out=trig[:, 0])
-        np.sin(half_angles, out=trig[:, 2])
-        np.negative(trig[:, 2], out=trig[:, 1])
+    for layer in range(layers):
         for q in range(n_qubits):
-            gathered[...] = trig[:, :, q, 0, :, None]
-            if shifts:
-                j = layer * n_qubits + q
-                gathered[..., 1 + j] = trig[:, :, q, 1]
-                gathered[..., 1 + k + j] = trig[:, :, q, 2]
-            if layer == 0:
-                # the first 2^q amplitudes (qubits 0..q-1) times qubit q's cosine and sine give the first 2^(q+1)
-                prefix = buffers[now][:, :2**q]
-                out = buffers[1 - now][:, :2 ** (q + 1)].reshape(g, 2**q, 2, circuits)
-                np.multiply(prefix, gate[:, 0, 0], out=out[:, :, 0])
-                np.multiply(prefix, gate[:, 0, 2], out=out[:, :, 1])
-                now = 1 - now
-            else:
-                state, scratch = views[now][q], views[1 - now][q]
-                np.multiply(gate[:, :, 1:], state[:, :, ::-1], out=scratch)  # -s * a1 | s * a0
-                state *= gate[:, :, :1]
-                state += scratch  # c * a0 - s * a1 | c * a1 + s * a0
-        if layer > 0 and n_qubits > 1:
+            gathered[...] = table[:, :, layer * n_qubits + q, None]
+            state, scratch = views[now][q], views[1 - now][q]
+            np.multiply(gate[:, :, 1:], state[:, :, ::-1], out=scratch)  # -s * a1 | s * a0
+            state *= gate[:, :, :1]
+            state += scratch  # c * a0 - s * a1 | c * a1 + s * a0
+        if n_qubits > 1:
             # mode="clip" (the index is always in range) writes straight into out; "raise" buffers it
             np.take(buffers[now], _ring_gather(n_qubits), axis=1, out=buffers[1 - now], mode="clip")
             now = 1 - now
     return buffers[now]
 
 
+@functools.lru_cache(maxsize=None)
+def _z_signs(n_qubits: int, n_classes: int) -> np.ndarray:
+    """Read-only (2^Q, C) table of <Z_c> per basis state: +1 where qubit c's bit is clear, -1 where set.
+
+    Cached per (Q, C).
+    """
+    bits = np.arange(2**n_qubits)[:, None] >> (n_qubits - 1 - np.arange(n_classes))
+    signs = 1.0 - 2.0 * (bits & 1)
+    signs.flags.writeable = False
+    return signs
+
+
 def _z_expectations(amplitudes: np.ndarray, n_classes: int) -> np.ndarray:
     """(G, rows, C) expectations <Z_0> .. <Z_{C-1}> of amplitude-major (G, 2^Q, ...) statevector blocks.
 
     The trailing axes of amplitudes index a block's circuits, row-major.
-    One product per block of its probabilities against a +-1 sign table.
+    One product per block of its probabilities against the +-1 sign table.
     The probabilities are laid out like a whole simulator result, each
     block column-major, so BLAS sees, for every block of a stack, the same
     call (gemm, or gemv for a one-row block) on the same operand layout as
@@ -294,21 +369,19 @@ def _z_expectations(amplitudes: np.ndarray, n_classes: int) -> np.ndarray:
     block would go through gemm instead of gemv.
     """
     g, dim = amplitudes.shape[:2]
-    n_qubits = dim.bit_length() - 1
-    bits = np.arange(dim)[:, None] >> (n_qubits - 1 - np.arange(n_classes))
     probabilities = np.square(amplitudes, order="C").reshape(g, dim, -1)
-    return np.swapaxes(probabilities, 1, 2) @ (1.0 - 2.0 * (bits & 1))
+    return np.swapaxes(probabilities, 1, 2) @ _z_signs(dim.bit_length() - 1, n_classes)
 
 
-def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, tuple, int]:
-    """Validated (G, n, L+1, Q) RY angles per circuit, the embedding's leading shape, and the class count.
+def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, tuple, int]:
+    """Validated (G, n, Q) encoding angles and (G, L, Q) variational angles, the embedding's leading shape, and the class count.
 
     Q and L come from the angles' shape. Either the angles are one (L, Q)
     array and the embedding one length-Q vector (leading shape ()) or an
     (n, Q) batch, with G = 1; or they are a (G, L, Q) stack and the
     embedding a (G, n, Q) stack, client g's rows meeting client g's angles.
-    Each circuit's rotations are its encoding pi * e followed by the
-    angles of its client.
+    A circuit's encoding angles are pi * e; its variational angles are
+    those of its client.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim not in (2, 3):
@@ -326,13 +399,10 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
         g = 1
         if emb.ndim not in (1, 2) or emb.shape[-1] != q:
             raise ParameterError(f"expected a length-{q} embedding or an (n, {q}) batch")
-    rows = emb.reshape(g, -1, q)
-    per_client = angles.reshape(g, 1, *angles.shape[-2:])
-    shared = np.broadcast_to(per_client, (g, rows.shape[1], *angles.shape[-2:]))
-    return np.concatenate([np.pi * rows[:, :, None, :], shared], axis=2), emb.shape[:-1], c
+    return np.pi * emb.reshape(g, -1, q), angles.reshape(g, *angles.shape[-2:]), emb.shape[:-1], c
 
 
-def _training_pass(rotations: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+def _training_pass(encoding: np.ndarray, angles: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """(G, n, C) logits and (G, n, 2, K, C) shift-rule expectations of every sample, from one simulation.
 
     Each sample runs its forward circuit and its 2K shifted circuits
@@ -342,9 +412,9 @@ def _training_pass(rotations: np.ndarray, n_classes: int) -> tuple[np.ndarray, n
     the shifted circuits alone would. Entry [g, i, 0, j] runs sample i
     with rotation j shifted by +pi/2, [g, i, 1, j] by -pi/2.
     """
-    g, n, depth, n_qubits = rotations.shape
-    k = depth * n_qubits
-    states = _simulate(rotations, shifts=True).reshape(g, 2**n_qubits, n, 2 * k + 1)
+    g, n, n_qubits = encoding.shape
+    k = (angles.shape[1] + 1) * n_qubits
+    states = _simulate(encoding, angles, shifts=True).reshape(g, 2**n_qubits, n, 2 * k + 1)
     logits = _z_expectations(states[..., 0], n_classes)
     shifted = _z_expectations(states[..., 1:], n_classes).reshape(g, n, 2, k, n_classes)
     return logits, shifted
@@ -372,8 +442,8 @@ def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     angles (G, n, 2^Q). Exposed so the simulator can be checked against
     dense matrix products.
     """
-    rotations, lead, _ = _circuit_inputs(embedding, angles, None)
-    return np.swapaxes(_simulate(rotations), 1, 2).reshape(*lead, -1)
+    encoding, angles, lead, _ = _circuit_inputs(embedding, angles, None)
+    return np.swapaxes(_simulate(encoding, angles), 1, 2).reshape(*lead, -1)
 
 
 def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | None = None) -> np.ndarray:
@@ -387,8 +457,8 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     (G, L, Q) angle stack gives (G, n, C), each client's rows run through
     its own angles, bit-identical to G separate calls.
     """
-    rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
-    return _z_expectations(_simulate(rotations), c).reshape(*lead, c)
+    encoding, angles, lead, c = _circuit_inputs(embedding, angles, n_classes)
+    return _z_expectations(_simulate(encoding, angles), c).reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -412,12 +482,12 @@ def param_shift_grad(
     (G, n, C) upstream rows gives a (G, L, Q) angle gradient, each
     client's summed over its own rows.
     """
-    rotations, lead, c = _circuit_inputs(embedding, angles, n_classes)
+    encoding, stacked, lead, c = _circuit_inputs(embedding, angles, n_classes)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (*lead, c):
         raise ParameterError(f"expected a length-{c} upstream gradient per sample")
-    _, shifted = _training_pass(rotations, c)
-    grad_var, grad_emb = _shift_rule(shifted, upstream, rotations.shape[3])
+    _, shifted = _training_pass(encoding, stacked, c)
+    grad_var, grad_emb = _shift_rule(shifted, upstream, encoding.shape[2])
     return grad_var.reshape(np.shape(angles)), grad_emb.reshape(*lead, -1)
 
 
@@ -432,12 +502,12 @@ def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray
     label = np.asarray(label, dtype=np.int64)
     if label.shape != logits.shape[:-1]:
         raise ParameterError("expected one label per row of logits")
-    if np.any((label < 0) | (label >= logits.shape[-1])):
+    one_hot = np.arange(logits.shape[-1]) == label[..., None]
+    if np.count_nonzero(one_hot) != label.size:  # a label outside [0, C) marks no class of its row
         raise ParameterError(f"labels must lie in [0, {logits.shape[-1]})")
     expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs = expz / expz.sum(axis=-1, keepdims=True)
-    loss = -np.log(np.take_along_axis(probs, label[..., None], axis=-1)[..., 0])
-    one_hot = np.arange(logits.shape[-1]) == label[..., None]
+    loss = -np.log(probs[one_hot]).reshape(label.shape)  # the mask holds one entry per row, in row order
     return (float(loss) if logits.ndim == 1 else loss), probs - one_hot
 
 
@@ -486,8 +556,8 @@ def hybrid_loss_and_grads(
     grad = np.zeros(stack.shape)
     grad_dense, grad_angles = layout.dense(grad), layout.angles(grad)
     embeddings, cache = mlp_forward(dense, features.reshape(g, n, -1))
-    rotations, _, _ = _circuit_inputs(embeddings, angles, n_classes)
-    logits, shifted = _training_pass(rotations, n_classes)
+    encoding, _, _, _ = _circuit_inputs(embeddings, angles, n_classes)
+    logits, shifted = _training_pass(encoding, angles, n_classes)
     losses, upstream = softmax_cross_entropy(logits, labels.reshape(g, n))
     grad_var, grad_embeddings = _shift_rule(shifted, upstream, layout.qubits)
     mlp_backward(dense, cache, grad_embeddings, grad_dense)
@@ -533,6 +603,18 @@ class AdamState:
     def zeros(cls, shape: int | tuple[int, int]) -> "AdamState":
         return cls(np.zeros(shape), np.zeros(shape), 0)
 
+    @classmethod
+    def _stepped(cls, m: np.ndarray, v: np.ndarray, t: int) -> "AdamState":
+        """A state built without the checks of __post_init__, for moments that Adam steps produced (or zeros).
+
+        adam_step keeps what those checks hold: from float64 moments of one
+        shape with v >= 0, its betas in [0, 1) give the same (v >= 0
+        wherever it is a number), and its step counter only grows.
+        """
+        state = cls.__new__(cls)
+        state.m, state.v, state.t = m, v, t
+        return state
+
 
 def adam_step(
     params: np.ndarray,
@@ -543,13 +625,19 @@ def adam_step(
     beta2: float,
     eps: float,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam step on a parameter vector or a (G, P) stack; client and server share it."""
+    """One bias-corrected Adam step on a parameter vector or a (G, P) stack; client and server share it.
+
+    beta1 and beta2 must lie in [0, 1). The returned state is not checked
+    again (AdamState._stepped): these betas keep the moments valid.
+    """
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ParameterError("beta1 and beta2 must lie in [0, 1)")
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grads
     v = beta2 * state.v + (1.0 - beta2) * grads**2
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState._stepped(m, v, t)
 
 
 def adam_local_step(
@@ -647,11 +735,14 @@ def local_train(
             by_size.setdefault(len(schedules[g][step]), []).append(g)
         for n, members in by_size.items():
             batch = np.concatenate([schedules[g][step] for g in members])
+            rows = params[members]
             loss, grads = hybrid_loss_and_grads(
-                dataset.features[batch], dataset.labels[batch], params[members], layout,
+                dataset.features[batch], dataset.labels[batch], rows, layout,
                 dataset.n_classes, prox_mu, None if anchors is None else anchors[members],
             )
-            stepped, state = adam_local_step(params[members], grads, AdamState(m[members], v[members], step), lr)
+            # the moments are those of the members' own earlier steps (or zeros): valid by construction
+            state = AdamState._stepped(m[members], v[members], step)
+            stepped, state = adam_local_step(rows, grads, state, lr)
             params[members], m[members], v[members] = stepped, state.m, state.v
             diverged[members] = ~np.all(np.isfinite(stepped), axis=1)
             totals[members] += loss * n

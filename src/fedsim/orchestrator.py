@@ -140,31 +140,35 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 0")
         if self.dataset == "synthetic" and round(TEST_FRACTION * self.per_class) < 1:
             raise ConfigError(f"per_class ({self.per_class}) is too small: its test share rounds to 0 samples")
-        # each float check is written so that nan fails it
+        # each float check is written so that nan fails it; alpha = inf is the partition's even-split
+        # limit, and every other float setting must be finite
         if not self.alpha > 0:
             raise ConfigError("alpha must be > 0")
-        if not (self.local_lr >= 0 and self.server_lr > 0):
-            raise ConfigError("local_lr must be >= 0 and server_lr > 0")
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ConfigError("lambda1 and lambda2 must be >= 0")
+        if not (0 <= self.local_lr < math.inf and 0 < self.server_lr < math.inf):
+            raise ConfigError("local_lr must be >= 0 and server_lr > 0, both finite")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ConfigError("lambda1 and lambda2 must be finite and >= 0")
         if not 1 <= self.clusters <= self.n_clients:
             raise ConfigError("clusters must lie in [1, n_clients]")
-        if not self.prox_mu >= 0:
-            raise ConfigError("prox_mu must be >= 0")
+        if not 0 <= self.prox_mu < math.inf:
+            raise ConfigError("prox_mu must be finite and >= 0")
         if self.features < 2:
             raise ConfigError("features must be >= 2")
         if self.classes < 2:
             raise ConfigError("classes must be >= 2")
         if self.classes > self.qubits:
             raise ConfigError(f"classes ({self.classes}) must not exceed qubits ({self.qubits})")
-        if not self.spread >= 0:
-            raise ConfigError("spread must be >= 0")
+        if not 0 <= self.spread < math.inf:
+            raise ConfigError("spread must be finite and >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.dataset == "idx" and (self.idx_images is None or self.idx_labels is None):
             raise ConfigError("dataset 'idx' requires idx_images and idx_labels")
-        if self.keep_classes is not None and len(self.keep_classes) != self.classes:
-            raise ConfigError("classes must equal len(keep_classes)")
+        if self.keep_classes is not None:
+            if len(set(self.keep_classes)) != len(self.keep_classes) or min(self.keep_classes, default=0) < 0:
+                raise ConfigError("keep_classes must be distinct labels >= 0")
+            if len(self.keep_classes) != self.classes:
+                raise ConfigError("classes must equal len(keep_classes)")
         return self
 
 

@@ -449,7 +449,9 @@ class TestFedadamUpdate:
         after, _ = fedadam_update(phi_t, phi_bar, AdamState.zeros(1), eta=1.5)
         assert -math.pi < after[0] <= math.pi
 
-    @pytest.mark.parametrize("step", [{"eta": math.nan}, {"eps": math.nan}, {"eta": 0.0}, {"eps": -1e-8}])
+    @pytest.mark.parametrize(
+        "step", [{"eta": math.nan}, {"eps": math.nan}, {"eta": 0.0}, {"eps": -1e-8}, {"eta": math.inf}]
+    )
     def test_rejects_nan_or_non_positive_step_settings(self, step):
         with pytest.raises(ParameterError, match="eta and eps"):
             fedadam_update(np.zeros(2), np.ones(2), AdamState.zeros(2), **step)

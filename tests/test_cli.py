@@ -416,6 +416,35 @@ class TestExitCodes:
         assert main(["run", "--out", str(tmp_path)] + FAST_FLAGS) == 4
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--server-lr", "inf"], "server_lr"),
+        (["--lr", "inf"], "local_lr"),
+        (["--prox-mu", "inf", "--strategy", "fedprox"], "prox_mu"),
+    ])
+    def test_infinite_flag_is_a_config_error_that_writes_nothing(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out)] + FAST_FLAGS + flags) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not out.exists()
+
+    def test_infinite_spread_in_a_config_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in fast_overrides(spread="inf").items()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "spread" in err
+        assert not out.exists()
+
+    def test_repeated_kept_class_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--dataset", "idx", "--idx-images", str(tmp_path / "images.idx"),
+                     "--idx-labels", str(tmp_path / "labels.idx"), "--classes", "3,3", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "keep_classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergent_training_is_a_numeric_error(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = main(["run", "--clients", "2", "--rounds", "1", "--epochs", "1", "--lr", "1e308",

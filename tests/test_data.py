@@ -42,7 +42,9 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.features, b.features)
 
     @pytest.mark.parametrize(
-        "args", [(1, 8, 10, 0.1), (4, 1, 10, 0.1), (4, 8, 0, 0.1), (4, 8, 10, -0.5), (4, 8, 10, float("nan"))]
+        "args",
+        [(1, 8, 10, 0.1), (4, 1, 10, 0.1), (4, 8, 0, 0.1), (4, 8, 10, -0.5), (4, 8, 10, float("nan")),
+         (4, 8, 10, float("inf"))],
     )
     def test_invalid_arguments(self, args):
         with pytest.raises(ParameterError):

@@ -418,6 +418,12 @@ class TestAdamLocalStep:
         with pytest.raises(ParameterError):
             adam_local_step(params, np.zeros(len(params) - 1), AdamState.zeros(len(params)))
 
+    @pytest.mark.parametrize("betas", [(1.0, 0.999), (0.9, 1.0), (-0.1, 0.999), (0.9, math.nan)])
+    def test_betas_outside_the_unit_interval_rejected(self, betas):
+        # the step returns its moments unchecked, so it checks the betas that keep them valid
+        with pytest.raises(ParameterError, match="beta1 and beta2"):
+            adam_local_step(np.zeros(3), np.ones(3), AdamState.zeros(3), 0.01, *betas)
+
 
 class TestAdamState:
     def test_moments_must_be_equal_length_vectors(self):
@@ -628,6 +634,29 @@ class TestCohortStacking:
         assert Counter({(step, n): clients for n, clients, step in calls}) == expected
         assert len(calls) == len(expected)
 
+    def test_a_converge_round_trains_through_the_traced_names(self, monkeypatch):
+        # perfbench's per-layer counters see training through these two module names
+        config = ExperimentConfig(
+            strategy="fedcompass", n_clients=10, alpha=0.3, rounds=1, local_epochs=5, batch_size=8,
+            local_lr=0.03, server_lr=0.05, per_class=100, seed=42,
+        ).validate()
+        context = build_context(config)
+        samples, adam_calls = [], []
+        loss_and_grads, adam = model.hybrid_loss_and_grads, model.adam_local_step
+
+        def counted_loss_and_grads(features, labels, *args):
+            samples.append(len(labels))
+            return loss_and_grads(features, labels, *args)
+
+        def counted_adam(*args):
+            adam_calls.append(1)
+            return adam(*args)
+
+        monkeypatch.setattr(model, "hybrid_loss_and_grads", counted_loss_and_grads)
+        monkeypatch.setattr(model, "adam_local_step", counted_adam)
+        run_round(init_state(config, context), config, context)
+        assert (len(samples), sum(samples), len(adam_calls)) == (96, 1600, 96)
+
     def test_one_seed_and_one_init_per_client(self):
         data, clients, layout, inits = self.mixed_cohort()
         seeds = list(range(len(clients)))
@@ -705,11 +734,11 @@ class TestOffsetTable:
         k = depth * qubits
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
         angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
-        rotations, _, _ = _circuit_inputs(embeddings, angles, None)
-        states = _simulate(rotations, shifts=True).reshape(clients, 2**qubits, rows, 2 * k + 1)
+        encoding, stacked, _, _ = _circuit_inputs(embeddings, angles, None)
+        states = _simulate(encoding, stacked, shifts=True).reshape(clients, 2**qubits, rows, 2 * k + 1)
         for r, offset in enumerate(fold_table(k)):
             shift = offset.reshape(depth, qubits)
-            np.testing.assert_array_equal(states[..., r], _simulate(rotations + shift))
+            np.testing.assert_array_equal(states[..., r], _simulate(encoding + shift[0], stacked + shift[1:]))
             if r == 0 or (r - 1) % k >= qubits:  # unshifted, or a variational angle shifted: public calls run it too
                 shifted = angles + shift[1:]
                 np.testing.assert_array_equal(circuit_major(states[..., r]), statevector(embeddings, shifted))
@@ -740,7 +769,7 @@ class TestOffsetTable:
         assert peak <= 3 * state_bytes
 
     def test_forward_pass_peak_memory_is_under_three_and_a_quarter_states(self, rng):
-        # _simulate's bound without shifts at Q = 4, plus the (L+1)Q rotations per sample it is given;
+        # _simulate's bound without shifts at Q = 4, plus room for (L+1)Q input angles per sample;
         # a state of megabytes keeps numpy's fixed-size iteration buffers out of the ratio
         clients, rows, qubits, layers = 100, 200, 4, 2
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
@@ -794,13 +823,11 @@ class TestReferenceSimulator:
     """The simulator against reference_simulate: the same numbers, byte for byte, for both of its passes."""
 
     @staticmethod
-    def rotations(rng, shape):
-        # a third of the angles 0, -0.0, pi or -pi, and one encoding angle -0.0 (an embedding entry of -0.0)
+    def draw(rng, shape):
+        # a third of the angles 0, -0.0, pi or -pi, the rest uniform
         kinds = rng.integers(0, 6, shape)
         pool = np.array([0.0, -0.0, math.pi, -math.pi])
-        rotations = np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, shape))
-        rotations[0, 0, 0, 0] = -0.0
-        return rotations
+        return np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, shape))
 
     @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -810,9 +837,13 @@ class TestReferenceSimulator:
         for shifts, table in ((False, np.full((1, k), -0.0)), (True, fold_table(k))):
             for clients in range(1, 5):
                 for rows in range(1, 6):
-                    rotations = self.rotations(rng, (clients, rows, depth, qubits))
-                    reference = reference_simulate(rotations, table)
-                    states = _simulate(rotations, shifts=shifts)
+                    encoding = self.draw(rng, (clients, rows, qubits))
+                    encoding[0, 0, 0] = -0.0  # an embedding entry of -0.0
+                    angles = self.draw(rng, (clients, layers, qubits))
+                    # the reference takes every row's rotations: its encoding, then its client's angles
+                    shared = np.broadcast_to(angles[:, None], (clients, rows, layers, qubits))
+                    reference = reference_simulate(np.concatenate([encoding[:, :, None], shared], axis=2), table)
+                    states = _simulate(encoding, angles, shifts=shifts)
                     where = f"shifts={shifts}, {clients} clients, {rows} rows"
                     # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
                     np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
@@ -824,7 +855,7 @@ class TestReferenceSimulator:
                     # every row runs exactly its explicitly offset angles, signed zeros included
                     blocks = states.reshape(clients, 2**qubits, rows, len(table))
                     for r, row in enumerate(table):
-                        alone = _simulate(rotations + row.reshape(depth, qubits))
+                        alone = _simulate(encoding + row[:qubits], angles + row[qubits:].reshape(layers, qubits))
                         assert np.ascontiguousarray(blocks[..., r]).tobytes() == alone.tobytes(), f"{where}, row {r}"
 
 
@@ -885,6 +916,20 @@ class TestTrainingPass:
             calls.clear()
             hybrid_loss_and_grads(features[:rows], labels[:rows], p, layout, 3, 0.3, p)
             assert calls == Counter({"_simulate": 1})
+
+    def test_cached_tables_are_shared_and_read_only(self):
+        signs = model._z_signs(3, 2)
+        assert model._z_signs(3, 2) is signs
+        # <Z_c> is +1 where qubit c (bit Q-1-c of the basis index) is clear
+        np.testing.assert_array_equal(signs.T, [[1, 1, 1, 1, -1, -1, -1, -1], [1, 1, -1, -1, 1, 1, -1, -1]])
+        variant = model._encoding_variant(2, 6)
+        assert model._encoding_variant(2, 6) is variant
+        # circuits 1, 2 shift encoding gates 0, 1 by +pi/2 and circuits 7, 8 by -pi/2
+        np.testing.assert_array_equal(variant, [0, 1, 2, 0, 0, 0, 0, 3, 4, 0, 0, 0, 0])
+        for table in (signs, variant, model._ring_gather(3)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_model_layer_digest_is_pinned(self):
         # losses, gradients and shift-rule outputs, stacks and one-row batches included, bit for bit

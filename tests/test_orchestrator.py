@@ -118,6 +118,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["local_lr", "server_lr", "lambda1", "lambda2", "prox_mu", "spread"])
+    def test_infinite_float_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_infinite_alpha_is_the_even_split_limit(self):
+        assert small_config(alpha=math.inf).alpha == math.inf
+        assert small_config(local_lr=1e308, server_lr=1e308, prox_mu=1e308, spread=1e308).spread == 1e308
+
+    @pytest.mark.parametrize("keep", [(3, 3), (0, -1), (2, 0, 2)])
+    def test_repeated_or_negative_kept_classes_rejected(self, keep):
+        with pytest.raises(ConfigError, match="keep_classes"):
+            small_config(keep_classes=keep, classes=len(keep), qubits=4)
+
 
 class TestDerivedSeed:
     def test_deterministic_and_path_sensitive(self):
