@@ -170,8 +170,8 @@ def fedadam_update(
     phi_t = np.asarray(phi_t, dtype=np.float64)
     if phi_t.shape != np.shape(phi_bar) or phi_t.size != len(state.m):
         raise ParameterError("parameter and state dimensions must match")
-    if not (0 < eta < math.inf and eps > 0):  # written so that nan fails it; adam_step checks the betas
-        raise ParameterError("eta and eps must be > 0, and eta finite")
+    if not (0 < eta < math.inf and 0 < eps < math.inf):  # written so that nan fails it; adam_step checks the betas
+        raise ParameterError("eta and eps must be finite and > 0")
     g = wrap_angles(phi_t - phi_bar).reshape(-1)
     stepped, next_state = adam_step(phi_t.reshape(-1), g, state, eta, beta1, beta2, eps)
     return wrap_angles(stepped).reshape(phi_t.shape), next_state

@@ -9,6 +9,7 @@ them deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,8 @@ def similarity_matrix(proportions, counts, lambda1: float = 1.0, lambda2: float 
     lower triangle, so temporaries are O(n^2 * C / 2); `js_divergence` is
     the scalar reference for each entry.
     """
-    if not (lambda1 >= 0 and lambda2 >= 0):
-        raise ParameterError("lambda1 and lambda2 must be >= 0")
+    if not (0 <= lambda1 < math.inf and 0 <= lambda2 < math.inf):
+        raise ParameterError("lambda1 and lambda2 must be finite and >= 0")
     try:
         props = np.asarray(proportions, dtype=np.float64)
     except ValueError as exc:

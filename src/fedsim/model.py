@@ -17,20 +17,11 @@ statevectors of G blocks of circuits are one amplitude-major
 at a time, each variational RY gate three passes over the whole state (its
 halves swapped times -sin | +sin, the state times cos, the two summed),
 the CNOT ring one index permutation and <Z> one product per block against
-a cached +-1 sign table. The simulator runs one of two passes: a forward pass,
-one circuit per sample; or a training pass, each sample's forward circuit
-followed by its 2K shift-rule circuits (each of its K rotations shifted by
-+pi/2, then each by -pi/2), so the logits and the shift-rule gradient
-come from one simulation. Cosines and sines are taken once per gate and
-offset (-0.0, +pi/2, -pi/2), three per gate however many circuits a
-sample runs: per sample for the encoding gates, and per client for the
-variational gates, whose angles all of a client's samples share. A
-training pass builds each sample's 2Q + 1 distinct encoding states (none
-or one encoding gate shifted) once, and copies them to its circuits. The
-simulator holds two state-size buffers, the state and one scratch array,
-so a training stack costs little more than twice its final state (see
-_simulate). A single sample is a one-row batch, a single batch a
-one-block stack.
+a cached +-1 sign table. Cosines and sines are taken once per gate: per
+sample for the encoding gates, and per client for the variational gates,
+whose angles all of a client's samples share. The simulator holds two
+state-size buffers, the state and one scratch array (see _simulate). A
+single sample is a one-row batch, a single batch a one-block stack.
 
 Clients train as a cohort. Parameters, gradients and Adam moments of G
 clients stack on a leading client axis as (G, P) arrays, and G equal-size
@@ -44,10 +35,13 @@ must stay a gemv), and the proximal term is a (G, 1, k) @ (G, k, 1)
 product, one ddot per client. Everything else is elementwise or a
 reduction along a client's own rows.
 
-Gradients are exact: backprop through the dense layers and the two-point
-shift rule through every rotation gate (two circuit evaluations per
-parameter, the same recipe gradient hardware uses), with all shifted
-circuits of a batch simulated at once.
+Gradients are exact: backprop through the dense layers and the adjoint
+method through the circuit (Jones & Gacon 2020, arXiv:2009.02823). A
+training call simulates each sample's circuit once, forward; one backward
+sweep then carries its state and the loss's co-state back through the
+layers and reads every rotation's gradient off the pair (_adjoint).
+param_shift_grad, the two-point shift rule over explicitly shifted
+circuits, is kept as the oracle the adjoint is tested against.
 """
 
 from __future__ import annotations
@@ -178,14 +172,15 @@ def mlp_backward(dense, cache: MlpCache, grad_embedding: np.ndarray, grad_dense)
 
 
 @functools.lru_cache(maxsize=None)
-def _ring_gather(n_qubits: int) -> np.ndarray:
-    """Read-only gather index of the ring CNOT(q, q+1 mod Q), q = 0..Q-1, over the 2^Q amplitudes.
+def _ring_gather(n_qubits: int, inverse: bool = False) -> np.ndarray:
+    """Read-only gather index of the ring CNOT(q, q+1 mod Q), q = 0..Q-1, over the 2^Q amplitudes, or of its inverse.
 
-    Qubit q owns bit Q-1-q; each CNOT is its own inverse, so the gather
-    composes them in reverse. Cached per qubit count.
+    Qubit q owns bit Q-1-q; each CNOT is its own inverse, so the ring's
+    gather composes them in reverse order and the inverse's in ring order.
+    Cached per qubit count and direction.
     """
     ring = np.arange(2**n_qubits)
-    for q in reversed(range(n_qubits)):
+    for q in range(n_qubits) if inverse else reversed(range(n_qubits)):
         control_bit, target_bit = n_qubits - 1 - q, n_qubits - 1 - (q + 1) % n_qubits
         ring ^= ((ring >> control_bit) & 1) << target_bit
     ring.flags.writeable = False
@@ -193,30 +188,27 @@ def _ring_gather(n_qubits: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _encoding_variant(n_qubits: int, k: int) -> np.ndarray:
-    """Read-only index, per circuit of a sample's training pass, of the encoding state it starts from.
+def _partners(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Q * 2^Q,) gather index of x ^ bit_q for every qubit q, and the (Q, 1, 2^Q) signs of J_q.
 
-    Circuit 1 + q (q < Q) shifts encoding gate q by +pi/2 and runs
-    encoding state 1 + q, circuit 1 + K + q shifts it by -pi/2 and runs
-    state 1 + Q + q; every other circuit runs state 0, the unshifted one.
-    Cached per (Q, K).
+    J_q maps qubit q's amplitude pair (a0, a1) to (-a1, a0), so
+    (J_q psi)[x] = sign_q(x) * psi[x ^ bit_q], the sign -1 where q's bit
+    is clear and +1 where it is set; slot q * 2^Q + x of the index holds
+    x ^ bit_q. Cached per qubit count.
     """
-    variant = np.zeros(2 * k + 1, dtype=np.intp)
-    variant[1:1 + n_qubits] = np.arange(1, 1 + n_qubits)
-    variant[1 + k:1 + k + n_qubits] = np.arange(1 + n_qubits, 1 + 2 * n_qubits)
-    variant.flags.writeable = False
-    return variant
+    amplitudes = np.arange(2**n_qubits)
+    bits = 1 << (n_qubits - 1 - np.arange(n_qubits))[:, None]
+    index = (amplitudes ^ bits).reshape(-1)
+    signs = np.where(amplitudes & bits, 1.0, -1.0)[:, None]
+    for table in (index, signs):
+        table.flags.writeable = False
+    return index, signs
 
 
-def _half_angle_trig(base: np.ndarray, offsets: np.ndarray, kinds: int) -> np.ndarray:
-    """cos, then -sin and sin (kinds = 3) or sin (kinds = 2), of 0.5 * (base + offset): (G, kinds, ..., offsets).
-
-    base is (G, ...); each entry is taken with every offset, in the order given.
-    """
-    trig = np.empty((len(base), kinds, *base.shape[1:], len(offsets)))
-    half_angles = trig[:, 1]  # the second slot holds the half angles until the sines are taken
-    np.add(base[..., None], offsets, out=half_angles)
-    half_angles *= 0.5
+def _half_angle_trig(angles: np.ndarray, kinds: int) -> np.ndarray:
+    """cos, then -sin and sin (kinds = 3) or sin (kinds = 2), of half of each angle: (G, kinds, ...) for (G, ...) angles."""
+    trig = np.empty((len(angles), kinds, *angles.shape[1:]))
+    half_angles = np.multiply(angles, 0.5, out=trig[:, 1])  # the second slot holds them until the sines are taken
     np.cos(half_angles, out=trig[:, 0])
     np.sin(half_angles, out=trig[:, -1])
     if kinds == 3:
@@ -224,119 +216,78 @@ def _half_angle_trig(base: np.ndarray, offsets: np.ndarray, kinds: int) -> np.nd
     return trig
 
 
-def _simulate(encoding: np.ndarray, angles: np.ndarray, shifts: bool = False) -> np.ndarray:
-    """Amplitude-major (G, 2^Q, rows * m) statevectors of G blocks of circuits, m = 1 or 2K + 1.
+def _rotate(state: np.ndarray, scratch: np.ndarray, gate: np.ndarray) -> None:
+    """Apply one RY gate per block, in place, to (..., G, 2^q, 2, rest, rows) views of a state and a scratch buffer.
+
+    The views' axes are (any leading axes, block, higher qubits, the
+    qubit's bit, lower qubits, row); gate holds each block's (G, 3)
+    cos, -sin and sin, shared by its rows. Swapping the -sin and sin
+    slots applies the inverse gate, RY(-theta).
+    """
+    gate = gate[:, None, :, None, None]
+    np.multiply(gate[:, :, 1:], state[..., ::-1, :, :], out=scratch)  # -s * a1 | s * a0
+    state *= gate[:, :, :1]
+    state += scratch  # c * a0 - s * a1 | c * a1 + s * a0
+
+
+def _simulate(encoding: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Amplitude-major (G, 2^Q, rows) statevectors of G blocks of circuits, one circuit per row.
 
     encoding holds the (G, rows, Q) encoding angles of each block's rows
     and angles the (G, L, Q) variational angles of each block, which all
-    of its rows share; K = (L+1) * Q rotations per row, gate j rotating
-    qubit j % Q in layer j // Q (layer 0 the encoding). Without shifts each
-    row runs one circuit, m = 1. With shifts (a training pass) each row
-    runs m = 2K + 1: circuit 0 its own angles, circuit 1 + j with gate j
-    shifted by +pi/2 and circuit 1 + K + j by -pi/2. Column i * m + r of
-    block g is the statevector of row i's circuit r.
-
-    Half angles, cosines and sines are taken once per gate and offset:
-    0.5 * (angle + offset) for the offsets -0.0, +pi/2 and -pi/2 (-0.0
-    alone without shifts), once per row for the encoding gates and once
-    per block for the variational gates, whose angles a block's rows share.
-    Adding -0.0 leaves every angle as it is, signed zeros included, so
-    every circuit runs exactly the angles of a forward pass of its
-    explicitly shifted rotations.
+    of its rows share. Column i of block g is the statevector of row i.
+    Half angles, cosines and sines are taken once per gate: per row for
+    the encoding gates, and per block for the variational gates.
 
     The encoding layer acts on |0...0>, so its state is a product state,
     built one qubit at a time, qubit 0 outermost: the amplitudes so far
     times the qubit's cosine (bit clear) and sine (bit set). Each nonzero
     amplitude is the same product, in the same order, as RY gates applied
     to |0...0> compute; only the sign of an amplitude that is exactly zero
-    may differ. A training pass's circuits start from one of 2Q + 1
-    encoding states per row (unshifted, or one encoding gate shifted by
-    +-pi/2): those are built, and each circuit copies its own
-    (_encoding_variant). Layers 1..L are the variational layers, each an
-    RY gate per qubit followed by the CNOT ring (skipped when Q = 1). A
-    block's gate values are one (3, L * Q, m) table, cos, -sin and sin per
-    gate and circuit of a row; each gate spreads its own over the block's
-    rows. A gate on qubit q maps the amplitude pair (a0, a1) with q's bit
-    clear and set to (c * a0 - s * a1, c * a1 + s * a0) in three passes
-    over the whole state: the scratch buffer takes (-s, +s) times the state
-    with its two halves swapped, (-s * a1, s * a0); the state is multiplied
-    by c; then the scratch is added. This is exact against the direct
-    form, byte for byte: negation is exact, so (-s) * a1 is -(s * a1), and
-    IEEE 754 defines x - y as x + (-y), signed zeros included. Holding the
-    state amplitude-major lets every pass run over contiguous runs of
-    circuits.
+    may differ. Layers 1..L are the variational layers, each an RY gate
+    per qubit followed by the CNOT ring (skipped when Q = 1). A gate on
+    qubit q maps the amplitude pair (a0, a1) with q's bit clear and set to
+    (c * a0 - s * a1, c * a1 + s * a0) in three passes over the whole
+    state (_rotate), each block's (c, -s, s) broadcast over its rows: the
+    scratch buffer takes (-s, +s) times the state with its two halves
+    swapped, (-s * a1, s * a0); the state is multiplied by c; then the
+    scratch is added. This is exact against the direct form, byte for
+    byte: negation is exact, so (-s) * a1 is -(s * a1), and IEEE 754
+    defines x - y as x + (-y), signed zeros included. Holding the state
+    amplitude-major lets every pass run over contiguous runs of rows.
 
     Memory: two state-size buffers. Gates update the state in place, with
-    the other buffer holding their temporaries; the product-state rounds,
-    the copy to each circuit and the ring write into the other buffer, and
-    the two swap roles. On top of them come the encoding's cosines and
-    sines, 2 * Q values per row and encoding state, 2Q of them without
-    shifts and 2Q(2Q + 1) with them, until the encoding is done; then the
-    block's gate table and one gate's 3 values per circuit. Against 2^Q
-    amplitudes per circuit that is 2Q / 2^Q of the state without shifts,
-    so a forward pass at Q = 4 holds about two and a half states, and about
-    a quarter of the state or less with shifts at Q = 4, L >= 1 (m >= 17
-    circuits per row).
+    the other buffer holding their temporaries; the product-state rounds
+    and the ring write into the other buffer, and the two swap roles. On
+    top of them come the encoding's cosines and sines, 2Q values per row,
+    until the encoding is done: 2Q / 2^Q of the state, so a forward pass
+    at Q = 4 holds about two and a half states.
     """
     g, rows, n_qubits = encoding.shape
     layers = angles.shape[1]
-    k = (layers + 1) * n_qubits
     dim = 2**n_qubits
-    offsets = np.array([-0.0, HALF_PI, -HALF_PI] if shifts else [-0.0])
-    m = 2 * k + 1 if shifts else 1
-    variants = 2 * n_qubits + 1 if shifts else 1
-    circuits = rows * m
-    buffers = (np.empty((g, dim, circuits)), np.empty((g, dim, circuits)))
+    buffers = (np.empty((g, dim, rows)), np.empty((g, dim, rows)))
 
-    # encoding: cos and sin per row, qubit and encoding state, (G, 2, rows, Q, variants)
-    factors = _half_angle_trig(encoding, offsets, 2)
-    if shifts:
-        unshifted = factors
-        factors = np.empty((g, 2, rows, n_qubits, variants))
-        factors[...] = unshifted[..., :1]
-        # flat over (qubit, state), qubit q's own shifted states 1 + q and 1 + Q + q sit at q * (variants + 1) + 1, + 1 + Q
-        by_state = factors.reshape(g, 2, rows, -1)
-        by_state[..., 1::variants + 1] = unshifted[..., 1]
-        by_state[..., 1 + n_qubits::variants + 1] = unshifted[..., 2]
-        del unshifted, by_state  # a view would keep factors alive past the encoding
+    factors = _half_angle_trig(encoding, 2)  # cos and sin per row and qubit, (G, 2, rows, Q)
     now = 0
-    product = factors[:, :, :, 0]  # (G, 2^(q+1), rows, variants) after qubit q
+    product = factors[..., 0]  # (G, 2^(q+1), rows) after qubit q
     for q in range(1, n_qubits):
-        out = buffers[now].reshape(-1)[:g * 2 ** (q + 1) * rows * variants].reshape(g, 2**q, 2, rows, variants)
+        out = buffers[now].reshape(-1)[:g * 2 ** (q + 1) * rows].reshape(g, 2**q, 2, rows)
         np.multiply(product[:, :, None], factors[:, None, :, :, q], out=out)
-        product = out.reshape(g, 2 ** (q + 1), rows, variants)
+        product = out.reshape(g, 2 ** (q + 1), rows)
         now = 1 - now
-    if shifts:
-        np.take(product, _encoding_variant(n_qubits, k), axis=3, out=buffers[now].reshape(g, dim, rows, m), mode="clip")
-    elif n_qubits > 1:
+    if n_qubits > 1:
         now = 1 - now  # the last round wrote the whole state
     else:
-        buffers[now][...] = product.reshape(g, dim, rows)
+        buffers[now][...] = product
     del factors, product
 
-    # variational gates: cos, -sin and sin per block, gate and circuit of a row, (G, 3, L * Q, m)
-    table = _half_angle_trig(angles.reshape(g, -1), offsets, 3)
-    if shifts:
-        per_offset = table
-        table = np.empty((g, 3, layers * n_qubits, m))
-        table[...] = per_offset[..., :1]
-        # flat over (gate, circuit), variational gate i (gate j = Q + i) has its shifted circuits 1 + j and 1 + K + j
-        # at i * (m + 1) + 1 + Q, + 1 + K + Q
-        by_circuit = table.reshape(g, 3, -1)
-        by_circuit[..., 1 + n_qubits::m + 1] = per_offset[..., 1]
-        by_circuit[..., 1 + k + n_qubits::m + 1] = per_offset[..., 2]
-        del per_offset
-    # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, circuit)
-    views = [[b.reshape(g, 2**q, 2, -1, circuits) for q in range(n_qubits)] for b in buffers]
-    gathered = np.empty((g, 3, rows, m))  # one gate's, per circuit
-    gate = gathered.reshape(g, 1, 3, 1, circuits)
+    table = _half_angle_trig(angles, 3)  # cos, -sin and sin per block and gate, (G, 3, L, Q)
+    # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, row)
+    views = [[b.reshape(g, 2**q, 2, -1, rows) for q in range(n_qubits)] for b in buffers]
     for layer in range(layers):
         for q in range(n_qubits):
-            gathered[...] = table[:, :, layer * n_qubits + q, None]
-            state, scratch = views[now][q], views[1 - now][q]
-            np.multiply(gate[:, :, 1:], state[:, :, ::-1], out=scratch)  # -s * a1 | s * a0
-            state *= gate[:, :, :1]
-            state += scratch  # c * a0 - s * a1 | c * a1 + s * a0
+            _rotate(views[now][q], views[1 - now][q], table[:, :, layer, q])
         if n_qubits > 1:
             # mode="clip" (the index is always in range) writes straight into out; "raise" buffers it
             np.take(buffers[now], _ring_gather(n_qubits), axis=1, out=buffers[1 - now], mode="clip")
@@ -402,36 +353,54 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
     return np.pi * emb.reshape(g, -1, q), angles.reshape(g, *angles.shape[-2:]), emb.shape[:-1], c
 
 
-def _training_pass(encoding: np.ndarray, angles: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G, n, C) logits and (G, n, 2, K, C) shift-rule expectations of every sample, from one simulation.
+def _adjoint(states: np.ndarray, angles: np.ndarray, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit gradients of sum_c u_c <Z_c> for (G, n, C) upstream rows u, from _simulate's (G, 2^Q, n) states.
 
-    Each sample runs its forward circuit and its 2K shifted circuits
-    together (_simulate with shifts). The logits are a (n, 2^Q) product per
-    block, exactly as a forward pass alone takes them; the shifted
-    expectations a (n * 2K, 2^Q) product per block, exactly as a pass of
-    the shifted circuits alone would. Entry [g, i, 0, j] runs sample i
-    with rotation j shifted by +pi/2, [g, i, 1, j] by -pi/2.
+    Returns the (G, L, Q) variational gradient, each block's summed over
+    its own rows, and the (G, n, Q) embedding gradient, which carries the
+    pi of the encoding e -> RY(pi * e). The observable sum_c u_c Z_c is
+    diagonal, so the co-state is lambda = (_z_signs @ u) * psi, per row.
+    A backward sweep then walks the layers in reverse on the stacked
+    (psi, lambda) pair: it undoes the CNOT ring, reads off the layer's Q
+    gradients and undoes its RY gates with RY(-theta). An RY gate's
+    derivative is J_q / 2 times the gate, and the gates of one layer
+    commute, so the gradient of gate (l, q) is 2 <lambda | J_q psi / 2>,
+    taken after the layer's gates. All Q of a layer come from one gather
+    of psi at the partner amplitudes x ^ bit_q (_partners), one product
+    with lambda and one signed sum per qubit. At the bottom the same
+    read-off on the encoding product state gives each row's encoding-angle
+    gradient. Every product and sum stays within one block, so a stack is
+    bit-identical to its blocks run alone.
+
+    Memory: the pair and its scratch, four states, plus Q states of
+    gathered partner amplitudes.
     """
-    g, n, n_qubits = encoding.shape
-    k = (angles.shape[1] + 1) * n_qubits
-    states = _simulate(encoding, angles, shifts=True).reshape(g, 2**n_qubits, n, 2 * k + 1)
-    logits = _z_expectations(states[..., 0], n_classes)
-    shifted = _z_expectations(states[..., 1:], n_classes).reshape(g, n, 2, k, n_classes)
-    return logits, shifted
-
-
-def _shift_rule(shifted: np.ndarray, upstream: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift-rule gradients contracted with (G, n, C) upstream rows.
-
-    Returns the (G, L * Q) variational gradient, summed over each client's
-    rows, and the (G, n, Q) embedding gradient. shifted is _training_pass's
-    (G, n, 2, K, C) array. Every rotation angle
-    theta obeys d<Z>/dtheta = (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2;
-    the embedding gradient also carries the pi of the encoding e -> RY(pi * e).
-    """
-    g, n, _, _, c = shifted.shape
-    grad = ((shifted[:, :, 0] - shifted[:, :, 1]) @ upstream.reshape(g, n, c, 1))[..., 0] * 0.5
-    return grad[..., n_qubits:].sum(axis=1), np.pi * grad[..., :n_qubits]
+    g, dim, rows = states.shape
+    layers, n_qubits = angles.shape[1:]
+    index, signs = _partners(n_qubits)
+    pair = np.empty((2, g, dim, rows))
+    pair[0] = states
+    np.matmul(_z_signs(n_qubits, upstream.shape[-1]), _transpose(upstream), out=pair[1])
+    pair[1] *= states
+    buffers = (pair, np.empty_like(pair))
+    # per buffer and qubit q, axes (psi or lambda, block, higher qubits, q's bit, lower qubits, row)
+    views = [[b.reshape(2, g, 2**q, 2, -1, rows) for q in range(n_qubits)] for b in buffers]
+    inverse = _half_angle_trig(angles, 3)[:, [0, 2, 1]]  # cos, sin, -sin: RY(-theta)
+    partners = np.empty((g, n_qubits, dim, rows))
+    grads = np.empty((g, layers + 1, n_qubits, rows))  # per row; layer 0 the encoding, layer l + 1 angles[:, l]
+    now = 0
+    for layer in reversed(range(layers + 1)):
+        if layer < layers:
+            for q in range(n_qubits):
+                _rotate(views[now][q], views[1 - now][q], inverse[:, :, layer, q])
+        if layer and n_qubits > 1:
+            np.take(buffers[now], _ring_gather(n_qubits, True), axis=2, out=buffers[1 - now], mode="clip")
+            now = 1 - now
+        psi, costate = buffers[now]
+        np.take(psi, index, axis=1, out=partners.reshape(g, -1, rows), mode="clip")
+        partners *= costate[:, None]
+        grads[:, layer] = (signs @ partners)[:, :, 0]
+    return grads[:, 1:].sum(axis=-1), np.pi * _transpose(grads[:, 0])
 
 
 def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -470,25 +439,29 @@ def param_shift_grad(
     """Exact circuit gradients contracted with an upstream dLoss/dLogits.
 
     Every rotation angle theta obeys d<Z>/dtheta =
-    (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2, evaluated by running the
-    circuit twice per parameter. This is the shift rule of training itself
-    (_training_pass, _shift_rule): each sample's 2 * (L * Q + Q) shifted
-    circuits run in one simulation, beside its forward circuit, whose
-    logits go unused here. The embedding gradient additionally carries the
-    pi factor of the encoding map e -> RY(pi * e). For an (n, Q) embedding
-    batch with (n, C) upstream rows, the angle gradient (of the angles'
-    (L, Q) shape) is summed over the rows and the embedding gradient keeps
-    one row per sample. A (G, n, Q) stack with (G, L, Q) angles and
-    (G, n, C) upstream rows gives a (G, L, Q) angle gradient, each
-    client's summed over its own rows.
+    (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2: the shift rule, run as
+    2K explicitly shifted forward circuits per sample (K = (L + 1) * Q
+    rotations), all in one stacked simulation. Training takes the same
+    gradients from the adjoint sweep (_adjoint); this is its oracle. The
+    embedding gradient additionally carries the pi factor of the encoding
+    map e -> RY(pi * e). For an (n, Q) embedding batch with (n, C) upstream
+    rows, the angle gradient (of the angles' (L, Q) shape) is summed over
+    the rows and the embedding gradient keeps one row per sample. A
+    (G, n, Q) stack with (G, L, Q) angles and (G, n, C) upstream rows gives
+    a (G, L, Q) angle gradient, each client's summed over its own rows.
     """
     encoding, stacked, lead, c = _circuit_inputs(embedding, angles, n_classes)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (*lead, c):
         raise ParameterError(f"expected a length-{c} upstream gradient per sample")
-    _, shifted = _training_pass(encoding, stacked, c)
-    grad_var, grad_emb = _shift_rule(shifted, upstream, encoding.shape[2])
-    return grad_var.reshape(np.shape(angles)), grad_emb.reshape(*lead, -1)
+    g, n, q = encoding.shape
+    k = (stacked.shape[1] + 1) * q
+    shifts = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])  # block s shifts rotation s % K by +-pi/2
+    shifted_encoding = (encoding[:, None] + shifts[:, None, :q]).reshape(-1, n, q)
+    shifted_angles = (stacked[:, None] + shifts[:, q:].reshape(2 * k, -1, q)).reshape(-1, *stacked.shape[1:])
+    z = _z_expectations(_simulate(shifted_encoding, shifted_angles), c).reshape(g, 2, k, n, c)
+    grad = 0.5 * np.einsum("gknc,gnc->gkn", z[:, 0] - z[:, 1], upstream.reshape(g, n, c))
+    return grad[:, q:].sum(axis=2).reshape(np.shape(angles)), np.pi * _transpose(grad[:, :q]).reshape(*lead, q)
 
 
 def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
@@ -529,11 +502,10 @@ def hybrid_loss_and_grads(
     client's bit-identical to a call with its vector alone. A label outside
     [0, n_classes) raises ParameterError.
 
-    The circuits run in one simulation (_training_pass): each sample's
-    forward circuit, whose logits give the loss, beside its 2(L+1)Q
-    shift-rule circuits, whose expectations give the circuit gradient
-    (_shift_rule); backprop through the MLP follows. The numbers are those
-    of circuit_forward and param_shift_grad called one after the other.
+    Each sample's circuit runs once (_simulate), and its logits are
+    exactly those of circuit_forward. The circuit gradient comes from one
+    adjoint sweep back through those states (_adjoint), equal to
+    param_shift_grad's to rounding; backprop through the MLP follows.
 
     When prox_mu > 0 and an anchor (laid out like params) is given, adds the
     proximal penalty (prox_mu / 2) * ||params - anchor||^2 over all
@@ -557,11 +529,11 @@ def hybrid_loss_and_grads(
     grad_dense, grad_angles = layout.dense(grad), layout.angles(grad)
     embeddings, cache = mlp_forward(dense, features.reshape(g, n, -1))
     encoding, _, _, _ = _circuit_inputs(embeddings, angles, n_classes)
-    logits, shifted = _training_pass(encoding, angles, n_classes)
-    losses, upstream = softmax_cross_entropy(logits, labels.reshape(g, n))
-    grad_var, grad_embeddings = _shift_rule(shifted, upstream, layout.qubits)
+    states = _simulate(encoding, angles)
+    losses, upstream = softmax_cross_entropy(_z_expectations(states, n_classes), labels.reshape(g, n))
+    grad_var, grad_embeddings = _adjoint(states, angles, upstream)
     mlp_backward(dense, cache, grad_embeddings, grad_dense)
-    grad_angles += grad_var.reshape(grad_angles.shape)
+    grad_angles += grad_var
     loss = losses.mean(axis=1)
     grad /= n
     if prox_mu > 0.0 and prox_anchor is not None:
@@ -689,8 +661,8 @@ def local_train(
     batch at step s takes its step together with the others. All of those
     whose batches hold the same number n of samples share one
     hybrid_loss_and_grads call and one Adam step, so a step makes one call
-    per distinct batch size; the call's memory is about twice its shift-rule
-    statevectors (see _simulate). Every row is bit-identical to training
+    per distinct batch size; the call holds about Q + 5 statevectors of its
+    samples at its peak (see _adjoint). Every row is bit-identical to training
     its client alone, as a one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps

@@ -450,7 +450,7 @@ class TestFedadamUpdate:
         assert -math.pi < after[0] <= math.pi
 
     @pytest.mark.parametrize(
-        "step", [{"eta": math.nan}, {"eps": math.nan}, {"eta": 0.0}, {"eps": -1e-8}, {"eta": math.inf}]
+        "step", [{"eta": math.nan}, {"eps": math.nan}, {"eta": 0.0}, {"eps": -1e-8}, {"eta": math.inf}, {"eps": math.inf}]
     )
     def test_rejects_nan_or_non_positive_step_settings(self, step):
         with pytest.raises(ParameterError, match="eta and eps"):

@@ -192,7 +192,7 @@ class TestSimilarityMatrix:
         with pytest.raises(ParameterError):
             SimilarityMatrix(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
-    @pytest.mark.parametrize("lambdas", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    @pytest.mark.parametrize("lambdas", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf)])
     def test_rejects_nan_or_negative_lambdas(self, lambdas):
         with pytest.raises(ParameterError, match="lambda1 and lambda2"):
             similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10, 20]), *lambdas)

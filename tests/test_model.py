@@ -10,7 +10,6 @@ from fedsim import model
 from fedsim.data import Dataset, generate_synthetic
 from fedsim.errors import NumericError, ParameterError
 from fedsim.model import (
-    HALF_PI,
     AdamState,
     ParamLayout,
     adam_local_step,
@@ -30,7 +29,7 @@ from fedsim.model import (
 from fedsim.orchestrator import ExperimentConfig, build_context, init_state, run_round
 
 
-MODEL_LAYER_DIGEST = "5c95852b90b20b94c07dd96cdea90a251aa65e09b55a04652d50ef639affbd13"
+MODEL_LAYER_DIGEST = "7d9acbb1d8d75175d643667127686452df767f720ca59ecf978266f38800b45c"
 
 
 def random_hybrid(rng, f=4, h=5, q=3, layers=1):
@@ -717,38 +716,11 @@ def peak_memory(call):
             tracemalloc.stop()
 
 
-def fold_table(k):
-    """The (2K+1, K) offsets of a training pass's circuits: -0.0, then +pi/2 and -pi/2 at each gate in turn."""
-    table = np.full((2 * k + 1, k), -0.0)
-    table[1 + np.arange(k), np.arange(k)] = HALF_PI
-    table[1 + k + np.arange(k), np.arange(k)] = -HALF_PI
-    return table
-
-
 class TestOffsetTable:
-    """A training pass's rows run exactly (array_equal) the circuits of explicitly shifted angles."""
-
-    @pytest.mark.parametrize("qubits,layers", [(1, 1), (2, 1), (3, 2), (4, 2)])
-    def test_shift_rows_equal_explicitly_shifted_angles(self, rng, qubits, layers):
-        clients, rows, depth = 3, 2, layers + 1
-        k = depth * qubits
-        embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
-        angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
-        encoding, stacked, _, _ = _circuit_inputs(embeddings, angles, None)
-        states = _simulate(encoding, stacked, shifts=True).reshape(clients, 2**qubits, rows, 2 * k + 1)
-        for r, offset in enumerate(fold_table(k)):
-            shift = offset.reshape(depth, qubits)
-            np.testing.assert_array_equal(states[..., r], _simulate(encoding + shift[0], stacked + shift[1:]))
-            if r == 0 or (r - 1) % k >= qubits:  # unshifted, or a variational angle shifted: public calls run it too
-                shifted = angles + shift[1:]
-                np.testing.assert_array_equal(circuit_major(states[..., r]), statevector(embeddings, shifted))
-                np.testing.assert_array_equal(
-                    circuit_forward(embeddings, shifted),
-                    _z_expectations(np.ascontiguousarray(states[..., r]), qubits),
-                )
+    """Peak memory of the simulator's calls, by tracemalloc, against the buffers they hold."""
 
     def test_shift_rule_peak_memory_is_at_most_three_states(self, rng):
-        # the simulator holds the state and one scratch buffer; the <Z> squares replace the scratch
+        # the oracle's 2K shifted circuits per sample: two simulator buffers, then the state and its <Z> squares
         clients, rows, qubits, layers = 10, 32, 4, 2
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
         angles = rng.uniform(-math.pi, math.pi, (clients, layers, qubits))
@@ -757,19 +729,20 @@ class TestOffsetTable:
         state_bytes = clients * rows * 2 * (layers + 1) * qubits * 2**qubits * 8
         assert peak <= 3 * state_bytes
 
-    def test_training_call_peak_memory_is_at_most_three_states(self, rng):
-        # the same bound as the shift rule alone: the forward circuits ride in the same two buffers
-        clients, rows, qubits, layers = 10, 32, 4, 2
+    @pytest.mark.parametrize("clients,rows,qubits,layers", [(100, 64, 4, 2), (4, 64, 10, 1)])
+    def test_training_call_peak_memory_is_within_its_buffers(self, rng, clients, rows, qubits, layers):
+        # Q + 5 forward states: the forward result, the (psi, lambda) pair and its scratch, Q gathered partner
+        # states; plus 64 values per row (MLP activations, encoding, softmax) and numpy's fixed-size iteration buffers
         layout = ParamLayout(4, 5, qubits, layers)
         params = np.stack([init_params(layout, g) for g in range(clients)])
         features = rng.uniform(-1, 1, (clients * rows, 4))
         labels = rng.integers(0, qubits, clients * rows)
         peak = peak_memory(lambda: hybrid_loss_and_grads(features, labels, params, layout, qubits))
-        state_bytes = clients * rows * 2 * (layers + 1) * qubits * 2**qubits * 8
-        assert peak <= 3 * state_bytes
+        state_bytes = clients * rows * 2**qubits * 8
+        assert peak <= (qubits + 5) * state_bytes + clients * rows * 64 * 8 + 512 * 1024
 
     def test_forward_pass_peak_memory_is_under_three_and_a_quarter_states(self, rng):
-        # _simulate's bound without shifts at Q = 4, plus room for (L+1)Q input angles per sample;
+        # _simulate's bound at Q = 4, plus room for (L+1)Q input angles per sample;
         # a state of megabytes keeps numpy's fixed-size iteration buffers out of the ratio
         clients, rows, qubits, layers = 100, 200, 4, 2
         embeddings = rng.uniform(-1, 1, (clients, rows, qubits))
@@ -780,25 +753,23 @@ class TestOffsetTable:
         assert peak <= 3.25 * state_bytes + rotation_bytes
 
 
-def reference_simulate(rotations, offsets):
+def reference_simulate(rotations):
     """The simulator as it was before the fused pass: gate by gate from |0...0>, one angle per circuit and gate.
 
-    Takes the (G, rows, L+1, Q) base rotations and a plain (m, K) offset
-    table, and returns the (G, rows * m, 2^Q) circuit-major statevectors.
+    Takes the (G, rows, L+1, Q) rotations of every row and returns the
+    (G, rows, 2^Q) circuit-major statevectors.
     """
     g, rows, depth, n_qubits = rotations.shape
-    circuits = rows * len(offsets)
-    state = np.zeros((g, 2**n_qubits, circuits))
+    state = np.zeros((g, 2**n_qubits, rows))
     state[:, 0] = 1.0
     scratch = np.empty_like(state)
     for layer in range(depth):
         for q in range(n_qubits):
-            angle = rotations[:, :, None, layer, q] + offsets[:, layer * n_qubits + q]
-            half = (0.5 * angle).reshape(g, 1, 1, circuits)
+            half = (0.5 * rotations[:, :, layer, q]).reshape(g, 1, 1, rows)
             c, s = np.cos(half), np.sin(half)
-            # axes (block, higher qubits, qubit q, lower qubits, circuit)
-            view = state.reshape(g, 2**q, 2, -1, circuits)
-            temp = scratch.reshape(g, 2**q, 2, -1, circuits)
+            # axes (block, higher qubits, qubit q, lower qubits, row)
+            view = state.reshape(g, 2**q, 2, -1, rows)
+            temp = scratch.reshape(g, 2**q, 2, -1, rows)
             a0, a1, t0, t1 = view[:, :, 0], view[:, :, 1], temp[:, :, 0], temp[:, :, 1]
             np.multiply(s, a1, out=t0)
             np.multiply(s, a0, out=t1)
@@ -819,48 +790,40 @@ def reference_z_expectations(states, n_classes):
     return states**2 @ (1.0 - 2.0 * (bits & 1))
 
 
-class TestReferenceSimulator:
-    """The simulator against reference_simulate: the same numbers, byte for byte, for both of its passes."""
+def draw_angles(rng, shape):
+    """Angles of the given shape: a third of them 0, -0.0, pi or -pi, the rest uniform in [-pi, pi)."""
+    kinds = rng.integers(0, 6, shape)
+    pool = np.array([0.0, -0.0, math.pi, -math.pi])
+    return np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, shape))
 
-    @staticmethod
-    def draw(rng, shape):
-        # a third of the angles 0, -0.0, pi or -pi, the rest uniform
-        kinds = rng.integers(0, 6, shape)
-        pool = np.array([0.0, -0.0, math.pi, -math.pi])
-        return np.where(kinds < 4, pool[np.minimum(kinds, 3)], rng.uniform(-math.pi, math.pi, shape))
+
+class TestReferenceSimulator:
+    """The simulator against reference_simulate: the same numbers, byte for byte."""
 
     @pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_matches_gate_by_gate_reference(self, rng, qubits, layers):
-        depth = layers + 1
-        k = depth * qubits
-        for shifts, table in ((False, np.full((1, k), -0.0)), (True, fold_table(k))):
-            for clients in range(1, 5):
-                for rows in range(1, 6):
-                    encoding = self.draw(rng, (clients, rows, qubits))
-                    encoding[0, 0, 0] = -0.0  # an embedding entry of -0.0
-                    angles = self.draw(rng, (clients, layers, qubits))
-                    # the reference takes every row's rotations: its encoding, then its client's angles
-                    shared = np.broadcast_to(angles[:, None], (clients, rows, layers, qubits))
-                    reference = reference_simulate(np.concatenate([encoding[:, :, None], shared], axis=2), table)
-                    states = _simulate(encoding, angles, shifts=shifts)
-                    where = f"shifts={shifts}, {clients} clients, {rows} rows"
-                    # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
-                    np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
-                    probabilities = np.ascontiguousarray(circuit_major(np.square(states)))
-                    assert probabilities.tobytes() == np.ascontiguousarray(reference**2).tobytes(), where
-                    z = _z_expectations(states, qubits)
-                    assert z.shape == reference.shape[:2] + (qubits,)
-                    assert z.tobytes() == reference_z_expectations(reference, qubits).tobytes(), where
-                    # every row runs exactly its explicitly offset angles, signed zeros included
-                    blocks = states.reshape(clients, 2**qubits, rows, len(table))
-                    for r, row in enumerate(table):
-                        alone = _simulate(encoding + row[:qubits], angles + row[qubits:].reshape(layers, qubits))
-                        assert np.ascontiguousarray(blocks[..., r]).tobytes() == alone.tobytes(), f"{where}, row {r}"
+        for clients in range(1, 5):
+            for rows in range(1, 6):
+                encoding = draw_angles(rng, (clients, rows, qubits))
+                encoding[0, 0, 0] = -0.0  # an embedding entry of -0.0
+                angles = draw_angles(rng, (clients, layers, qubits))
+                # the reference takes every row's rotations: its encoding, then its client's angles
+                shared = np.broadcast_to(angles[:, None], (clients, rows, layers, qubits))
+                reference = reference_simulate(np.concatenate([encoding[:, :, None], shared], axis=2))
+                states = _simulate(encoding, angles)
+                where = f"{clients} clients, {rows} rows"
+                # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
+                np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
+                probabilities = np.ascontiguousarray(circuit_major(np.square(states)))
+                assert probabilities.tobytes() == np.ascontiguousarray(reference**2).tobytes(), where
+                z = _z_expectations(states, qubits)
+                assert z.shape == reference.shape[:2] + (qubits,)
+                assert z.tobytes() == reference_z_expectations(reference, qubits).tobytes(), where
 
 
 def model_layer_digest():
-    """sha256 over the bytes of training losses and gradients and shift-rule outputs on a fixed seeded grid."""
+    """sha256 over the bytes of training losses and gradients and shift-rule oracle outputs on a fixed seeded grid."""
     digest = hashlib.sha256()
     rng = np.random.default_rng(20261018)
     for qubits in range(1, 6):
@@ -896,8 +859,41 @@ def model_layer_digest():
     return digest.hexdigest()
 
 
+class TestAdjoint:
+    """The adjoint sweep against the shift-rule oracle, and its stacks against their blocks run alone."""
+
+    @pytest.mark.parametrize("qubits", range(1, 11))
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_the_shift_rule_oracle(self, rng, qubits, layers):
+        for clients, rows in ((1, 1), (2, 3)):
+            classes = int(rng.integers(1, qubits + 1))
+            # encoding angles pi * e at 0, -0.0 and +-pi too
+            embeddings = draw_angles(rng, (clients, rows, qubits)) / math.pi
+            angles = draw_angles(rng, (clients, layers, qubits))
+            upstream = rng.standard_normal((clients, rows, classes))
+            encoding, _, _, _ = _circuit_inputs(embeddings, angles, classes)
+            grad_var, grad_emb = model._adjoint(_simulate(encoding, angles), angles, upstream)
+            want_var, want_emb = param_shift_grad(embeddings, angles, upstream, classes)
+            np.testing.assert_allclose(grad_var, want_var, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad_emb, want_emb, rtol=0, atol=1e-12)
+
+    def test_stack_equals_its_blocks_alone_bit_for_bit(self, rng):
+        for _ in range(200):
+            qubits, layers = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            clients, rows = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+            classes = int(rng.integers(1, qubits + 1))
+            encoding = draw_angles(rng, (clients, rows, qubits))
+            angles = draw_angles(rng, (clients, layers, qubits))
+            upstream = rng.standard_normal((clients, rows, classes))
+            stacked = model._adjoint(_simulate(encoding, angles), angles, upstream)
+            for g in range(clients):
+                alone = model._adjoint(_simulate(encoding[g:g + 1], angles[g:g + 1]), angles[g:g + 1], upstream[g:g + 1])
+                for got, want in zip(stacked, alone):
+                    assert np.ascontiguousarray(got[g]).tobytes() == np.ascontiguousarray(want[0]).tobytes()
+
+
 class TestTrainingPass:
-    """A training call simulates its forward and shift-rule circuits in one pass, with the numbers unchanged."""
+    """A training call simulates each sample's circuit once, forward; the adjoint sweep needs no second simulation."""
 
     def test_one_simulation_per_training_call(self, rng, monkeypatch):
         calls = Counter()
@@ -922,17 +918,20 @@ class TestTrainingPass:
         assert model._z_signs(3, 2) is signs
         # <Z_c> is +1 where qubit c (bit Q-1-c of the basis index) is clear
         np.testing.assert_array_equal(signs.T, [[1, 1, 1, 1, -1, -1, -1, -1], [1, 1, -1, -1, 1, 1, -1, -1]])
-        variant = model._encoding_variant(2, 6)
-        assert model._encoding_variant(2, 6) is variant
-        # circuits 1, 2 shift encoding gates 0, 1 by +pi/2 and circuits 7, 8 by -pi/2
-        np.testing.assert_array_equal(variant, [0, 1, 2, 0, 0, 0, 0, 3, 4, 0, 0, 0, 0])
-        for table in (signs, variant, model._ring_gather(3)):
+        index, partner_signs = model._partners(2)
+        assert model._partners(2)[0] is index
+        # qubit 0 owns bit 1 and qubit 1 bit 0; J_q's sign is -1 where q's bit is clear
+        np.testing.assert_array_equal(index, [2, 3, 0, 1, 1, 0, 3, 2])
+        np.testing.assert_array_equal(partner_signs[:, 0], [[-1, -1, 1, 1], [-1, 1, -1, 1]])
+        ring, inverse = model._ring_gather(3), model._ring_gather(3, True)
+        np.testing.assert_array_equal(ring[inverse], np.arange(8))
+        for table in (signs, index, partner_signs, ring, inverse):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
     def test_model_layer_digest_is_pinned(self):
-        # losses, gradients and shift-rule outputs, stacks and one-row batches included, bit for bit
+        # losses, gradients and shift-rule oracle outputs, stacks and one-row batches included, bit for bit
         assert model_layer_digest() == MODEL_LAYER_DIGEST
 
 
