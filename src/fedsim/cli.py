@@ -72,8 +72,13 @@ def _coerce(key: str, raw) -> object:
 
 
 def _read_config_file(path) -> dict[str, str]:
-    text = Path(path).read_text()
+    """The file's key = value pairs; a file that is not UTF-8 or that sets a key twice raises ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})")
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -81,7 +86,10 @@ def _read_config_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' is already set on line {lines[key]}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 
@@ -89,18 +97,21 @@ def parse_config(file_path=None, flag_overrides: dict | None = None) -> Experime
     """Resolve a full ExperimentConfig with precedence flags > file > defaults.
 
     Unknown keys and mistyped values raise ConfigError naming the offending
-    key. When keep_classes is given, the class count is derived from it.
+    key. When keep_classes is given, the class count is derived from it,
+    unless a class count is set as well: then the two must agree. A flagged
+    keep_classes (a comma-list --classes) sets the count from its own
+    labels, over the file's.
     """
     resolved: dict[str, object] = {}
     if file_path is not None:
         for key, value in _read_config_file(file_path).items():
             resolved[key] = _coerce(key, value)
-    for key, value in (flag_overrides or {}).items():
-        if value is None:
-            continue
-        resolved[key] = _coerce(key, value)
+    flags = {key: _coerce(key, value) for key, value in (flag_overrides or {}).items() if value is not None}
+    if "keep_classes" in flags:
+        resolved.pop("classes", None)
+    resolved.update(flags)
     if resolved.get("keep_classes"):
-        resolved["classes"] = len(resolved["keep_classes"])
+        resolved.setdefault("classes", len(resolved["keep_classes"]))
     try:
         config = ExperimentConfig(**resolved)
     except TypeError as exc:

@@ -256,31 +256,26 @@ def _simulate(encoding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     defines x - y as x + (-y), signed zeros included. Holding the state
     amplitude-major lets every pass run over contiguous runs of rows.
 
-    Memory: two state-size buffers. Gates update the state in place, with
-    the other buffer holding their temporaries; the product-state rounds
-    and the ring write into the other buffer, and the two swap roles. On
-    top of them come the encoding's cosines and sines, 2Q values per row,
-    until the encoding is done: 2Q / 2^Q of the state, so a forward pass
-    at Q = 4 holds about two and a half states.
+    Memory: two state-size buffers. The product state is built as plain
+    arrays, each qubit's round a new array twice the size of the last, and
+    becomes the first buffer as it is; the second is allocated after it.
+    Gates update the state in place, with the other buffer holding their
+    temporaries; the ring writes into the other buffer, and the two swap
+    roles. On top of them come the encoding's cosines and sines, 2Q values
+    per row, until the encoding is done: 2Q / 2^Q of the state, so a
+    forward pass at Q = 4 holds about two and a half states.
     """
     g, rows, n_qubits = encoding.shape
     layers = angles.shape[1]
     dim = 2**n_qubits
-    buffers = (np.empty((g, dim, rows)), np.empty((g, dim, rows)))
 
     factors = _half_angle_trig(encoding, 2)  # cos and sin per row and qubit, (G, 2, rows, Q)
-    now = 0
-    product = factors[..., 0]  # (G, 2^(q+1), rows) after qubit q
+    state = factors[..., 0]  # (G, 2^(q+1), rows) after qubit q
     for q in range(1, n_qubits):
-        out = buffers[now].reshape(-1)[:g * 2 ** (q + 1) * rows].reshape(g, 2**q, 2, rows)
-        np.multiply(product[:, :, None], factors[:, None, :, :, q], out=out)
-        product = out.reshape(g, 2 ** (q + 1), rows)
-        now = 1 - now
-    if n_qubits > 1:
-        now = 1 - now  # the last round wrote the whole state
-    else:
-        buffers[now][...] = product
-    del factors, product
+        state = (state[:, :, None] * factors[:, None, :, :, q]).reshape(g, -1, rows)
+    buffers = (np.ascontiguousarray(state), np.empty((g, dim, rows)))
+    del factors, state
+    now = 0
 
     table = _half_angle_trig(angles, 3)  # cos, -sin and sin per block and gate, (G, 3, L, Q)
     # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, row)
@@ -656,23 +651,25 @@ def local_train(
     clients[g] is client g's index array into dataset, and an empty one
     raises ParameterError. Client g starts from row g of the (G, P)
     `inits` and reshuffles its samples every epoch from a generator seeded
-    with seeds[g]. It keeps its own Adam moments and loss totals; its step
-    count is the cohort's step index s, so every client that still has a
-    batch at step s takes its step together with the others. All of those
-    whose batches hold the same number n of samples share one
-    hybrid_loss_and_grads call and one Adam step, so a step makes one call
-    per distinct batch size; the call holds about Q + 5 statevectors of its
-    samples at its peak (see _adjoint). Every row is bit-identical to training
-    its client alone, as a one-client cohort.
+    with seeds[g]. It keeps its own Adam moments and the loss total of its
+    final epoch; its step count is the cohort's step index s, so every
+    client that still has a batch at step s takes its step together with
+    the others. All of those whose batches hold the same number n of
+    samples share one hybrid_loss_and_grads call and one Adam step, so a
+    step makes one call per distinct batch size; the call holds about
+    Q + 5 statevectors of its samples at its peak (see _adjoint). Every row
+    is bit-identical to training its client alone, as a one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
     the local objective from drifting far from the broadcast parameters.
     Returns the uploads as one C-contiguous (G, P) stack, row g holding
     client g's trained vector with its angles wrapped to (-pi, pi], and the
-    (G,) mean losses of each client's final epoch. A step that leaves any
-    of a client's parameters non-finite stops that client before the
-    circuit could see an infinite angle; NumericError then names the first
-    such client by its position in the cohort.
+    (G,) mean losses of each client's final epoch: the sum of loss * n over
+    that epoch's batches, in step order from 0.0, divided by the client's
+    size. A step that leaves any of a client's parameters non-finite stops
+    that client before the circuit could see an infinite angle; the
+    overflows of such a step raise no numpy warning, and NumericError
+    names the first such client by its position in the cohort.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
@@ -693,37 +690,34 @@ def local_train(
         rng = np.random.default_rng(seed)
         epoch = [epoch_batches(len(client), batch_size, rng) for _ in range(epochs)]
         schedules.append([client[batch] for batches in epoch for batch in batches])
-    per_epoch = np.array([len(s) // epochs for s in schedules])
+    # the step at which each client's final epoch starts; only its losses are summed
+    final_epoch = np.array([len(s) - len(s) // epochs for s in schedules])
     totals = np.zeros(len(clients))
-    last_epoch_loss = np.full(len(clients), math.nan)
     diverged = np.zeros(len(clients), dtype=bool)
-    for step in range(max(map(len, schedules), default=0)):
-        active = [g for g, schedule in enumerate(schedules) if step < len(schedule) and not diverged[g]]
-        if not active:
-            break
-        totals[[g for g in active if step % per_epoch[g] == 0]] = 0.0
-        by_size: dict[int, list[int]] = {}
-        for g in active:
-            by_size.setdefault(len(schedules[g][step]), []).append(g)
-        for n, members in by_size.items():
-            batch = np.concatenate([schedules[g][step] for g in members])
-            rows = params[members]
-            loss, grads = hybrid_loss_and_grads(
-                dataset.features[batch], dataset.labels[batch], rows, layout,
-                dataset.n_classes, prox_mu, None if anchors is None else anchors[members],
-            )
-            # the moments are those of the members' own earlier steps (or zeros): valid by construction
-            state = AdamState._stepped(m[members], v[members], step)
-            stepped, state = adam_local_step(rows, grads, state, lr)
-            params[members], m[members], v[members] = stepped, state.m, state.v
-            diverged[members] = ~np.all(np.isfinite(stepped), axis=1)
-            totals[members] += loss * n
-        done = [g for g in active if step % per_epoch[g] == per_epoch[g] - 1]
-        last_epoch_loss[done] = totals[done] / sizes[done]
+    # a diverging step may overflow; the finiteness check below turns that into NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max(map(len, schedules), default=0)):
+            by_size: dict[int, list[int]] = {}
+            for g, schedule in enumerate(schedules):
+                if step < len(schedule) and not diverged[g]:
+                    by_size.setdefault(len(schedule[step]), []).append(g)
+            for n, members in by_size.items():
+                batch = np.concatenate([schedules[g][step] for g in members])
+                rows = params[members]
+                loss, grads = hybrid_loss_and_grads(
+                    dataset.features[batch], dataset.labels[batch], rows, layout,
+                    dataset.n_classes, prox_mu, None if anchors is None else anchors[members],
+                )
+                # the moments are those of the members' own earlier steps (or zeros): valid by construction
+                state = AdamState._stepped(m[members], v[members], step)
+                stepped, state = adam_local_step(rows, grads, state, lr)
+                params[members], m[members], v[members] = stepped, state.m, state.v
+                diverged[members] = ~np.all(np.isfinite(stepped), axis=1)
+                totals[members] += np.where(step >= final_epoch[members], loss * n, 0.0)
     if diverged.any():
         raise NumericError(f"client {int(np.argmax(diverged))}: local training diverged to non-finite parameters")
     params[:, layout.n_classical:] = wrap_angles(params[:, layout.n_classical:])
-    return params, last_epoch_loss
+    return params, totals / sizes
 
 
 def init_params(layout: ParamLayout, seed: int) -> np.ndarray:

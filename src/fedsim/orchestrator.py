@@ -168,7 +168,7 @@ class ExperimentConfig:
             if len(set(self.keep_classes)) != len(self.keep_classes) or min(self.keep_classes, default=0) < 0:
                 raise ConfigError("keep_classes must be distinct labels >= 0")
             if len(self.keep_classes) != self.classes:
-                raise ConfigError("classes must equal len(keep_classes)")
+                raise ConfigError(f"classes ({self.classes}) must equal len(keep_classes) ({len(self.keep_classes)})")
         return self
 
 

@@ -106,6 +106,22 @@ class TestParseConfig:
         assert config.keep_classes == (3, 1, 7, 4)
         assert config.classes == 4
 
+    def test_flagged_class_count_must_match_the_files_labels(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("dataset = idx\nidx_images = x\nidx_labels = y\nkeep_classes = 1,2,3\n")
+        with pytest.raises(ConfigError, match=r"classes \(4\).*\(3\)"):
+            parse_config(path, {"classes": "4"})
+        assert parse_config(path, {"classes": "3"}).classes == 3
+        # a comma list sets the count from its own labels, over the file's
+        path.write_text("dataset = idx\nidx_images = x\nidx_labels = y\nclasses = 3\n")
+        assert parse_config(path, {"keep_classes": "1,2"}).classes == 2
+
+    def test_repeated_key_is_named_with_both_lines(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("seed = 1\n# again\nseed = 2\n")
+        with pytest.raises(ConfigError, match=r"a\.cfg:3: key 'seed' is already set on line 1"):
+            parse_config(path, {})
+
     def test_round_trip_identity(self, tmp_path):
         config = parse_config(None, fast_overrides(alpha=0.45, strategy="fedprox", prox_mu=0.02))
         path = tmp_path / "round.cfg"
@@ -396,6 +412,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "alfa" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\u00e9\nseed = 3\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "latin1.cfg" in err and "UTF-8" in err
+
     def test_data_error_for_malformed_idx(self, tmp_path, capsys):
         images_path, labels_path = write_idx_pair(
             tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8)
@@ -453,6 +476,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric error" in err
         assert "round 1" in err and "client 0" in err
+
+    def test_divergent_training_exits_4_with_one_line_and_no_warning(self, tmp_path, capsys):
+        # no errstate here: with warnings as errors, a numpy overflow warning would fail the run
+        code = main(["run", "--clients", "2", "--rounds", "1", "--epochs", "3", "--lr", "1e308",
+                     "--out", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("numeric error:")
 
     def test_io_error_for_missing_idx_file(self, tmp_path, capsys):
         code = main([

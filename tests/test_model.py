@@ -586,6 +586,28 @@ class TestCohortStacking:
             np.testing.assert_array_equal(row, alone)
             assert loss == alone_loss
 
+    def test_loss_is_the_final_epochs_sum_bit_for_bit(self, monkeypatch):
+        data, clients, layout, inits = self.mixed_cohort()
+        seeds = [100 + g for g in range(len(clients))]
+        _, losses = local_train(clients, data, inits, layout, 3, 4, 0.05, 0.0, seeds)
+        loss_and_grads = model.hybrid_loss_and_grads
+        calls = []
+
+        def recorded(features, labels, *args):
+            loss, grads = loss_and_grads(features, labels, *args)
+            calls.append((loss[0], len(labels)))
+            return loss, grads
+
+        monkeypatch.setattr(model, "hybrid_loss_and_grads", recorded)
+        for client, init, seed, loss in zip(clients, inits, seeds, losses):
+            calls.clear()
+            _, alone_loss = train_alone(client, data, init, layout, 3, 4, 0.05, 0.0, seed)
+            assert len(calls) == 3 * math.ceil(len(client) / 4)
+            total = 0.0
+            for step_loss, n in calls[2 * len(calls) // 3:]:
+                total += step_loss * n
+            assert alone_loss == loss == total / len(client)
+
     @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
     @pytest.mark.parametrize("batch_size", [8, 32])
     def test_full_batch_cohort_equals_one_client_cohorts(self, batch_size, prox_mu):
