@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import types
@@ -52,6 +53,30 @@ def _value_type(hint):
 
 _FIELD_TYPES = {name: _value_type(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 _EXPECTS = {int: "an integer", float: "a number"}
+
+# every config field a flag sets: field -> (flag, further argparse options); the flag's dest is its field
+FLAGS = {
+    "strategy": ("--strategy", {"help": "strategy name (comma-separated list for compare)"}),
+    "dataset": ("--dataset", {"choices": ("synthetic", "idx")}),
+    "idx_images": ("--idx-images", {}),
+    "idx_labels": ("--idx-labels", {}),
+    "classes": ("--classes", {"help": "class count, or comma-separated labels to keep from an IDX file"}),
+    "alpha": ("--alpha", {"help": "Dirichlet concentration (comma-separated list for compare)"}),
+    "n_clients": ("--clients", {}),
+    "rounds": ("--rounds", {}),
+    "local_epochs": ("--epochs", {}),
+    "batch_size": ("--batch", {}),
+    "local_lr": ("--lr", {}),
+    "server_lr": ("--server-lr", {}),
+    "clusters": ("--clusters", {}),
+    "lambda1": ("--lambda1", {}),
+    "lambda2": ("--lambda2", {}),
+    "prox_mu": ("--prox-mu", {}),
+    "qubits": ("--qubits", {}),
+    "layers": ("--layers", {}),
+    "hidden": ("--hidden", {}),
+    "seed": ("--seed", {}),
+}
 
 
 def _coerce(key: str, raw) -> object:
@@ -132,30 +157,6 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(config)
-    if out["keep_classes"] is not None:
-        out["keep_classes"] = list(out["keep_classes"])
-    return out
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Machine-readable record of one metrics file: config, version, paths."""
-
-    config: dict
-    artifact_version: str
-    timestamp: str
-    outputs: dict
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
-
-
 def _format_float(x: float) -> str:
     return f"{x:.6f}"
 
@@ -183,6 +184,11 @@ def metrics_rows(metrics: list[RoundMetrics]) -> list[str]:
     return rows
 
 
+def _json_value(value):
+    """A config value as strict JSON holds it: a non-finite float (alpha = inf) as the string parse_config reads."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_metrics(metrics: list[RoundMetrics], path, config: ExperimentConfig) -> Path:
     """Write the per-round CSV plus a sibling .manifest.json, return the CSV path."""
     path = Path(path)
@@ -190,13 +196,13 @@ def write_metrics(metrics: list[RoundMetrics], path, config: ExperimentConfig) -
     lines = [CSV_HEADER] + metrics_rows(metrics)
     path.write_text("\n".join(lines) + "\n")
     manifest_path = path.with_suffix(".manifest.json")
-    manifest = RunManifest(
-        config=_config_dict(config),
-        artifact_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        outputs={"metrics_csv": str(path), "manifest": str(manifest_path)},
-    )
-    manifest_path.write_text(manifest.to_json())
+    manifest = {
+        "artifact_version": __version__,
+        "config": {key: _json_value(value) for key, value in dataclasses.asdict(config).items()},
+        "outputs": {"metrics_csv": str(path), "manifest": str(manifest_path)},
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -219,9 +225,7 @@ def _out_dir(args) -> Path:
 
 def _flag_overrides(args) -> dict:
     """The config fields set by flags; every flag's dest is the field it sets."""
-    overrides = {
-        name: getattr(args, name) for name in _FIELD_TYPES if getattr(args, name, None) is not None
-    }
+    overrides = {field: getattr(args, field) for field in FLAGS if getattr(args, field) is not None}
     # a comma list selects original labels to keep (IDX path); a bare
     # integer is the synthetic class count
     if "," in overrides.get("classes", ""):
@@ -268,7 +272,6 @@ def run_compare(strategies: list[str], alphas: list[float], base_config: Experim
     configs = {
         (s, a): dataclasses.replace(base_config, strategy=s, alpha=a).validate() for a in alphas for s in strategies
     }
-    final_acc: dict[tuple[str, float], float] = {}
     per_round: dict[tuple[str, float], list[RoundMetrics]] = {}
     for (strategy, alpha), config in configs.items():
         metrics = run_experiment(config)
@@ -277,13 +280,12 @@ def run_compare(strategies: list[str], alphas: list[float], base_config: Experim
             out_dir / f"metrics_{strategy}_alpha{alpha:g}_seed{config.seed}.csv",
             config,
         )
-        final_acc[(strategy, alpha)] = metrics[-1].accuracy
         per_round[(strategy, alpha)] = metrics
 
     comparison_rows = [["strategy"] + [f"alpha_{a:g}" for a in alphas]]
     for strategy in strategies:
         comparison_rows.append(
-            [strategy] + [_format_float(final_acc[(strategy, a)]) for a in alphas]
+            [strategy] + [_format_float(per_round[(strategy, a)][-1].accuracy) for a in alphas]
         )
 
     ablation_tables: dict[float, list[list[str]]] = {}
@@ -357,29 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--strategy", dest="strategy", default=None,
-                       help="strategy name (comma-separated list for compare)")
-        p.add_argument("--dataset", dest="dataset", default=None, choices=("synthetic", "idx"))
-        p.add_argument("--idx-images", dest="idx_images", default=None)
-        p.add_argument("--idx-labels", dest="idx_labels", default=None)
-        p.add_argument("--classes", dest="classes", default=None,
-                       help="class count, or comma-separated labels to keep from an IDX file")
-        p.add_argument("--alpha", dest="alpha", default=None,
-                       help="Dirichlet concentration (comma-separated list for compare)")
-        p.add_argument("--clients", dest="n_clients", default=None)
-        p.add_argument("--rounds", dest="rounds", default=None)
-        p.add_argument("--epochs", dest="local_epochs", default=None)
-        p.add_argument("--batch", dest="batch_size", default=None)
-        p.add_argument("--lr", dest="local_lr", default=None)
-        p.add_argument("--server-lr", dest="server_lr", default=None)
-        p.add_argument("--clusters", dest="clusters", default=None)
-        p.add_argument("--lambda1", dest="lambda1", default=None)
-        p.add_argument("--lambda2", dest="lambda2", default=None)
-        p.add_argument("--prox-mu", dest="prox_mu", default=None)
-        p.add_argument("--qubits", dest="qubits", default=None)
-        p.add_argument("--layers", dest="layers", default=None)
-        p.add_argument("--hidden", dest="hidden", default=None)
-        p.add_argument("--seed", dest="seed", default=None)
+        for field, (flag, options) in FLAGS.items():
+            p.add_argument(flag, dest=field, default=None, **options)
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
     return parser
 

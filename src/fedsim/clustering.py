@@ -110,9 +110,11 @@ def similarity_matrix(proportions, counts, lambda1: float = 1.0, lambda2: float 
     sample counts; lambda1/lambda2 weight the two. Every row must be finite,
     non-negative and sum to 1 within 1e-9, and every count finite and
     >= 1, else ParameterError. The diagonal is exactly 1 (both terms vanish
-    for i = j). All pairs i < j are computed at once and mirrored into the
-    lower triangle, so temporaries are O(n^2 * C / 2); `js_divergence` is
-    the scalar reference for each entry.
+    for i = j). A pair whose similarity underflows to 0 (an exponent below
+    about -745, so a large lambda) raises NumericError. All pairs i < j
+    are computed at once and mirrored into the lower triangle, so
+    temporaries are O(n^2 * C / 2); `js_divergence` is the scalar
+    reference for each entry.
     """
     if not (0 <= lambda1 < math.inf and 0 <= lambda2 < math.inf):
         raise ParameterError("lambda1 and lambda2 must be finite and >= 0")
@@ -132,8 +134,15 @@ def similarity_matrix(proportions, counts, lambda1: float = 1.0, lambda2: float 
     rows, cols = np.triu_indices(n, k=1)
     div = _pair_divergences(props, rows, cols)
     size_gap = np.abs(counts[rows] - counts[cols]) / (counts[rows] + counts[cols])
+    pairs = np.exp(-lambda1 * div - lambda2 * size_gap)
+    underflowed = np.count_nonzero(pairs == 0.0)
+    if underflowed:
+        raise NumericError(
+            f"similarity underflows to 0 in {underflowed} of {len(pairs)} client pairs"
+            f" at lambda1={lambda1:g}, lambda2={lambda2:g}"
+        )
     s = np.ones((n, n))
-    s[rows, cols] = s[cols, rows] = np.exp(-lambda1 * div - lambda2 * size_gap)
+    s[rows, cols] = s[cols, rows] = pairs
     return SimilarityMatrix(s)
 
 

@@ -117,6 +117,8 @@ def load_idx(images_path, labels_path, keep_classes) -> Dataset:
         raise DataFormatError(f"{labels_path}: not a label file (magic 0x{lab_magic:08x})")
     if img_dims[0] != lab_dims[0]:
         raise DataFormatError(f"image count {img_dims[0]} != label count {lab_dims[0]}")
+    if img_dims[0] == 0:
+        raise DataFormatError(f"{images_path}: holds no images")
     images = img_bytes.reshape(img_dims[0], -1).astype(np.float64) / 255.0
     labels = lab_bytes.astype(np.int64)
     mask = np.isin(labels, keep)

@@ -1,5 +1,8 @@
 import argparse
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ import fedsim.cli as cli
 from fedsim import clustering
 from fedsim.cli import (
     CSV_HEADER,
-    RunManifest,
     main,
     metrics_rows,
     parse_config,
@@ -174,10 +176,21 @@ class TestWriteMetrics:
         config = ExperimentConfig(**fast_overrides())
         path = write_metrics(make_metrics(1), tmp_path / "m.csv", config)
         manifest_path = path.with_suffix(".manifest.json")
-        manifest = RunManifest.from_json(manifest_path.read_text())
-        assert manifest.artifact_version
-        assert manifest.config["n_clients"] == 3
-        assert manifest.outputs["metrics_csv"].endswith("m.csv")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["artifact_version"]
+        assert manifest["config"]["n_clients"] == 3
+        assert manifest["outputs"]["metrics_csv"].endswith("m.csv")
+
+    def test_infinite_alpha_manifest_is_strict_json_that_parse_config_reads_back(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        config = ExperimentConfig(**fast_overrides(alpha=math.inf, keep_classes=(2, 0, 1, 3)))
+        path = write_metrics(make_metrics(1), tmp_path / "m.csv", config)
+        manifest = json.loads(path.with_suffix(".manifest.json").read_text(), parse_constant=reject)
+        assert manifest["config"]["alpha"] == "inf"
+        assert manifest["config"]["keep_classes"] == [2, 0, 1, 3]
+        assert parse_config(None, {"alpha": manifest["config"]["alpha"]}).alpha == math.inf
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -191,17 +204,6 @@ class TestWriteMetrics:
         ]
         rows = metrics_rows(metrics)
         assert all(len(row.split(",")) == len(CSV_HEADER.split(",")) for row in rows)
-
-
-class TestManifest:
-    def test_json_round_trip(self):
-        manifest = RunManifest(
-            config={"alpha": 0.3, "keep_classes": [0, 1]},
-            artifact_version="0.1.0",
-            timestamp="2026-01-01T00:00:00+00:00",
-            outputs={"metrics_csv": "m.csv", "manifest": "m.manifest.json"},
-        )
-        assert RunManifest.from_json(manifest.to_json()) == manifest
 
 
 class TestRunCommand:
@@ -431,6 +433,23 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_idx_pair_without_images_is_a_data_error_naming_the_image_file(self, tmp_path, capsys):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((0, 28, 28)), np.zeros(0))
+        out = tmp_path / "out"
+        code = main(["run", "--dataset", "idx", "--idx-images", str(images_path), "--idx-labels", str(labels_path),
+                     "--classes", "0,1", "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("data error:") and "images.idx" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
+    def test_underflowing_similarity_is_a_numeric_error(self, capsys, flag):
+        assert main(["eigengap", "--clients", "10", flag, "2000"]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("numeric error: similarity underflows to 0")
+        assert "lambda1=" in err and "lambda2=" in err
+
     def test_numeric_error(self, monkeypatch, tmp_path, capsys):
         def explode(config):
             raise NumericError("did not converge")
@@ -525,6 +544,26 @@ class TestParser:
         }
         assert dests - {"config", "out", "command", "func"} <= fields
         assert {"n_clients", "local_epochs", "batch_size", "local_lr", "classes"} <= dests
+
+    def test_every_command_has_the_pinned_flags_each_set_on_its_field(self):
+        field_flags = {
+            "--strategy": "strategy", "--dataset": "dataset", "--idx-images": "idx_images",
+            "--idx-labels": "idx_labels", "--classes": "classes", "--alpha": "alpha", "--clients": "n_clients",
+            "--rounds": "rounds", "--epochs": "local_epochs", "--batch": "batch_size", "--lr": "local_lr",
+            "--server-lr": "server_lr", "--clusters": "clusters", "--lambda1": "lambda1", "--lambda2": "lambda2",
+            "--prox-mu": "prox_mu", "--qubits": "qubits", "--layers": "layers", "--hidden": "hidden",
+            "--seed": "seed",
+        }
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {"run", "compare", "eigengap"}
+        for sub in subparsers.choices.values():
+            options = {flag: action.dest for action in sub._actions for flag in action.option_strings}
+            assert set(options) == set(field_flags) | {"--config", "--out", "-h", "--help"}
+            assert {flag: options[flag] for flag in field_flags} == field_flags
+        # the README's flag list names exactly the same flags
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Flags:"):].split("\n\n")[0]
+        assert set(re.findall(r"`(--[a-z0-9-]+)[^`]*`", paragraph)) == set(field_flags) | {"--config", "--out"}
 
     def test_flags_land_on_their_fields(self):
         args = cli.build_parser().parse_args(

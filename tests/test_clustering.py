@@ -197,6 +197,17 @@ class TestSimilarityMatrix:
         with pytest.raises(ParameterError, match="lambda1 and lambda2"):
             similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10, 20]), *lambdas)
 
+    @pytest.mark.parametrize("props, counts, lambdas", [
+        ([[1.0, 0.0], [0.0, 1.0]], [10, 10], (2000.0, 1.0)),  # JS = ln 2, so the exponent is about -1386
+        ([[0.5, 0.5], [0.5, 0.5]], [1, 1000], (1.0, 2000.0)),  # size gap 0.998, exponent about -1996
+    ])
+    def test_underflow_to_zero_is_a_numeric_error(self, props, counts, lambdas):
+        named = rf"in 1 of 1 client pairs at lambda1={lambdas[0]:g}, lambda2={lambdas[1]:g}"
+        with pytest.raises(NumericError, match=named):
+            similarity_matrix(np.array(props), np.array(counts), *lambdas)
+        # the same pairs at a lambda whose exponent stays above -745 give a tiny positive similarity
+        assert similarity_matrix(np.array(props), np.array(counts), *(min(x, 700.0) for x in lambdas)).entries[0, 1] > 0
+
     @pytest.mark.parametrize("n_classes", [2, 4, 10, 16])
     def test_matches_scalar_reference(self, n_classes):
         # C >= 8 sums through numpy's unrolled pairwise loop, whose order

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,27 @@ class TestLoadIdx:
         images_path.write_bytes(raw[:-3])
         with pytest.raises(DataFormatError):
             load_idx(images_path, labels_path, keep_classes=[0])
+
+    @pytest.mark.parametrize("header, named", [
+        (b"\x00\x00", "truncated header"),
+        (struct.pack(">I", 0x00000D03), "bad magic 0x00000d03"),
+        (struct.pack(">II", 0x00000803, 5), "truncated dimension header"),
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, header, named):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+        images_path.write_bytes(header)
+        with pytest.raises(DataFormatError, match=rf"images\.idx: {named}"):
+            load_idx(images_path, labels_path, keep_classes=[0])
+
+    def test_pair_without_images_names_the_image_file(self, tmp_path):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((0, 28, 28)), np.zeros(0))
+        with pytest.raises(DataFormatError, match=r"images\.idx: holds no images"):
+            load_idx(images_path, labels_path, keep_classes=[0, 1])
+
+    def test_no_sample_of_a_kept_class_rejected(self, tmp_path):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), np.array([0, 1, 0]))
+        with pytest.raises(DataFormatError, match="no samples carry any of the requested classes"):
+            load_idx(images_path, labels_path, keep_classes=[5, 7])
 
     def test_count_mismatch_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()

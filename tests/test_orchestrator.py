@@ -113,6 +113,23 @@ class TestConfig:
     def test_rounds_zero_allowed(self):
         assert small_config(rounds=0).rounds == 0
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"dataset": "mnist"}, "dataset must be 'synthetic' or 'idx', not 'mnist'"),
+        *[({field: 0}, f"{field} must be >= 1")
+          for field in ["n_clients", "local_epochs", "batch_size", "hidden", "qubits", "layers", "per_class"]],
+        ({"rounds": -1}, "rounds must be >= 0"),
+        ({"clusters": 0}, r"clusters must lie in \[1, n_clients\]"),
+        ({"clusters": 5}, r"clusters must lie in \[1, n_clients\]"),
+        ({"features": 1}, "features must be >= 2"),
+        ({"classes": 1}, "classes must be >= 2"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"dataset": "idx", "idx_images": "images.idx"}, "requires idx_images and idx_labels"),
+        ({"dataset": "idx", "idx_labels": "labels.idx"}, "requires idx_images and idx_labels"),
+    ])
+    def test_out_of_range_settings_named(self, overrides, named):
+        with pytest.raises(ConfigError, match=named):
+            small_config(**overrides)
+
     @pytest.mark.parametrize("field", ["alpha", "local_lr", "server_lr", "lambda1", "lambda2", "prox_mu", "spread"])
     def test_nan_float_fields_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
