@@ -137,11 +137,7 @@ def parse_config(file_path=None, flag_overrides: dict | None = None) -> Experime
     resolved.update(flags)
     if resolved.get("keep_classes"):
         resolved.setdefault("classes", len(resolved["keep_classes"]))
-    try:
-        config = ExperimentConfig(**resolved)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    return config.validate()
+    return ExperimentConfig(**resolved).validate()
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -104,7 +104,8 @@ def load_idx(images_path, labels_path, keep_classes) -> Dataset:
 
     Kept labels are remapped to 0..C-1 in `keep_classes` order and pixel
     values are scaled from bytes to [0, 1]. Images are flattened row-major,
-    so F = rows * cols.
+    so F = rows * cols. A pair with no images, images of zero pixels, or a
+    kept label that no sample carries raises DataFormatError naming the file.
     """
     keep = [int(c) for c in keep_classes]
     if len(keep) < 1 or len(set(keep)) != len(keep):
@@ -119,6 +120,8 @@ def load_idx(images_path, labels_path, keep_classes) -> Dataset:
         raise DataFormatError(f"image count {img_dims[0]} != label count {lab_dims[0]}")
     if img_dims[0] == 0:
         raise DataFormatError(f"{images_path}: holds no images")
+    if 0 in img_dims[1:]:
+        raise DataFormatError(f"{images_path}: images of {img_dims[1]} x {img_dims[2]} pixels are empty")
     images = img_bytes.reshape(img_dims[0], -1).astype(np.float64) / 255.0
     labels = lab_bytes.astype(np.int64)
     mask = np.isin(labels, keep)
@@ -126,6 +129,9 @@ def load_idx(images_path, labels_path, keep_classes) -> Dataset:
         raise DataFormatError("no samples carry any of the requested classes")
     remap = {orig: new for new, orig in enumerate(keep)}
     new_labels = np.array([remap[v] for v in labels[mask]], dtype=np.int64)
+    missing = [str(orig) for orig, n in zip(keep, np.bincount(new_labels, minlength=len(keep))) if n == 0]
+    if missing:
+        raise DataFormatError(f"{labels_path}: no sample carries the kept label(s) {', '.join(missing)}")
     return Dataset(images[mask], new_labels, len(keep))
 
 
@@ -159,24 +165,21 @@ def dirichlet_partition(
 
     For every class, a simplex point drawn via normalized gamma variates
     decides how that class's (shuffled) samples are sliced across clients.
-    Smaller alpha gives more skewed slices. If any client ends up empty the
-    entire partition is redrawn from seed + attempt, up to
-    MAX_PARTITION_ATTEMPTS times, preserving the Dirichlet marginals. A
-    redraw only counts each client's samples; the client index arrays are
-    built for the draw that is returned.
+    Smaller alpha gives more skewed slices. A class whose variates cannot
+    be normalized (alpha so small that they all underflow, or so large that
+    their sum overflows) takes the Dirichlet limit within the same draw:
+    whole to one client drawn from the draw's generator (alpha -> 0), or
+    split evenly (alpha -> inf). Draws are made from seed + attempt, up to
+    MAX_PARTITION_ATTEMPTS times, and the first that leaves no client empty
+    is returned, preserving the Dirichlet marginals. A draw only counts
+    each client's samples; the client index arrays are built for the draw
+    that is returned.
 
     When every attempt leaves a client empty, as it does for small alpha
-    and many clients, the first complete draw is repaired instead: each
-    empty client, in id order, takes the highest-index sample of the
-    currently largest client, the lowest id winning ties. When no attempt
-    drew finite, non-zero shares at all (alpha so small that the gamma
-    variates underflow, or so large that their sum overflows), attempt 0
-    is drawn again with the limits of a Dirichlet draw for the classes that
-    failed: a class whose variates all underflowed goes whole to one client
-    drawn uniformly from the same generator (alpha -> 0), one whose sum
-    overflowed is split evenly (alpha -> inf); the repair then follows.
-    PartitionError is raised only when the pool holds fewer samples than
-    there are clients.
+    and many clients, attempt 0's draw is repaired instead: each empty
+    client, in id order, takes the highest-index sample of the currently
+    largest client, the lowest id winning ties. PartitionError is raised
+    only when the pool holds fewer samples than there are clients.
 
     `indices` restricts the partition to a sample pool (normally the train
     split); by default the whole dataset is partitioned.
@@ -190,27 +193,22 @@ def dirichlet_partition(
         raise PartitionError(f"cannot give each of {n_clients} clients a sample from a pool of {len(pool)}")
     pool_labels = dataset.labels[pool]
     class_pools = [pool[pool_labels == c] for c in range(dataset.n_classes)]
-    first_draw = None
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         draw = _class_slices(class_pools, n_clients, alpha, np.random.default_rng(seed + attempt))
-        if draw is None:
-            continue  # the shares underflowed or overflowed; redraw
+        if attempt == 0:
+            first_draw = draw
         if np.sum([counts for _, counts in draw], axis=0).min() >= 1:
             return _client_indices(draw, n_clients)
-        if first_draw is None:
-            first_draw = draw
-    if first_draw is None:
-        first_draw = _class_slices(class_pools, n_clients, alpha, np.random.default_rng(seed), limits=True)
     return _fill_empty_clients(_client_indices(first_draw, n_clients))
 
 
-def _class_slices(class_pools, n_clients: int, alpha: float, rng: np.random.Generator, limits: bool = False):
+def _class_slices(class_pools, n_clients: int, alpha: float, rng: np.random.Generator):
     """One Dirichlet draw per class: [(shuffled class samples, each client's count of them)] per non-empty class.
 
-    Client i gets the i-th run of the shuffled samples. None when a class's
-    gamma variates sum to zero or overflow, unless `limits` is set: such a
-    class then goes whole to one client drawn from rng (sum zero) or is
-    split evenly (overflow).
+    Client i gets the i-th run of the shuffled samples. A class whose gamma
+    variates cannot be normalized takes the Dirichlet limit in place: if
+    they sum to zero (alpha -> 0) the class goes whole to one client drawn
+    from rng, and if their sum overflows (alpha -> inf) it is split evenly.
     """
     draw = []
     for class_pool in class_pools:
@@ -222,8 +220,6 @@ def _class_slices(class_pools, n_clients: int, alpha: float, rng: np.random.Gene
             total = gammas.sum()
         if np.isfinite(total) and total > 0.0:
             shares = gammas / total
-        elif not limits:
-            return None
         elif total == 0.0:
             shares = np.zeros(n_clients)
             shares[rng.integers(n_clients)] = 1.0

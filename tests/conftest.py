@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 import struct
 
 import numpy as np
@@ -31,6 +32,46 @@ def same_bits(a, b):
     """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def ry_matrix(theta):
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def dense_gate(single, qubit, n):
+    out = np.array([[1.0]])
+    for pos in range(n):
+        out = np.kron(out, single if pos == qubit else np.eye(2))
+    return out
+
+
+def dense_cnot(control, target, n):
+    dim = 2**n
+    gate = np.zeros((dim, dim))
+    for col in range(dim):
+        if (col >> (n - 1 - control)) & 1:
+            row = col ^ (1 << (n - 1 - target))
+        else:
+            row = col
+        gate[row, col] = 1.0
+    return gate
+
+
+def dense_oracle_state(embedding, angles):
+    """Statevector via explicit 2^Q x 2^Q matrix products."""
+    layers, n = angles.shape
+    psi = np.zeros(2**n)
+    psi[0] = 1.0
+    for q in range(n):
+        psi = dense_gate(ry_matrix(math.pi * embedding[q]), q, n) @ psi
+    for layer in range(layers):
+        for q in range(n):
+            psi = dense_gate(ry_matrix(angles[layer, q]), q, n) @ psi
+        if n > 1:
+            for q in range(n):
+                psi = dense_cnot(q, (q + 1) % n, n) @ psi
+    return psi
 
 
 @pytest.fixture

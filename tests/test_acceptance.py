@@ -49,6 +49,8 @@ from fedsim.orchestrator import (
     run_round,
 )
 
+from conftest import dense_oracle_state
+
 
 def report(criterion, message):
     print(f"[criterion {criterion}] PASS: {message}")
@@ -101,42 +103,6 @@ def test_criterion_01_gradient_suite():
 
 
 # -- criterion 2: statevector vs dense unitary-product oracle ---------------
-
-
-def ry_matrix(theta):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]])
-
-
-def dense_gate(single, qubit, n):
-    out = np.array([[1.0]])
-    for pos in range(n):
-        out = np.kron(out, single if pos == qubit else np.eye(2))
-    return out
-
-
-def dense_cnot(control, target, n):
-    dim = 2**n
-    gate = np.zeros((dim, dim))
-    for col in range(dim):
-        row = col ^ (1 << (n - 1 - target)) if (col >> (n - 1 - control)) & 1 else col
-        gate[row, col] = 1.0
-    return gate
-
-
-def dense_oracle_state(embedding, quantum):
-    layers, n = quantum.shape
-    psi = np.zeros(2**n)
-    psi[0] = 1.0
-    for qq in range(n):
-        psi = dense_gate(ry_matrix(math.pi * embedding[qq]), qq, n) @ psi
-    for layer in range(layers):
-        for qq in range(n):
-            psi = dense_gate(ry_matrix(quantum[layer, qq]), qq, n) @ psi
-        if n > 1:
-            for qq in range(n):
-                psi = dense_cnot(qq, (qq + 1) % n, n) @ psi
-    return psi
 
 
 def test_criterion_02_quantum_oracle_equivalence():

@@ -161,6 +161,16 @@ class TestAggregationWeights:
         with pytest.raises(ParameterError):
             AggregationWeights(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("weights", [np.array([[0.5, 0.5]]), np.array([]), np.float64(1.0)])
+    def test_rejects_a_non_vector_or_empty_array(self, weights):
+        with pytest.raises(ParameterError, match="non-empty vector"):
+            AggregationWeights(weights)
+
+    @pytest.mark.parametrize("counts", [[0, 0], [0.0], [-3, 2]])
+    def test_rejects_counts_without_a_positive_total(self, counts):
+        with pytest.raises(ParameterError, match="total sample count must be positive"):
+            AggregationWeights.from_counts(counts)
+
 
 def classical_rows(*values):
     """A five-entry classical block per client, every entry of row i set to values[i]."""
@@ -220,6 +230,10 @@ class TestCircularMean:
         w = AggregationWeights(np.array([0.75, 0.25]))
         angle, _ = circular_mean(np.array([0.0, math.pi / 2]), w)
         assert angle == pytest.approx(0.3217505543966422, abs=1e-12)
+
+    def test_angles_and_weights_of_different_lengths_rejected(self):
+        with pytest.raises(ParameterError, match="equal length"):
+            circular_mean(np.zeros(3), AggregationWeights.from_counts([1, 1]))
 
     def test_degenerate_resultant(self):
         w = AggregationWeights.from_counts([1, 1])

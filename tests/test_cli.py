@@ -88,6 +88,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(None, {"rounds": "many"})
 
+    @pytest.mark.parametrize("raw", ["1,x", "0.5,1", "3;4"])
+    def test_non_integer_keep_classes_named_in_error(self, raw):
+        with pytest.raises(ConfigError, match=f"key 'keep_classes' expects a comma-separated list of integers, got '{raw}'"):
+            parse_config(None, {"keep_classes": raw})
+
     def test_values_coerced_to_field_types(self):
         config = parse_config(None, {"per_class": "7", "spread": "0.5", "idx_images": "a.idx"})
         assert config.per_class == 7 and isinstance(config.per_class, int)
@@ -129,6 +134,12 @@ class TestParseConfig:
         path = tmp_path / "round.cfg"
         path.write_text(serialize_config(config))
         assert parse_config(path, {}) == config
+
+    def test_line_without_equals_sign_is_named_with_its_line_number(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("seed = 1\nalpha 0.3\n")
+        with pytest.raises(ConfigError, match=r"a\.cfg:2: expected 'key = value', got 'alpha 0\.3'"):
+            parse_config(path, {})
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "a.cfg"
@@ -290,6 +301,22 @@ class TestCompareCommand:
         assert table[0] == "strategy,alpha_0.3,alpha_0.7"
         assert len(table) == 3
 
+    def test_compare_command_writes_and_prints_each_ablation_table(self, tmp_path, capsys):
+        strategies = ["fedcompass", "fedcompass_no_clustering"]
+        config = parse_config(None, dict(n_clients=3, rounds=1, local_epochs=1, batch_size=8, local_lr=0.05,
+                                         classes=4, seed=3))
+        _, ablations = run_compare(strategies, [0.3, 1.0], config, tmp_path / "library")
+        capsys.readouterr()
+        out = tmp_path / "cli"
+        assert main(["compare", "--strategy", ",".join(strategies), "--alpha", "0.3,1", "--out", str(out)]
+                    + FAST_FLAGS) == 0
+        printed = capsys.readouterr().out
+        for alpha, name in ((0.3, "0.3"), (1.0, "1")):
+            rows = ablations[alpha]
+            assert rows[0] == ["round"] + strategies and len(rows) == 1 + 2
+            assert (out / f"ablation_alpha{name}.csv").read_text() == "".join(",".join(row) + "\n" for row in rows)
+            block = printed.split(f"\nper-round accuracy, alpha={name}:\n")[1].split("\n\n")[0]
+            assert [line.split() for line in block.splitlines()] == rows
 
     @pytest.mark.parametrize("flags, named", [
         (["--strategy", "fedavg", "--alpha", "0.3,-1"], "alpha must be > 0"),
@@ -441,6 +468,28 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error:") and "images.idx" in err
+        assert not out.exists()
+
+    def test_images_without_pixels_are_a_data_error_naming_the_image_file(self, tmp_path, capsys):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((3, 0, 0)), np.array([0, 1, 0]))
+        out = tmp_path / "out"
+        code = main(["run", "--dataset", "idx", "--idx-images", str(images_path), "--idx-labels", str(labels_path),
+                     "--classes", "0,1", "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("data error:")
+        assert "images.idx: images of 0 x 0 pixels are empty" in err
+        assert not out.exists()
+
+    def test_a_kept_label_without_samples_is_a_data_error_naming_the_labels_file(self, tmp_path, capsys):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((4, 2, 2)), np.array([0, 1, 1, 0]))
+        out = tmp_path / "out"
+        code = main(["run", "--dataset", "idx", "--idx-images", str(images_path), "--idx-labels", str(labels_path),
+                     "--classes", "0,1,5", "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("data error:")
+        assert "labels.idx: no sample carries the kept label(s) 5" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])

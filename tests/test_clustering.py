@@ -192,6 +192,18 @@ class TestSimilarityMatrix:
         with pytest.raises(ParameterError):
             SimilarityMatrix(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
+    @pytest.mark.parametrize("entries, named", [
+        (np.ones((2, 3)), "square and non-empty"),
+        (np.ones(4), "square and non-empty"),
+        (np.zeros((0, 0)), "square and non-empty"),
+        (np.array([[1.0, 0.0], [0.0, 1.0]]), r"lie in \(0, 1\]"),
+        (np.array([[1.0, -0.5], [-0.5, 1.0]]), r"lie in \(0, 1\]"),
+        (np.array([[1.0, 1.5], [1.5, 1.0]]), r"lie in \(0, 1\]"),
+    ])
+    def test_rejects_a_non_square_or_empty_matrix_and_entries_outside_the_unit_interval(self, entries, named):
+        with pytest.raises(ParameterError, match=named):
+            SimilarityMatrix(entries)
+
     @pytest.mark.parametrize("lambdas", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf)])
     def test_rejects_nan_or_negative_lambdas(self, lambdas):
         with pytest.raises(ParameterError, match="lambda1 and lambda2"):
@@ -370,6 +382,10 @@ class TestSymmetricEig:
         with pytest.raises(ParameterError):
             symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ParameterError, match="square"):
+            symmetric_eig(np.ones((2, 3)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ParameterError):
@@ -459,6 +475,11 @@ class TestKmeans:
         embedding /= np.linalg.norm(embedding, axis=1)[:, None]
         np.testing.assert_array_equal(kmeans(embedding, 4, 42).labels, reference_kmeans(embedding, 4, 42))
 
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(4), np.zeros((2, 2, 2))])
+    def test_rejects_points_that_are_not_a_non_empty_n_by_d_array(self, points):
+        with pytest.raises(ParameterError, match=r"non-empty \(n, d\) array"):
+            kmeans(points, 1, 0)
+
     def test_k_larger_than_points_rejected(self):
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, 0)
@@ -516,6 +537,17 @@ class TestClusterAssignment:
         with pytest.raises(ParameterError):
             ClusterAssignment(np.array([0, 0, 0]), 2)
 
+    @pytest.mark.parametrize("labels, n_clusters, named", [
+        (np.zeros(0), 1, "non-empty vector"),
+        (np.zeros((2, 2)), 1, "non-empty vector"),
+        (np.zeros(3), 0, "n_clusters must be >= 1"),
+        (np.array([0, 1, 2]), 2, r"lie in \[0, n_clusters\)"),
+        (np.array([0, -1, 1]), 2, r"lie in \[0, n_clusters\)"),
+    ])
+    def test_rejects_malformed_labels_or_cluster_count(self, labels, n_clusters, named):
+        with pytest.raises(ParameterError, match=named):
+            ClusterAssignment(labels, n_clusters)
+
     def test_sizes(self):
         a = ClusterAssignment(np.array([0, 1, 0, 1, 1]), 2)
         np.testing.assert_array_equal(a.cluster_sizes(), [2, 3])
@@ -531,3 +563,13 @@ class TestAdjustedRandIndex:
 
     def test_disagreement_below_one(self):
         assert adjusted_rand_index([0, 0, 1, 1], [0, 1, 0, 1]) < 1.0
+
+    @pytest.mark.parametrize("labels_b", [[0, 0, 0], [5, 5, 5]])
+    def test_one_cluster_on_both_sides_agrees_fully(self, labels_b):
+        # the chance-corrected index is 0 / 0 here; agreement is total
+        assert adjusted_rand_index([2, 2, 2], labels_b) == 1.0
+
+    @pytest.mark.parametrize("labels_b", [[0, 1], [[0, 1, 1]]])
+    def test_rejects_label_vectors_of_unequal_length(self, labels_b):
+        with pytest.raises(ParameterError, match="identical length"):
+            adjusted_rand_index([0, 1, 1], labels_b)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedsim.clustering import js_divergence, similarity_matrix
 from fedsim.data import (
     MAX_PARTITION_ATTEMPTS,
+    Dataset,
     _fill_empty_clients,
     class_counts,
     dirichlet_partition,
@@ -92,6 +93,9 @@ class TestLoadIdx:
         (b"\x00\x00", "truncated header"),
         (struct.pack(">I", 0x00000D03), "bad magic 0x00000d03"),
         (struct.pack(">II", 0x00000803, 5), "truncated dimension header"),
+        (struct.pack(">IIII", 0x00000803, 2, 0, 0), "images of 0 x 0 pixels are empty"),
+        (struct.pack(">IIII", 0x00000803, 2, 3, 0), "images of 3 x 0 pixels are empty"),
+        (struct.pack(">IIII", 0x00000803, 2, 0, 5), "images of 0 x 5 pixels are empty"),
     ])
     def test_malformed_header_names_the_file(self, tmp_path, header, named):
         images_path, labels_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
@@ -109,6 +113,18 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="no samples carry any of the requested classes"):
             load_idx(images_path, labels_path, keep_classes=[5, 7])
 
+    @pytest.mark.parametrize("keep, missing", [([0, 1, 5], "5"), ([7, 1, 9], "7, 9")])
+    def test_a_kept_label_that_no_sample_carries_is_named_with_the_labels_file(self, tmp_path, keep, missing):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), np.array([0, 1, 0]))
+        with pytest.raises(DataFormatError, match=rf"labels\.idx: no sample carries the kept label\(s\) {missing}$"):
+            load_idx(images_path, labels_path, keep_classes=keep)
+
+    @pytest.mark.parametrize("keep", [[], [1, 0, 1]])
+    def test_empty_or_repeated_keep_classes_rejected(self, tmp_path, keep):
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), np.array([0, 1, 0]))
+        with pytest.raises(ParameterError, match="non-empty and free of duplicates"):
+            load_idx(images_path, labels_path, keep_classes=keep)
+
     def test_count_mismatch_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -117,6 +133,21 @@ class TestLoadIdx:
         _, labels_path = write_idx_pair(tmp_path / "b", np.zeros((5, 2, 2), dtype=np.uint8), np.zeros(5, dtype=np.uint8))
         with pytest.raises(DataFormatError):
             load_idx(images_path, labels_path, keep_classes=[0])
+
+
+class TestDatasetInvariants:
+    @pytest.mark.parametrize("features, labels, n_classes, named", [
+        (np.zeros(4), np.zeros(4), 2, r"\(n, F\) array with F >= 1"),
+        (np.zeros((4, 0)), np.zeros(4), 2, r"\(n, F\) array with F >= 1"),
+        (np.zeros((4, 2, 1)), np.zeros(4), 2, r"\(n, F\) array with F >= 1"),
+        (np.zeros((4, 2)), np.zeros(3), 2, "equal length"),
+        (np.zeros((4, 2)), np.zeros(4), 0, "n_classes must be >= 1"),
+        (np.zeros((3, 2)), np.array([0, 2, 1]), 2, r"labels must lie in \[0, 2\)"),
+        (np.zeros((3, 2)), np.array([0, -1, 1]), 2, r"labels must lie in \[0, 2\)"),
+    ])
+    def test_malformed_arrays_rejected(self, features, labels, n_classes, named):
+        with pytest.raises(ParameterError, match=named):
+            Dataset(features, labels, n_classes)
 
 
 class TestStratifiedSplit:
@@ -131,6 +162,11 @@ class TestStratifiedSplit:
         train, test = stratified_split(data, 0.2, 11)
         for c in range(4):
             assert np.sum(data.labels[test] == c) == 10
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_fraction_outside_the_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(ParameterError, match=r"test_fraction must be in \(0, 1\)"):
+            stratified_split(generate_synthetic(2, 2, 5, 0.1, 0), fraction, 0)
 
     def test_determinism(self):
         data = generate_synthetic(3, 3, 40, 0.2, 3)
@@ -272,6 +308,27 @@ class TestDirichletPartition:
             clients = dirichlet_partition(data, 6, 1e-300, seed)
             for client, want in zip(clients, _fill_empty_clients(held)):
                 np.testing.assert_array_equal(client, want)
+
+    def test_an_underflowing_class_takes_its_limit_within_the_draw(self):
+        # attempt 0's class 1 underflows: it goes whole to one client, and the other classes keep their draws
+        data = generate_synthetic(4, 2, 10, 0.3, 0)
+        rng = np.random.default_rng(0)
+        held = [np.zeros(0, dtype=np.int64) for _ in range(2)]
+        for c in range(4):
+            class_pool = rng.permutation(np.flatnonzero(data.labels == c))
+            gammas = rng.gamma(0.001, 1.0, 2)
+            if c == 1:
+                assert not gammas.any()
+                shares = np.eye(2)[rng.integers(2)]
+            else:
+                shares = gammas / gammas.sum()
+            cuts = np.floor(np.cumsum(shares)[:-1] * len(class_pool)).astype(int)
+            for client_id, piece in enumerate(np.split(class_pool, cuts)):
+                held[client_id] = np.sort(np.concatenate([held[client_id], piece]))
+        assert [len(h) for h in held] == [30, 10]
+        clients = dirichlet_partition(data, 2, 0.001, 0)
+        for client, want in zip(clients, held):
+            np.testing.assert_array_equal(client, want)
 
     def test_overflowing_alpha_splits_each_class_evenly(self):
         # gamma variates near 1e308 overflow their sum; the alpha -> inf limit is an even split

@@ -28,6 +28,8 @@ from fedsim.model import (
 )
 from fedsim.orchestrator import ExperimentConfig, build_context, init_state, run_round
 
+from conftest import dense_oracle_state
+
 
 MODEL_LAYER_DIGEST = "7d9acbb1d8d75175d643667127686452df767f720ca59ecf978266f38800b45c"
 
@@ -40,46 +42,6 @@ def random_hybrid(rng, f=4, h=5, q=3, layers=1):
 def random_dense(rng):
     layout, params = random_hybrid(rng)
     return layout.dense(params)
-
-
-def ry_matrix(theta):
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]])
-
-
-def dense_gate(single, qubit, n):
-    out = np.array([[1.0]])
-    for pos in range(n):
-        out = np.kron(out, single if pos == qubit else np.eye(2))
-    return out
-
-
-def dense_cnot(control, target, n):
-    dim = 2**n
-    gate = np.zeros((dim, dim))
-    for col in range(dim):
-        if (col >> (n - 1 - control)) & 1:
-            row = col ^ (1 << (n - 1 - target))
-        else:
-            row = col
-        gate[row, col] = 1.0
-    return gate
-
-
-def dense_oracle_state(embedding, angles):
-    """Statevector via explicit 2^Q x 2^Q matrix products."""
-    layers, n = angles.shape
-    psi = np.zeros(2**n)
-    psi[0] = 1.0
-    for q in range(n):
-        psi = dense_gate(ry_matrix(math.pi * embedding[q]), q, n) @ psi
-    for layer in range(layers):
-        for q in range(n):
-            psi = dense_gate(ry_matrix(angles[layer, q]), q, n) @ psi
-        if n > 1:
-            for q in range(n):
-                psi = dense_cnot(q, (q + 1) % n, n) @ psi
-    return psi
 
 
 class TestMlp:
@@ -223,6 +185,11 @@ class TestCircuit:
         with pytest.raises(ParameterError):
             circuit_forward(np.zeros(2), np.zeros(2), 2)
 
+    @pytest.mark.parametrize("embedding", [np.zeros(3), np.zeros((4, 3)), np.zeros((1, 4, 2)), np.float64(0.5)])
+    def test_one_model_embedding_must_be_a_vector_or_a_batch_of_qubit_width(self, embedding):
+        with pytest.raises(ParameterError, match=r"length-2 embedding or an \(n, 2\) batch"):
+            circuit_forward(embedding, np.zeros((1, 2)), 2)
+
 
 class TestParamShift:
     def test_closed_form_gradient(self):
@@ -232,6 +199,16 @@ class TestParamShift:
     def test_stationary_point(self):
         grad_var, _ = param_shift_grad(np.zeros(1), np.array([[0.0]]), np.ones(1), 1)
         assert grad_var[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("embedding, upstream", [
+        (np.zeros(3), np.ones(3)),
+        (np.zeros(3), np.ones((1, 2))),
+        (np.zeros((4, 3)), np.ones((3, 2))),
+        (np.zeros((4, 3)), np.ones(2)),
+    ])
+    def test_upstream_must_hold_one_class_row_per_sample(self, embedding, upstream):
+        with pytest.raises(ParameterError, match="length-2 upstream gradient per sample"):
+            param_shift_grad(embedding, np.zeros((1, 3)), upstream, 2)
 
     def test_batch_sums_angle_gradients_and_keeps_embedding_rows(self, rng):
         angles = rng.uniform(-math.pi, math.pi, (2, 4))
@@ -361,6 +338,11 @@ class TestHybridLoss:
         layout, params = random_hybrid(rng)
         with pytest.raises(ParameterError):
             hybrid_loss_and_grads(np.zeros((0, 4)), np.zeros(0, dtype=int), params, layout, 3)
+
+    def test_params_beyond_a_client_stack_rejected(self, rng):
+        layout, params = random_hybrid(rng)
+        with pytest.raises(ParameterError, match=r"one vector or a \(clients, size\) stack"):
+            hybrid_loss_and_grads(np.zeros((2, 4)), np.zeros(2, dtype=int), params[None, None], layout, 3)
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_the_classes_rejected(self, rng, label):
@@ -496,6 +478,12 @@ class TestLocalTrain:
         before = params.copy()
         train_alone(client, data, params, layout, 2, 8, 0.05, 0.1, seed=4)
         np.testing.assert_array_equal(params, before)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        data, client, layout, params = self.toy_setup()
+        with pytest.raises(ParameterError, match="epochs must be >= 1"):
+            train_alone(client, data, params, layout, epochs, 8, 0.05, 0.0, seed=3)
 
     def test_divergence_raises_numeric_error(self):
         # steps of ~1e308 overflow the angles to inf; the circuit must never see them
@@ -964,6 +952,11 @@ class TestEpochBatches:
             combined = np.sort(np.concatenate(batches))
             np.testing.assert_array_equal(combined, np.arange(n))
             assert all(len(b) <= batch for b in batches)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, rng, batch_size):
+        with pytest.raises(ParameterError, match="batch_size must be >= 1"):
+            epoch_batches(10, batch_size, rng)
 
     def test_samples_seen_conservation(self, rng):
         # one epoch sees n samples, so E epochs see n * E
