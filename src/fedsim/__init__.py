@@ -70,6 +70,7 @@ from .orchestrator import (
     build_context,
     cluster_clients,
     derived_seed,
+    derived_seeds,
     evaluate,
     init_state,
     run_experiment,

@@ -149,14 +149,12 @@ def similarity_matrix(proportions, counts, lambda1: float = 1.0, lambda2: float 
 def normalized_laplacian(similarity: SimilarityMatrix) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} S D^{-1/2}.
 
-    D is the diagonal of row sums. Eigenvalues lie in [0, 2], and 0 is
-    always present because similarity entries are strictly positive.
+    D is the diagonal of row sums, each at least 1 (the unit diagonal).
+    Eigenvalues lie in [0, 2], and 0 is always present because similarity
+    entries are strictly positive.
     """
     a = similarity.entries
-    degree = a.sum(axis=1)
-    if np.any(degree <= 0):
-        raise NumericError("zero row sum in similarity matrix")
-    inv_sqrt = 1.0 / np.sqrt(degree)
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     lap = np.eye(len(a)) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
     return 0.5 * (lap + lap.T)
 
@@ -318,8 +316,8 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
     identical result.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or len(pts) < 1:
-        raise ParameterError("points must be a non-empty (n, d) array")
+    if pts.ndim != 2 or pts.size == 0:
+        raise ParameterError("points must be a non-empty (n, d) array, n and d >= 1")
     if not np.all(np.isfinite(pts)):
         raise ParameterError("points must be finite")
     if k < 1 or k > len(pts):

@@ -54,6 +54,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._angles import wrap_angles
+from ._seeds import pcg64_states
 from .data import Dataset
 from .errors import NumericError, ParameterError
 
@@ -650,9 +651,12 @@ def local_train(
 
     clients[g] is client g's index array into dataset, and an empty one
     raises ParameterError. Client g starts from row g of the (G, P)
-    `inits` and reshuffles its samples every epoch from a generator seeded
-    with seeds[g]. It keeps its own Adam moments and the loss total of its
-    final epoch; its step count is the cohort's step index s, so every
+    `inits` and reshuffles its samples every epoch from a generator in the
+    state np.random.default_rng(seeds[g]) starts from; every seed must lie
+    in [0, 2**64), else ParameterError names its client. All the seeds are
+    hashed into PCG64 states in one pass, and one reused generator is set
+    to each client's state in turn. Client g keeps its own Adam moments and
+    the loss total of its final epoch; its step count is the cohort's step index s, so every
     client that still has a batch at step s takes its step together with
     the others. All of those whose batches hold the same number n of
     samples share one hybrid_loss_and_grads call and one Adam step, so a
@@ -675,6 +679,9 @@ def local_train(
         raise ParameterError("epochs must be >= 1")
     if len(seeds) != len(clients):
         raise ParameterError("expected one seed per client")
+    for g, seed in enumerate(seeds):
+        if not 0 <= int(seed) < 1 << 64:
+            raise ParameterError(f"client {g}: seed {seed} lies outside [0, 2**64)")
     sizes = np.array([len(client) for client in clients], dtype=np.int64)
     if np.any(sizes < 1):
         raise ParameterError(f"client {int(np.argmin(sizes))} has no samples")
@@ -684,10 +691,13 @@ def local_train(
     params = inits.copy()
     anchors = inits if prox_mu > 0.0 else None
     m, v = np.zeros(params.shape), np.zeros(params.shape)
+    # one generator, set in turn to the state default_rng(seed) starts from for each client
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     # each client's batches, as dataset indices, for all of its epochs in order
     schedules = []
-    for client, seed in zip(clients, seeds):
-        rng = np.random.default_rng(seed)
+    for client, state in zip(clients, pcg64_states(seeds)):
+        bit_generator.state = state
         epoch = [epoch_batches(len(client), batch_size, rng) for _ in range(epochs)]
         schedules.append([client[batch] for batches in epoch for batch in batches])
     # the step at which each client's final epoch starts; only its losses are summed

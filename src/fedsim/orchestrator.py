@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from statistics import fmean
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._seeds import MASK32, int_words, seed_words
 from .aggregation import (
     AggregationWeights,
     aggregate_quantum,
@@ -93,9 +93,26 @@ _SEED_CLIENT = 4
 _SEED_KMEANS = 5
 
 
+def derived_seeds(master: int, path: Sequence[int], ids: Sequence[int]) -> np.ndarray:
+    """derived_seed(master, *path, i) for every i of ids, as one (N,) uint64 array hashed in one pass.
+
+    master and path are non-negative ints and every id lies in [0, 2**32).
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    prefix = [int(value) for value in (master, *path)]
+    if min(prefix) < 0 or np.any((ids < 0) | (ids > MASK32)):
+        raise ParameterError("seed paths must be non-negative, with every id in [0, 2**32)")
+    words = [word for value in prefix for word in int_words(value)]
+    entropy = np.empty((len(words) + 1, len(ids)), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = ids
+    lo, hi = seed_words(entropy, 2).astype(np.uint64)
+    return lo | hi << 32
+
+
 def derived_seed(master: int, *path: int) -> int:
-    """Deterministic child seed from the master seed and an integer path."""
-    return int(np.random.SeedSequence([master, *path]).generate_state(1, np.uint64)[0])
+    """Deterministic child seed from the master seed and a non-empty integer path: the one-id derived_seeds."""
+    return int(derived_seeds(master, path[:-1], path[-1:])[0])
 
 
 @dataclass
@@ -417,7 +434,7 @@ def _round_metrics(
         alpha=config.alpha,
         accuracy=acc,
         loss=loss,
-        mean_train_loss=math.nan if losses is None else fmean(losses.tolist()),
+        mean_train_loss=math.nan if losses is None else math.fsum(losses.tolist()) / len(losses),
         per_cluster_accuracy=per_cluster,
         cluster_sizes=tuple(state.assignment.cluster_sizes().tolist()),
         eigengaps=eigengaps,
@@ -439,7 +456,9 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     always aggregates into one cluster of all clients. The clients train
     as one cohort, in one local_train call, and its (n_clients, P) stack
     goes straight to aggregation. Per-client seeds derive from (master seed, round, client
-    id), so a round is reproducible regardless of scheduling. A client
+    id), so a round is reproducible regardless of scheduling; derived_seeds
+    hashes the whole cohort's in one pass, each equal to
+    SeedSequence([master, 4, round, id]) and so in [0, 2**64). A client
     whose training diverges raises NumericError naming the round and the
     client.
     """
@@ -460,7 +479,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
             config.batch_size,
             config.local_lr,
             config.prox_mu if strategy.proximal else 0.0,
-            [derived_seed(config.seed, _SEED_CLIENT, round_index, client) for client in range(n_clients)],
+            derived_seeds(config.seed, (_SEED_CLIENT, round_index), np.arange(n_clients)),
         )
     except NumericError as exc:
         raise NumericError(f"round {round_index}, {exc}") from exc

@@ -475,7 +475,7 @@ class TestKmeans:
         embedding /= np.linalg.norm(embedding, axis=1)[:, None]
         np.testing.assert_array_equal(kmeans(embedding, 4, 42).labels, reference_kmeans(embedding, 4, 42))
 
-    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(4), np.zeros((2, 2, 2))])
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(4), np.zeros((2, 2, 2)), np.zeros((3, 0))])
     def test_rejects_points_that_are_not_a_non_empty_n_by_d_array(self, points):
         with pytest.raises(ParameterError, match=r"non-empty \(n, d\) array"):
             kmeans(points, 1, 0)

@@ -674,6 +674,33 @@ class TestCohortStacking:
         with pytest.raises(ParameterError):
             local_train(clients, data, inits[0], layout, 1, 4, 0.05, 0.0, seeds)
 
+    def test_each_client_shuffles_as_default_rng_of_its_seed(self, monkeypatch):
+        # one-word entropy below 2**32, two words from there on
+        data, clients, layout, inits = self.mixed_cohort()
+        seeds = [0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+        clients, inits = clients[:len(seeds)], inits[:len(seeds)]
+        drawn = []
+
+        def recorded(n, batch_size, rng):
+            drawn.append(epoch_batches(n, batch_size, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(model, "epoch_batches", recorded)
+        local_train(clients, data, inits, layout, 2, 4, 0.05, 0.0, np.array(seeds, dtype=np.uint64))
+        expected = []
+        for client, seed in zip(clients, seeds):
+            rng = np.random.default_rng(seed)
+            expected += [epoch_batches(len(client), 4, rng) for _ in range(2)]
+        assert len(drawn) == len(expected)
+        for got, want in zip(drawn, expected):
+            assert [b.tolist() for b in got] == [b.tolist() for b in want]
+
+    @pytest.mark.parametrize("seeds,named", [([0, -1, 2], "client 1"), ([0, 1, 2**64], "client 2")])
+    def test_a_seed_outside_0_to_2_64_names_its_client(self, seeds, named):
+        data, clients, layout, inits = self.mixed_cohort()
+        with pytest.raises(ParameterError, match=f"^{named}: seed"):
+            local_train(clients[:3], data, inits[:3], layout, 1, 4, 0.05, 0.0, seeds)
+
     def test_an_empty_client_is_a_parameter_error(self):
         data, clients, layout, inits = self.mixed_cohort()
         cohort = [clients[0], np.zeros(0, dtype=np.int64), clients[2]]

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,68 @@ class TestDerivedSeed:
         assert derived_seed(42, 4, 1, 3) == derived_seed(42, 4, 1, 3)
         assert derived_seed(42, 4, 1, 3) != derived_seed(42, 4, 3, 1)
         assert derived_seed(42, 4, 1, 3) != derived_seed(43, 4, 1, 3)
+
+    @pytest.mark.parametrize("path,expected", [
+        ((42, 4, 1, 3), 7503925549000681190),
+        ((0, 0), 15793235383387715774),
+        ((7, 5, 1), 12176184755866622661),
+        ((2**32 + 5, 4, 2, 199), 17706198865546065587),
+        ((2**64 + 3, 1), 18236630106159467435),
+    ])
+    def test_pinned_values(self, path, expected):
+        assert derived_seed(*path) == expected
+
+    @pytest.mark.parametrize("master", [0, 42, 2**32 - 1, 2**32, 2**63 + 11, 2**64 + 5, 3**50])
+    def test_a_cohort_hashed_at_once_matches_seed_sequence(self, master):
+        # masters from 2**32 on add entropy words, past the pool of four
+        ids = np.array([0, 1, 2, 7, 199, 2**32 - 1])
+        seeds = orch.derived_seeds(master, (4, 3), ids)
+        assert seeds.dtype == np.uint64
+        expected = [int(np.random.SeedSequence([master, 4, 3, i]).generate_state(1, np.uint64)[0]) for i in ids.tolist()]
+        assert seeds.tolist() == expected == [derived_seed(master, 4, 3, i) for i in ids.tolist()]
+
+    @pytest.mark.parametrize("master,path,ids", [(-1, (4,), [0]), (1, (-4,), [0]), (1, (4,), [-1]), (1, (4,), [2**32])])
+    def test_negative_paths_and_wide_ids_rejected(self, master, path, ids):
+        with pytest.raises(ParameterError, match="non-negative"):
+            orch.derived_seeds(master, path, ids)
+
+    def test_run_round_seeds_its_clients_with_one_hash(self, monkeypatch):
+        config = small_config(n_clients=6)
+        context = build_context(config)
+        state = init_state(config, context)
+        hashed = orch.derived_seeds
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hashed(*args)
+
+        def one_seed(*args):
+            raise AssertionError("derived_seed called during a round")
+
+        monkeypatch.setattr(orch, "derived_seeds", counted)
+        monkeypatch.setattr(orch, "derived_seed", one_seed)
+        run_round(state, config, context)
+        assert [(master, path, ids.tolist()) for master, path, ids in calls] == [(config.seed, (4, 1), list(range(6)))]
+
+
+class TestRoundMetricsMean:
+    def test_mean_train_loss_is_bit_equal_to_fmean(self):
+        config = small_config(n_clients=4)
+        context = build_context(config)
+        state = init_state(config, context)
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 10, 200):
+            for scale in (1e-3, 1.0, 1e6):
+                losses = rng.exponential(scale, n)
+                got = orch._round_metrics(state, config, context, 0.0, losses).mean_train_loss
+                assert got.hex() == statistics.fmean(losses.tolist()).hex()
+
+    def test_importing_fedsim_loads_no_statistics_fractions_or_decimal(self):
+        code = "import sys, fedsim; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRunContext:
