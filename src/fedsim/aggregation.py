@@ -43,7 +43,10 @@ DEGENERATE_RESULTANT = 1e-12
 
 @dataclass
 class AggregationWeights:
-    """Client weights n_i / sum(n), non-negative and summing to one."""
+    """Client weights n_i / sum(n), finite, non-negative and summing to one.
+
+    Every check is written so that nan fails it.
+    """
 
     weights: np.ndarray
 
@@ -51,17 +54,22 @@ class AggregationWeights:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 1 or len(self.weights) < 1:
             raise ParameterError("weights must be a non-empty vector")
-        if np.any(self.weights < 0):
-            raise ParameterError("weights must be non-negative")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise ParameterError("weights must be finite and non-negative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ParameterError("weights must sum to 1")
 
     @classmethod
     def from_counts(cls, counts) -> "AggregationWeights":
+        """Weights from sample counts, which must be finite and >= 0 with a positive total.
+
+        A nan or infinite count fails the total's check, without summing it
+        (inf - inf would warn); a negative count fails the weights' own check.
+        """
         c = np.asarray(counts, dtype=np.float64)
-        total = c.sum()
-        if total <= 0:
-            raise ParameterError("total sample count must be positive")
+        total = c.sum() if np.all(np.isfinite(c)) else math.nan
+        if not total > 0:
+            raise ParameterError("total sample count must be positive, with every count finite")
         return cls(c / total)
 
 

@@ -188,15 +188,23 @@ def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ClusterAssignment:
-    """Cluster label per client; every cluster index in [0, M) is occupied."""
+    """Cluster label per client; every cluster index in [0, M) is occupied.
+
+    Labels are stored as int64; labels that are not whole numbers (0.7,
+    nan, inf) raise ParameterError rather than being truncated.
+    """
 
     labels: np.ndarray
     n_clusters: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        given = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, which the check below rejects
+            self.labels = given.astype(np.int64, copy=False)
         if self.labels.ndim != 1 or len(self.labels) < 1:
             raise ParameterError("labels must be a non-empty vector")
+        if np.any(self.labels != given):
+            raise ParameterError("labels must be whole numbers")
         if self.n_clusters < 1:
             raise ParameterError("n_clusters must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.n_clusters:

@@ -13,8 +13,9 @@ term in the local objective.
 
 The clustering's inputs (the partition's class counts, lambda1, lambda2
 and clusters) never change during a run, so a clustered strategy
-clusters the clients once per run, in `build_context`, and every round
-reuses that assignment and eigengap report.
+clusters the clients once per run, in `init_state`, and every round
+passes that assignment and eigengap report on in the server state. The
+run context holds only data, so runs of different configs can share it.
 
 State transitions are functional: run_round returns a fresh ServerState,
 so a failed round leaves the previous state untouched.
@@ -96,9 +97,11 @@ _SEED_KMEANS = 5
 def derived_seeds(master: int, path: Sequence[int], ids: Sequence[int]) -> np.ndarray:
     """derived_seed(master, *path, i) for every i of ids, as one (N,) uint64 array hashed in one pass.
 
-    master and path are non-negative ints and every id lies in [0, 2**32).
+    master and path are non-negative ints and every id lies in [0, 2**32),
+    else ParameterError; the range is checked before any fixed-width
+    conversion, so an id of 2**63 or more is rejected, not overflowed.
     """
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    ids = np.asarray(ids).reshape(-1)
     prefix = [int(value) for value in (master, *path)]
     if min(prefix) < 0 or np.any((ids < 0) | (ids > MASK32)):
         raise ParameterError("seed paths must be non-negative, with every id in [0, 2**32)")
@@ -209,16 +212,12 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class Clustering:
-    """A run's spectral clustering and the config inputs it was built from.
+    """A run's spectral clustering of its clients.
 
     eigenvalues is the ascending normalized-Laplacian spectrum of the
     clients' similarity graph.
     """
 
-    lambda1: float
-    lambda2: float
-    clusters: int
-    seed: int
     assignment: ClusterAssignment
     eigenvalues: np.ndarray
 
@@ -226,11 +225,6 @@ class Clustering:
     def eigengaps(self) -> tuple[float, ...]:
         """The spectrum's consecutive gaps, as every clustered round reports them."""
         return tuple(np.diff(self.eigenvalues).tolist())
-
-    def built_from(self, config: ExperimentConfig) -> bool:
-        return (self.lambda1, self.lambda2, self.clusters, self.seed) == (
-            config.lambda1, config.lambda2, config.clusters, config.seed,
-        )
 
 
 def client_similarity(counts: np.ndarray, config: ExperimentConfig) -> SimilarityMatrix:
@@ -248,25 +242,23 @@ def cluster_clients(counts: np.ndarray, config: ExperimentConfig) -> Clustering:
     sim = client_similarity(counts, config)
     assignment = spectral_cluster(sim, config.clusters, derived_seed(config.seed, _SEED_KMEANS, 1))
     values, _ = laplacian_eigengaps(sim)
-    return Clustering(config.lambda1, config.lambda2, config.clusters, config.seed, assignment, values)
+    return Clustering(assignment, values)
 
 
 @dataclass
 class RunContext:
-    """Immutable per-run environment: data, partition, clustering, and the test split.
+    """Immutable per-run environment: data, partition, and the test split.
 
     clients[i] is client i's index array into dataset, and row i of the
     (n_clients, C) class_counts matrix tallies its labels; the partition
-    never changes during a run, so the matrix is taken once. For the same
-    reason a clustered strategy's clustering is computed once, from that
-    matrix, and kept with the inputs it was built from; an unclustered
-    strategy's context holds None.
+    never changes during a run, so the matrix is taken once. The context
+    depends on the seed and the data and partition settings only, not on
+    the strategy or its clustering settings.
     """
 
     dataset: Dataset
     clients: list[np.ndarray]
     class_counts: np.ndarray
-    clustering: Clustering | None
     train_indices: np.ndarray
     test_indices: np.ndarray
 
@@ -284,7 +276,10 @@ class ServerState:
     first n_classical entries of a ParamLayout), and assignment puts every
     client in one of those clusters: a state that never clustered holds the
     one-cluster assignment of all clients. quantum is the global (L, Q)
-    angle array.
+    angle array. clustering is a clustered strategy's clustering of the
+    run's clients, computed once and passed on from round to round; the
+    state init_state builds for an unclustered strategy holds None, and so
+    may a state built by hand, whose first clustered round clusters.
     """
 
     round_index: int
@@ -292,42 +287,36 @@ class ServerState:
     assignment: ClusterAssignment
     quantum: np.ndarray
     opt_state: AdamState
+    clustering: Clustering | None = None
 
 
 def build_context(config: ExperimentConfig) -> RunContext:
     """Materialize the dataset, the global test split, and the client partition.
 
-    A clustered strategy's context also holds the run's clustering.
+    The three seeds are hashed in one derived_seeds pass.
     """
+    tags = [_SEED_DATA, _SEED_SPLIT, _SEED_PARTITION]
+    data_seed, split_seed, partition_seed = derived_seeds(config.seed, (), tags).tolist()
     if config.dataset == "synthetic":
         dataset = generate_synthetic(
             config.classes,
             config.features,
             config.per_class,
             config.spread,
-            derived_seed(config.seed, _SEED_DATA),
+            data_seed,
         )
     else:
         keep = config.keep_classes if config.keep_classes is not None else tuple(range(config.classes))
         dataset = load_idx(config.idx_images, config.idx_labels, keep)
-    train_idx, test_idx = stratified_split(dataset, TEST_FRACTION, derived_seed(config.seed, _SEED_SPLIT))
+    train_idx, test_idx = stratified_split(dataset, TEST_FRACTION, split_seed)
     clients = dirichlet_partition(
         dataset,
         config.n_clients,
         config.alpha,
-        derived_seed(config.seed, _SEED_PARTITION),
+        partition_seed,
         indices=train_idx,
     )
-    counts = class_counts(clients, dataset)
-    clustering = cluster_clients(counts, config) if STRATEGIES[config.strategy].clustered else None
-    return RunContext(dataset, clients, counts, clustering, train_idx, test_idx)
-
-
-def run_clustering(config: ExperimentConfig, context: RunContext) -> Clustering:
-    """The context's clustering if it was built from config's inputs, else a fresh one for config."""
-    if context.clustering is not None and context.clustering.built_from(config):
-        return context.clustering
-    return cluster_clients(context.class_counts, config)
+    return RunContext(dataset, clients, class_counts(clients, dataset), train_idx, test_idx)
 
 
 def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
@@ -335,7 +324,11 @@ def _layout(config: ExperimentConfig, context: RunContext) -> ParamLayout:
 
 
 def init_state(config: ExperimentConfig, context: RunContext) -> ServerState:
-    """Round-0 server state: one model for one cluster of all clients, empty optimizer moments."""
+    """Round-0 server state: one model for one cluster of all clients, empty optimizer moments.
+
+    A clustered strategy's state also holds the run's clustering, computed
+    here from the context's class counts.
+    """
     layout = _layout(config, context)
     params = init_params(layout, derived_seed(config.seed, _SEED_INIT))
     return ServerState(
@@ -344,6 +337,7 @@ def init_state(config: ExperimentConfig, context: RunContext) -> ServerState:
         assignment=ClusterAssignment.single(len(context.clients)),
         quantum=layout.angles(params),
         opt_state=AdamState.zeros(config.qubits * config.layers),
+        clustering=cluster_clients(context.class_counts, config) if STRATEGIES[config.strategy].clustered else None,
     )
 
 
@@ -449,18 +443,17 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     Client i trains from the classical parameters of its cluster in the
     state's assignment; everyone receives the same global quantum
     parameters, and a broadcast is the concatenation of the two. A
-    clustered strategy aggregates into the run's clustering: the context's
-    record when it was built from this config's lambda1, lambda2, clusters
-    and seed, else the same clustering computed afresh, so every round
-    reports the same assignment and eigengaps. An unclustered strategy
-    always aggregates into one cluster of all clients. The clients train
-    as one cohort, in one local_train call, and its (n_clients, P) stack
-    goes straight to aggregation. Per-client seeds derive from (master seed, round, client
-    id), so a round is reproducible regardless of scheduling; derived_seeds
-    hashes the whole cohort's in one pass, each equal to
-    SeedSequence([master, 4, round, id]) and so in [0, 2**64). A client
-    whose training diverges raises NumericError naming the round and the
-    client.
+    clustered strategy aggregates into the state's clustering, computed
+    here only for a state built without one, and passes it on to the next
+    state, so every round reports the same assignment and eigengaps. An
+    unclustered strategy always aggregates into one cluster of all
+    clients. The clients train as one cohort, in one local_train call, and
+    its (n_clients, P) stack goes straight to aggregation. Per-client seeds
+    derive from (master seed, round, client id), so a round is
+    reproducible regardless of scheduling; derived_seeds hashes the whole
+    cohort's in one pass, each equal to SeedSequence([master, 4, round,
+    id]) and so in [0, 2**64). A client whose training diverges raises
+    NumericError naming the round and the client.
     """
     start = time.perf_counter()
     round_index = state.round_index + 1
@@ -485,12 +478,11 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         raise NumericError(f"round {round_index}, {exc}") from exc
     counts = context.counts
 
-    eigengaps = None
-    if strategy.clustered:
-        clustering = run_clustering(config, context)
-        assignment, eigengaps = clustering.assignment, clustering.eigengaps
-    else:
-        assignment = ClusterAssignment.single(n_clients)
+    clustering = state.clustering
+    if strategy.clustered and clustering is None:
+        clustering = cluster_clients(context.class_counts, config)
+    assignment = clustering.assignment if strategy.clustered else ClusterAssignment.single(n_clients)
+    eigengaps = clustering.eigengaps if strategy.clustered else None
     cluster_models = cluster_weighted_average(uploads[:, :layout.n_classical], counts, assignment)
 
     if strategy.circular:
@@ -508,6 +500,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         assignment=assignment,
         quantum=quantum,
         opt_state=opt_state,
+        clustering=clustering,
     )
     return next_state, _round_metrics(next_state, config, context, start, losses, eigengaps, len(degenerate))
 

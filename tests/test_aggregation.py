@@ -161,15 +161,24 @@ class TestAggregationWeights:
         with pytest.raises(ParameterError):
             AggregationWeights(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan], [np.inf, -np.inf]])
+    def test_rejects_nan_or_infinite_weights(self, weights):
+        with pytest.raises(ParameterError, match="finite"):
+            AggregationWeights(np.array(weights))
+
     @pytest.mark.parametrize("weights", [np.array([[0.5, 0.5]]), np.array([]), np.float64(1.0)])
     def test_rejects_a_non_vector_or_empty_array(self, weights):
         with pytest.raises(ParameterError, match="non-empty vector"):
             AggregationWeights(weights)
 
-    @pytest.mark.parametrize("counts", [[0, 0], [0.0], [-3, 2]])
+    @pytest.mark.parametrize("counts", [[0, 0], [0.0], [-3, 2], [np.nan, 2.0], [np.inf, 2.0], [np.inf, -np.inf]])
     def test_rejects_counts_without_a_positive_total(self, counts):
         with pytest.raises(ParameterError, match="total sample count must be positive"):
             AggregationWeights.from_counts(counts)
+
+    def test_rejects_a_negative_count_with_a_positive_total(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            AggregationWeights.from_counts([-1, 3])
 
 
 def classical_rows(*values):
@@ -211,6 +220,11 @@ class TestClusterWeightedAverage:
     def test_counts_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             cluster_weighted_average(classical_rows(0.0, 1.0), [5], ClusterAssignment(np.array([0, 1]), 2))
+
+    @pytest.mark.parametrize("counts", [[np.nan, 2.0], [np.inf, 2.0]])
+    def test_nan_or_infinite_counts_rejected(self, counts):
+        with pytest.raises(ParameterError, match="total sample count"):
+            cluster_weighted_average(np.ones((2, 3)), counts, ClusterAssignment.single(2))
 
 
 class TestCircularMean:

@@ -22,7 +22,15 @@ from fedsim.cli import (
 )
 from fedsim.clustering import laplacian_eigengaps
 from fedsim.errors import ConfigError, FedsimError, NumericError
-from fedsim.orchestrator import STRATEGIES, ExperimentConfig, RoundMetrics, Strategy, build_context, client_similarity
+from fedsim.orchestrator import (
+    STRATEGIES,
+    ExperimentConfig,
+    RoundMetrics,
+    Strategy,
+    build_context,
+    client_similarity,
+    init_state,
+)
 
 from conftest import write_idx_pair
 
@@ -373,7 +381,9 @@ class TestEigengapCommand:
         assert "eigenvalue" in out
         assert len(out.splitlines()) >= 6
 
-    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "fedcompass_no_clustering"])
+    @pytest.mark.parametrize(
+        "strategy", ["fedavg", "fedprox", "fedcompass_no_clustering", "fedcompass", "fedcompass_no_circular"],
+    )
     def test_an_unclustered_strategy_runs_no_kmeans(self, monkeypatch, capsys, strategy):
         def no_kmeans(*args, **kwargs):
             raise AssertionError("k-means run")
@@ -390,7 +400,7 @@ class TestEigengapCommand:
 
     def test_a_clustered_strategy_reports_its_runs_spectrum(self, capsys):
         config = parse_config(None, dict(strategy="fedcompass", n_clients=6, seed=3, lambda1=0.5))
-        clustering_ = build_context(config).clustering
+        clustering_ = init_state(config, build_context(config)).clustering
         assert main(["eigengap", "--strategy", "fedcompass", "--clients", "6", "--seed", "3", "--lambda1", "0.5"]) == 0
         gap_cells = [f"{gap:.6f}" for gap in clustering_.eigengaps] + [""]
         assert capsys.readouterr().out.splitlines()[2:] == [

@@ -543,6 +543,7 @@ class TestClusterAssignment:
         (np.zeros(3), 0, "n_clusters must be >= 1"),
         (np.array([0, 1, 2]), 2, r"lie in \[0, n_clusters\)"),
         (np.array([0, -1, 1]), 2, r"lie in \[0, n_clusters\)"),
+        (np.array([0.7, 1.2]), 2, "whole numbers"),
     ])
     def test_rejects_malformed_labels_or_cluster_count(self, labels, n_clusters, named):
         with pytest.raises(ParameterError, match=named):

@@ -180,10 +180,14 @@ class TestDerivedSeed:
         expected = [int(np.random.SeedSequence([master, 4, 3, i]).generate_state(1, np.uint64)[0]) for i in ids.tolist()]
         assert seeds.tolist() == expected == [derived_seed(master, 4, 3, i) for i in ids.tolist()]
 
-    @pytest.mark.parametrize("master,path,ids", [(-1, (4,), [0]), (1, (-4,), [0]), (1, (4,), [-1]), (1, (4,), [2**32])])
+    @pytest.mark.parametrize("master,path,ids", [
+        (-1, (4,), [0]), (1, (-4,), [0]), (1, (4,), [-1]), (1, (4,), [2**32]), (1, (4,), [2**63]), (1, (), [2**63]),
+    ])
     def test_negative_paths_and_wide_ids_rejected(self, master, path, ids):
         with pytest.raises(ParameterError, match="non-negative"):
             orch.derived_seeds(master, path, ids)
+        with pytest.raises(ParameterError, match="non-negative"):
+            derived_seed(master, *path, *ids)
 
     def test_run_round_seeds_its_clients_with_one_hash(self, monkeypatch):
         config = small_config(n_clients=6)
@@ -203,6 +207,26 @@ class TestDerivedSeed:
         monkeypatch.setattr(orch, "derived_seed", one_seed)
         run_round(state, config, context)
         assert [(master, path, ids.tolist()) for master, path, ids in calls] == [(config.seed, (4, 1), list(range(6)))]
+
+    def test_build_context_seeds_data_split_and_partition_with_one_hash(self, monkeypatch):
+        config = small_config(n_clients=6)
+        expected = [derived_seed(config.seed, tag) for tag in (0, 1, 2)]
+        hashed = orch.derived_seeds
+        calls, seeds = [], []
+
+        def counted(*args):
+            calls.append(args)
+            seeds.append(hashed(*args).tolist())
+            return hashed(*args)
+
+        def one_seed(*args):
+            raise AssertionError("derived_seed called while building the context")
+
+        monkeypatch.setattr(orch, "derived_seeds", counted)
+        monkeypatch.setattr(orch, "derived_seed", one_seed)
+        build_context(config)
+        assert [(master, tuple(path), list(ids)) for master, path, ids in calls] == [(config.seed, (), [0, 1, 2])]
+        assert seeds == [expected]
 
 
 class TestRoundMetricsMean:
@@ -296,12 +320,10 @@ class TestClusteringOncePerRun:
         assert {row.eigengaps for row in rows[1:]} == {rows[1].eigengaps}
 
     @pytest.mark.parametrize("strategy", ["fedcompass", "fedcompass_no_circular"])
-    def test_clustered_context_holds_round_one_clustering(self, strategy):
+    def test_clustered_init_state_holds_round_one_clustering(self, strategy):
         config = small_config(strategy=strategy, n_clients=6, clusters=3, lambda1=0.5, lambda2=2.0)
         context = build_context(config)
-        record = context.clustering
-        assert (record.lambda1, record.lambda2, record.clusters, record.seed) == (0.5, 2.0, 3, config.seed)
-        assert record.built_from(config)
+        record = init_state(config, context).clustering
         counts = context.class_counts
         sim = similarity_matrix(counts / counts.sum(axis=1)[:, None], counts.sum(axis=1), 0.5, 2.0)
         expected = spectral_cluster(sim, 3, derived_seed(config.seed, 5, 1))
@@ -310,26 +332,63 @@ class TestClusteringOncePerRun:
         np.testing.assert_array_equal(record.eigenvalues, values)
         assert record.eigengaps == tuple(gaps.tolist())
 
-    def test_rounds_reuse_the_context_clustering(self, monkeypatch):
+    def test_rounds_reuse_the_init_state_clustering(self, monkeypatch):
         config = small_config(strategy="fedcompass", clusters=2, rounds=3)
         context = build_context(config)
+        state = init_state(config, context)
+        record = state.clustering
         forbid_clustering(monkeypatch)
-        state, rows = run_rounds(config, context)
-        assert state.assignment is context.clustering.assignment
-        assert [row.eigengaps for row in rows] == [context.clustering.eigengaps] * 3
+        rows = []
+        for _ in range(config.rounds):
+            state, row = run_round(state, config, context)
+            rows.append(row)
+        assert state.clustering is record
+        assert state.assignment is record.assignment
+        assert [row.eigengaps for row in rows] == [record.eigengaps] * 3
+
+    def test_build_context_runs_no_clustering(self, monkeypatch):
+        config = small_config(strategy="fedcompass", clusters=2)
+        forbid_clustering(monkeypatch)
+        build_context(config)
+
+    def test_a_shared_unclustered_context_clusters_once_per_run(self, monkeypatch):
+        avg = small_config(strategy="fedavg", n_clients=6, rounds=3)
+        configs = [
+            dataclasses.replace(avg, strategy=strategy, clusters=2).validate()
+            for strategy in ("fedcompass", "fedcompass_no_circular")
+        ]
+        solos = [run_experiment(config) for config in configs]
+        context = build_context(avg)
+        real_spectral_cluster = orch.spectral_cluster
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real_spectral_cluster(*args)
+
+        monkeypatch.setattr(orch, "spectral_cluster", counted)
+        for config, solo in zip(configs, solos):
+            calls.clear()
+            state = init_state(config, context)
+            rows = [orch._round_metrics(state, config, context, 0.0)]
+            for _ in range(config.rounds):
+                state, row = run_round(state, config, context)
+                rows.append(row)
+            assert len(calls) == 1, config.strategy
+            assert metrics_rows(rows) == metrics_rows(solo)
 
     @pytest.mark.parametrize("change", [dict(clusters=3), dict(lambda1=0.25), dict(lambda2=4.0)])
     def test_a_clustering_built_from_other_inputs_is_not_reused(self, change):
         built = small_config(strategy="fedcompass", clusters=2, rounds=2)
         config = dataclasses.replace(built, **change).validate()
         shared = build_context(built)
-        assert not shared.clustering.built_from(config)
+        built_clustering = init_state(built, shared).clustering
         state, rows = run_rounds(config, shared)
         expected_state, expected_rows = run_rounds(config, build_context(config))
         assert metrics_rows(rows) == metrics_rows(expected_rows)
         assert [r.eigengaps for r in rows] == [r.eigengaps for r in expected_rows]
         assert (rows[-1].cluster_sizes, rows[-1].eigengaps) != (
-            tuple(shared.clustering.assignment.cluster_sizes().tolist()), shared.clustering.eigengaps,
+            tuple(built_clustering.assignment.cluster_sizes().tolist()), built_clustering.eigengaps,
         )
         np.testing.assert_array_equal(state.assignment.labels, expected_state.assignment.labels)
         np.testing.assert_array_equal(state.cluster_models, expected_state.cluster_models)
@@ -340,7 +399,6 @@ class TestClusteringOncePerRun:
         avg = small_config(strategy="fedavg")
         config = dataclasses.replace(avg, strategy="fedcompass", clusters=2)
         context = build_context(avg)
-        assert context.clustering is None
         _, row = run_round(init_state(config, context), config, context)
         expected = cluster_clients(context.class_counts, config)
         assert row.eigengaps == expected.eigengaps
@@ -351,8 +409,9 @@ class TestClusteringOncePerRun:
         config = small_config(strategy=strategy, clusters=2)
         forbid_clustering(monkeypatch)
         context = build_context(config)
-        assert context.clustering is None
-        run_round(init_state(config, context), config, context)
+        state = init_state(config, context)
+        assert state.clustering is None
+        run_round(state, config, context)
 
 
 class TestSingleClientRound:
