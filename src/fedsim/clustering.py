@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import whole_numbers
 from .errors import NumericError, ParameterError
 
 KMEANS_RESTARTS = 10
@@ -198,13 +199,9 @@ class ClusterAssignment:
     n_clusters: int
 
     def __post_init__(self):
-        given = np.asarray(self.labels)
-        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, which the check below rejects
-            self.labels = given.astype(np.int64, copy=False)
+        self.labels = whole_numbers(self.labels, "labels")
         if self.labels.ndim != 1 or len(self.labels) < 1:
             raise ParameterError("labels must be a non-empty vector")
-        if np.any(self.labels != given):
-            raise ParameterError("labels must be whole numbers")
         if self.n_clusters < 1:
             raise ParameterError("n_clusters must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.n_clusters:

@@ -25,6 +25,22 @@ IDX_LABEL_MAGIC = 0x00000801
 MAX_PARTITION_ATTEMPTS = 100
 
 
+def whole_numbers(values, what: str) -> np.ndarray:
+    """values as an int64 array; ParameterError naming `what` if any entry is not a whole number (0.5, nan, inf).
+
+    Integer and boolean arrays convert without a check, so they pay no
+    extra pass.
+    """
+    given = np.asarray(values)
+    if given.dtype.kind in "biu":
+        return given.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, which the check below rejects
+        whole = given.astype(np.int64)
+    if np.any(whole != given):
+        raise ParameterError(f"{what} must be whole numbers")
+    return whole
+
+
 @dataclass
 class Dataset:
     """A labelled sample universe: features of shape (n, F), labels in [0, C)."""
@@ -35,7 +51,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = whole_numbers(self.labels, "labels")
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise ParameterError("features must be a (n, F) array with F >= 1")
         if len(self.features) != len(self.labels):

@@ -11,29 +11,34 @@ zero-copy views of its dense-layer blocks and of its (L, Q) angle block.
 Gradients share that layout, so Adam steps, the proximal term and server
 aggregation all work on plain vectors.
 
-There is one simulation path, and it works on blocks of batches: the
-statevectors of G blocks of circuits are one amplitude-major
-(G, 2^Q, rows) array, the encoding layer a product state built one qubit
-at a time, each variational RY gate three passes over the whole state (its
-halves swapped times -sin | +sin, the state times cos, the two summed),
-the CNOT ring one index permutation and <Z> one product per block against
-a cached +-1 sign table. Cosines and sines are taken once per gate: per
-sample for the encoding gates, and per client for the variational gates,
-whose angles all of a client's samples share. The simulator holds two
-state-size buffers, the state and one scratch array (see _simulate). A
-single sample is a one-row batch, a single batch a one-block stack.
+There is one simulation path, and it works on rows: the statevectors of
+R circuits, one per row, are one amplitude-major (2^Q, R) array, with no
+axis that separates clients. The encoding layer is a product state built
+one qubit at a time, each variational RY gate three passes over the whole
+state (its halves swapped times -sin | +sin, the state times cos, the two
+summed) and the CNOT ring one index permutation. Gates take per-row
+tables: cosines and sines are taken once per gate, per sample for the
+encoding gates and per client for the variational gates, whose angles all
+of a client's samples share, and each gate's (cos, -sin, sin) is copied
+over its client's rows as the gate comes up. So the rows of clients of
+any batch sizes go through one pass. The simulator holds two state-size
+buffers, the state and one scratch array (see _simulate). A single sample
+is a one-row batch.
 
 Clients train as a cohort. Parameters, gradients and Adam moments of G
-clients stack on a leading client axis as (G, P) arrays, and G equal-size
-batches run as one (G, n, ·) stack through the MLP, the circuits, the
-softmax and the Adam step, however large G is; a single client is a
-one-client cohort. A stacked result is bit-identical to G separate calls
+clients stack on a leading client axis as (G, P) arrays. A step of the
+cohort is one hybrid_loss_and_grads call: its clients are grouped by
+batch size n, each group's k equal-size batches run as one (k, n, ·)
+stack through the MLP, the softmax and the Adam step, and the circuits
+of all the groups' rows run through one forward simulation and one
+adjoint sweep. A client's result is bit-identical to a call of its own
 because every BLAS product keeps its per-client operand shape and layout:
-the dense layers are (G, n, ·) @ (G, ·, ·) products, <Z> is taken per
-(rows, 2^Q) block rather than over the flattened stack (a one-row block
-must stay a gemv), and the proximal term is a (G, 1, k) @ (G, k, 1)
-product, one ddot per client. Everything else is elementwise or a
-reduction along a client's own rows.
+the dense layers are (k, n, ·) @ (k, ·, ·) products, <Z> is taken per
+group as a contiguous (k, 2^Q, n) block rather than over the shared state
+(a one-row block must stay a gemv), the adjoint's read-off gathers each
+group's partner amplitudes into a contiguous block too, and the proximal
+term is a (G, 1, k) @ (G, k, 1) product, one ddot per client. Everything
+else is elementwise or a reduction along a client's own rows.
 
 Gradients are exact: backprop through the dense layers and the adjoint
 method through the circuit (Jones & Gacon 2020, arXiv:2009.02823). A
@@ -47,6 +52,7 @@ circuits, is kept as the oracle the adjoint is tested against.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -55,7 +61,7 @@ import numpy as np
 
 from ._angles import wrap_angles
 from ._seeds import pcg64_states
-from .data import Dataset
+from .data import Dataset, whole_numbers
 from .errors import NumericError, ParameterError
 
 HALF_PI = 0.5 * math.pi
@@ -127,7 +133,7 @@ class MlpCache(NamedTuple):
 
 def _transpose(a: np.ndarray) -> np.ndarray:
     """Swap the last two axes: a matrix's transpose, or every matrix's in a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def mlp_forward(dense, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
@@ -206,89 +212,113 @@ def _partners(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return index, signs
 
 
-def _half_angle_trig(angles: np.ndarray, kinds: int) -> np.ndarray:
-    """cos, then -sin and sin (kinds = 3) or sin (kinds = 2), of half of each angle: (G, kinds, ...) for (G, ...) angles."""
-    trig = np.empty((len(angles), kinds, *angles.shape[1:]))
-    half_angles = np.multiply(angles, 0.5, out=trig[:, 1])  # the second slot holds them until the sines are taken
-    np.cos(half_angles, out=trig[:, 0])
-    np.sin(half_angles, out=trig[:, -1])
+def _half_angle_trig(angles: np.ndarray, kinds: int, out: np.ndarray | None = None) -> np.ndarray:
+    """cos, then -sin and sin (kinds = 3) or sin (kinds = 2), of half of each angle: (kinds, ...) for (...) angles, in out if given."""
+    trig = np.empty((kinds, *angles.shape)) if out is None else out
+    half_angles = np.multiply(angles, 0.5, out=trig[1])  # the second slot holds them until the sines are taken
+    np.cos(half_angles, out=trig[0])
+    np.sin(half_angles, out=trig[-1])
     if kinds == 3:
-        np.negative(trig[:, 2], out=trig[:, 1])
+        np.negative(trig[2], out=trig[1])
     return trig
 
 
-def _rotate(state: np.ndarray, scratch: np.ndarray, gate: np.ndarray) -> None:
-    """Apply one RY gate per block, in place, to (..., G, 2^q, 2, rest, rows) views of a state and a scratch buffer.
+def _gate_trig(angles: np.ndarray) -> np.ndarray:
+    """cos, -sin and sin of half of each of K clients' (K, L, Q) variational angles, as an (L, Q, 3, K) table: one run per gate.
 
-    The views' axes are (any leading axes, block, higher qubits, the
-    qubit's bit, lower qubits, row); gate holds each block's (G, 3)
-    cos, -sin and sin, shared by its rows. Swapping the -sin and sin
-    slots applies the inverse gate, RY(-theta).
+    A gate's per-row (3, R) table is its run taken at each row's client
+    (the `owners` of the rows); the simulator and the adjoint sweep draw
+    each gate's table in turn into one reused (3, R) buffer.
     """
-    gate = gate[:, None, :, None, None]
-    np.multiply(gate[:, :, 1:], state[..., ::-1, :, :], out=scratch)  # -s * a1 | s * a0
-    state *= gate[:, :, :1]
+    clients, layers, n_qubits = angles.shape
+    gates = np.empty((layers, n_qubits, 3, clients))
+    _half_angle_trig(angles.transpose(1, 2, 0), 3, out=gates.transpose(2, 0, 1, 3))
+    return gates
+
+
+def _rotate(state: np.ndarray, scratch: np.ndarray, cos: np.ndarray, pair: np.ndarray) -> None:
+    """Apply one RY gate, in place, to (..., 2^q, 2, rest, R) views of a state and a scratch buffer.
+
+    The views' axes are (any leading axes, higher qubits, the qubit's bit,
+    lower qubits, row); cos holds each row's cos(theta / 2) and pair
+    (2, 1, R) its -sin and sin. A pair of sin and -sin applies the
+    inverse gate, RY(-theta).
+    """
+    np.multiply(pair, state[..., ::-1, :, :], out=scratch)  # -s * a1 | s * a0
+    state *= cos
     state += scratch  # c * a0 - s * a1 | c * a1 + s * a0
 
 
-def _simulate(encoding: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Amplitude-major (G, 2^Q, rows) statevectors of G blocks of circuits, one circuit per row.
+def _simulate(encoding: np.ndarray, gates: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Amplitude-major statevectors of R circuits, one per row, in slot 0 of a (2, 2^Q, R) buffer pair.
 
-    encoding holds the (G, rows, Q) encoding angles of each block's rows
-    and angles the (G, L, Q) variational angles of each block, which all
-    of its rows share. Column i of block g is the statevector of row i.
-    Half angles, cosines and sines are taken once per gate: per row for
-    the encoding gates, and per block for the variational gates.
+    encoding holds the (R, Q) encoding angles of each row, gates the
+    _gate_trig table of K clients' variational angles, and owners the
+    client of each row. Column i of slot 0 is the statevector of row i;
+    slot 1 is left as scratch, for the caller to reuse (_z_expectations,
+    _adjoint). No axis separates the clients: every pass runs over all R
+    rows at once, with per-row gate tables, so clients of any row counts
+    share it.
 
     The encoding layer acts on |0...0>, so its state is a product state,
     built one qubit at a time, qubit 0 outermost: the amplitudes so far
-    times the qubit's cosine (bit clear) and sine (bit set). Each nonzero
-    amplitude is the same product, in the same order, as RY gates applied
-    to |0...0> compute; only the sign of an amplitude that is exactly zero
-    may differ. Layers 1..L are the variational layers, each an RY gate
-    per qubit followed by the CNOT ring (skipped when Q = 1). A gate on
-    qubit q maps the amplitude pair (a0, a1) with q's bit clear and set to
+    times the qubit's cosine (bit clear) and sine (bit set), each round
+    written into the other slot. Each nonzero amplitude is the same
+    product, in the same order, as RY gates applied to |0...0> compute;
+    only the sign of an amplitude that is exactly zero may differ. Layers
+    1..L are the variational layers, each an RY gate per qubit followed
+    by the CNOT ring (skipped when Q = 1). A gate on qubit q maps the
+    amplitude pair (a0, a1) with q's bit clear and set to
     (c * a0 - s * a1, c * a1 + s * a0) in three passes over the whole
-    state (_rotate), each block's (c, -s, s) broadcast over its rows: the
-    scratch buffer takes (-s, +s) times the state with its two halves
+    state (_rotate), each row's (c, -s, s) broadcast over its amplitudes:
+    the scratch slot takes (-s, +s) times the state with its two halves
     swapped, (-s * a1, s * a0); the state is multiplied by c; then the
     scratch is added. This is exact against the direct form, byte for
     byte: negation is exact, so (-s) * a1 is -(s * a1), and IEEE 754
     defines x - y as x + (-y), signed zeros included. Holding the state
     amplitude-major lets every pass run over contiguous runs of rows.
 
-    Memory: two state-size buffers. The product state is built as plain
-    arrays, each qubit's round a new array twice the size of the last, and
-    becomes the first buffer as it is; the second is allocated after it.
-    Gates update the state in place, with the other buffer holding their
-    temporaries; the ring writes into the other buffer, and the two swap
-    roles. On top of them come the encoding's cosines and sines, 2Q values
-    per row, until the encoding is done: 2Q / 2^Q of the state, so a
-    forward pass at Q = 4 holds about two and a half states.
+    Cosines and sines are taken once per gate: per row for the encoding
+    gates, and per client for the variational gates, whose angles all of
+    a client's rows share; each gate's (3, R) table copies its clients'
+    values over their rows (_gate_trig).
+
+    Memory: the two slots. Gates update the state in place, with the other
+    slot holding their temporaries; the ring writes into the other slot,
+    and the two swap roles. The encoding starts in the slot that makes
+    the state end in slot 0. On top of them come the encoding's cosines
+    and sines, 2Q values per row, until the encoding is done: 2Q / 2^Q of
+    a state, so a forward pass at Q = 4 holds about two and a half states;
+    then one gate table, 3 values per row.
     """
-    g, rows, n_qubits = encoding.shape
-    layers = angles.shape[1]
-    dim = 2**n_qubits
+    rows, n_qubits = encoding.shape
+    layers = len(gates)
+    buffers = np.empty((2, 2**n_qubits, rows))
+    flat = buffers.reshape(2, -1)
+    # each encoding round after qubit 0's, and each ring, moves the state to the other slot
+    now = (n_qubits - 1 + (layers if n_qubits > 1 else 0)) % 2
 
-    factors = _half_angle_trig(encoding, 2)  # cos and sin per row and qubit, (G, 2, rows, Q)
-    state = factors[..., 0]  # (G, 2^(q+1), rows) after qubit q
+    factors = _half_angle_trig(encoding.T, 2)  # cos and sin per qubit and row, (2, Q, R)
+    flat[now, :2 * rows].reshape(2, rows)[...] = factors[:, 0]
     for q in range(1, n_qubits):
-        state = (state[:, :, None] * factors[:, None, :, :, q]).reshape(g, -1, rows)
-    buffers = (np.ascontiguousarray(state), np.empty((g, dim, rows)))
-    del factors, state
-    now = 0
+        state = flat[now, :2**q * rows].reshape(2**q, 1, rows)
+        now = 1 - now
+        np.multiply(state, factors[:, q], out=flat[now, :2**(q + 1) * rows].reshape(2**q, 2, rows))
+    del factors
 
-    table = _half_angle_trig(angles, 3)  # cos, -sin and sin per block and gate, (G, 3, L, Q)
-    # per buffer and qubit q, axes (block, higher qubits, q's bit, lower qubits, row)
-    views = [[b.reshape(g, 2**q, 2, -1, rows) for q in range(n_qubits)] for b in buffers]
+    table = np.empty((3, rows))  # the current gate's cos, -sin and sin per row
+    cos, pair = table[0], table[1:, None]
+    # per slot and qubit q, axes (higher qubits, q's bit, lower qubits, row)
+    views = [[b.reshape(2**q, 2, -1, rows) for q in range(n_qubits)] for b in buffers]
     for layer in range(layers):
         for q in range(n_qubits):
-            _rotate(views[now][q], views[1 - now][q], table[:, :, layer, q])
-        if n_qubits > 1:
             # mode="clip" (the index is always in range) writes straight into out; "raise" buffers it
-            np.take(buffers[now], _ring_gather(n_qubits), axis=1, out=buffers[1 - now], mode="clip")
+            gates[layer, q].take(owners, axis=1, out=table, mode="clip")
+            _rotate(views[now][q], views[1 - now][q], cos, pair)
+        if n_qubits > 1:
+            buffers[now].take(_ring_gather(n_qubits), axis=0, out=buffers[1 - now], mode="clip")
             now = 1 - now
-    return buffers[now]
+    return buffers
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,21 +333,32 @@ def _z_signs(n_qubits: int, n_classes: int) -> np.ndarray:
     return signs
 
 
-def _z_expectations(amplitudes: np.ndarray, n_classes: int) -> np.ndarray:
-    """(G, rows, C) expectations <Z_0> .. <Z_{C-1}> of amplitude-major (G, 2^Q, ...) statevector blocks.
+def _block_columns(state: np.ndarray, start: int, k: int, n: int) -> np.ndarray:
+    """The (k, 2^Q, n) view of a block's k * n columns, from column start, of an amplitude-major (2^Q, R) array."""
+    return state[:, start:start + k * n].reshape(len(state), k, n).transpose(1, 0, 2)
 
-    The trailing axes of amplitudes index a block's circuits, row-major.
-    One product per block of its probabilities against the +-1 sign table.
-    The probabilities are laid out like a whole simulator result, each
-    block column-major, so BLAS sees, for every block of a stack, the same
+
+def _z_expectations(buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """<Z_0> .. <Z_{C-1}> of _simulate's statevectors: one (k, n, C) array per block of k clients of n rows each, in row order.
+
+    One product per block of its probabilities against the +-1 sign
+    table. Each block's probabilities are written, into slot 1 of the
+    buffer pair, as one C-contiguous (k, 2^Q, n) run, the layout a block
+    has when simulated alone: BLAS then sees, for every block, the same
     call (gemm, or gemv for a one-row block) on the same operand layout as
-    for that block alone, and the results are bit-identical. Flattening
-    the stack into one (G * rows, 2^Q) product would not be: a one-row
-    block would go through gemm instead of gemv.
+    for that block alone, and the results are bit-identical. A strided
+    view of the shared state would not be: for blocks of up to three rows
+    it changes the last bits.
     """
-    g, dim = amplitudes.shape[:2]
-    probabilities = np.square(amplitudes, order="C").reshape(g, dim, -1)
-    return np.swapaxes(probabilities, 1, 2) @ _z_signs(dim.bit_length() - 1, n_classes)
+    state, spare = buffers
+    dim = len(state)
+    signs = _z_signs(dim.bit_length() - 1, n_classes)
+    logits = []
+    for (k, n), start in zip(blocks, _offsets(k * n for k, n in blocks)):
+        probabilities = spare.reshape(-1)[dim * start:dim * (start + k * n)].reshape(k, dim, n)
+        np.square(_block_columns(state, start, k, n), out=probabilities)
+        logits.append(np.swapaxes(probabilities, 1, 2) @ signs)
+    return logits
 
 
 def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, tuple, int]:
@@ -349,54 +390,86 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
     return np.pi * emb.reshape(g, -1, q), angles.reshape(g, *angles.shape[-2:]), emb.shape[:-1], c
 
 
-def _adjoint(states: np.ndarray, angles: np.ndarray, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circuit gradients of sum_c u_c <Z_c> for (G, n, C) upstream rows u, from _simulate's (G, 2^Q, n) states.
+def _adjoint(
+    pair: np.ndarray, gates: np.ndarray, owners: np.ndarray, upstream: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Circuit gradients of sum_c u_c <Z_c>, block by block, from _simulate's buffer pair, which the sweep overwrites.
 
-    Returns the (G, L, Q) variational gradient, each block's summed over
-    its own rows, and the (G, n, Q) embedding gradient, which carries the
-    pi of the encoding e -> RY(pi * e). The observable sum_c u_c Z_c is
-    diagonal, so the co-state is lambda = (_z_signs @ u) * psi, per row.
-    A backward sweep then walks the layers in reverse on the stacked
-    (psi, lambda) pair: it undoes the CNOT ring, reads off the layer's Q
-    gradients and undoes its RY gates with RY(-theta). An RY gate's
-    derivative is J_q / 2 times the gate, and the gates of one layer
-    commute, so the gradient of gate (l, q) is 2 <lambda | J_q psi / 2>,
-    taken after the layer's gates. All Q of a layer come from one gather
-    of psi at the partner amplitudes x ^ bit_q (_partners), one product
-    with lambda and one signed sum per qubit. At the bottom the same
-    read-off on the encoding product state gives each row's encoding-angle
-    gradient. Every product and sum stays within one block, so a stack is
-    bit-identical to its blocks run alone.
+    gates and owners are those _simulate ran. upstream holds one
+    (k, n, C) array of rows u per block of k clients of n rows each, in
+    row order. Returns, per block, the (k, L, Q) variational gradient,
+    each client's summed over its own rows, and the (k, n, Q) embedding
+    gradient, which carries the pi of the encoding e -> RY(pi * e). The
+    observable sum_c u_c Z_c is diagonal, so the co-state is
+    lambda = (_z_signs @ u) * psi, per row; it fills the pair's scratch
+    slot, next to psi. A backward sweep then walks the layers in reverse
+    on the stacked (psi, lambda) pair, all rows at once: it undoes the
+    CNOT ring, reads off the layer's Q gradients and undoes its RY gates
+    with RY(-theta), whose (c, s, -s) is a reversed view of the gate's
+    table. An RY gate's derivative is J_q / 2 times the gate, and the
+    gates of one layer commute, so the gradient of gate (l, q) is
+    2 <lambda | J_q psi / 2>, taken after the layer's gates. A block's Q
+    gradients of a layer come from one gather of its psi columns at the
+    partner amplitudes x ^ bit_q (_partners) into a C-contiguous
+    (k, Q, 2^Q, n) block, one product with lambda and one signed sum per
+    qubit. At the bottom the same read-off on the encoding product state
+    gives each row's encoding-angle gradient. Every BLAS product and every
+    sum over rows stays within one block, on the operand layout the block
+    has alone: a strided view of the shared pair would change the last
+    bits of blocks of up to three rows. So each block's gradients are
+    bit-identical to its own call's.
 
-    Memory: the pair and its scratch, four states, plus Q states of
-    gathered partner amplitudes.
+    Memory: the pair and its scratch, four states; the gathered partner
+    amplitudes, Q states of the largest block; and, where a block's psi
+    columns are not contiguous, the gather's copy of them, one state of
+    that block.
     """
-    g, dim, rows = states.shape
-    layers, n_qubits = angles.shape[1:]
+    _, dim, rows = pair.shape
+    layers, n_qubits = gates.shape[:2]
+    blocks = [u.shape[:2] for u in upstream]
+    starts = _offsets(k * n for k, n in blocks)
     index, signs = _partners(n_qubits)
-    pair = np.empty((2, g, dim, rows))
-    pair[0] = states
-    np.matmul(_z_signs(n_qubits, upstream.shape[-1]), _transpose(upstream), out=pair[1])
-    pair[1] *= states
+    psi, costate = pair
+    for u, start in zip(upstream, starts):
+        np.matmul(_z_signs(n_qubits, u.shape[-1]), _transpose(u), out=_block_columns(costate, start, *u.shape[:2]))
+    costate *= psi
     buffers = (pair, np.empty_like(pair))
-    # per buffer and qubit q, axes (psi or lambda, block, higher qubits, q's bit, lower qubits, row)
-    views = [[b.reshape(2, g, 2**q, 2, -1, rows) for q in range(n_qubits)] for b in buffers]
-    inverse = _half_angle_trig(angles, 3)[:, [0, 2, 1]]  # cos, sin, -sin: RY(-theta)
-    partners = np.empty((g, n_qubits, dim, rows))
-    grads = np.empty((g, layers + 1, n_qubits, rows))  # per row; layer 0 the encoding, layer l + 1 angles[:, l]
+    # per buffer and qubit q, axes (psi or lambda, higher qubits, q's bit, lower qubits, row)
+    views = [[b.reshape(2, 2**q, 2, -1, rows) for q in range(n_qubits)] for b in buffers]
+    table = np.empty((3, rows))  # the current gate's cos, -sin and sin per row
+    cos, inverse_pair = table[0], table[2:0:-1, None]  # sin and -sin: RY(-theta)
+    partners = np.empty(max(k * n for k, n in blocks) * n_qubits * dim)
+    # per row; layer 0 the encoding, layer l + 1 angles[:, l]; each block's a (k, L + 1, Q, n) run
+    grads = np.empty((layers + 1) * n_qubits * rows)
+    per_row = (layers + 1) * n_qubits
+    block_grads = [
+        grads[per_row * start:per_row * end].reshape(k, layers + 1, n_qubits, n)
+        for (k, n), start, end in zip(blocks, starts, starts[1:])
+    ]
+    # per buffer and block: its psi and lambda columns, its run of the partner buffer, its gradients
+    readoffs = [
+        [
+            (_block_columns(b[0], start, k, n), _block_columns(b[1], start, k, n)[:, None],
+             partners[:k * n_qubits * dim * n].reshape(k, n_qubits, dim, n), out)
+            for (k, n), start, out in zip(blocks, starts, block_grads)
+        ]
+        for b in buffers
+    ]
     now = 0
     for layer in reversed(range(layers + 1)):
         if layer < layers:
             for q in range(n_qubits):
-                _rotate(views[now][q], views[1 - now][q], inverse[:, :, layer, q])
+                gates[layer, q].take(owners, axis=1, out=table, mode="clip")
+                _rotate(views[now][q], views[1 - now][q], cos, inverse_pair)
         if layer and n_qubits > 1:
-            np.take(buffers[now], _ring_gather(n_qubits, True), axis=2, out=buffers[1 - now], mode="clip")
+            buffers[now].take(_ring_gather(n_qubits, True), axis=1, out=buffers[1 - now], mode="clip")
             now = 1 - now
-        psi, costate = buffers[now]
-        np.take(psi, index, axis=1, out=partners.reshape(g, -1, rows), mode="clip")
-        partners *= costate[:, None]
-        grads[:, layer] = (signs @ partners)[:, :, 0]
-    return grads[:, 1:].sum(axis=-1), np.pi * _transpose(grads[:, 0])
+        for psi, costate, gathered, out in readoffs[now]:
+            k, _, _, n = gathered.shape
+            psi.take(index, axis=1, out=gathered.reshape(k, -1, n), mode="clip")
+            gathered *= costate
+            out[:, layer] = (signs @ gathered)[:, :, 0]
+    return [(g[:, 1:].sum(axis=-1), np.pi * _transpose(g[:, 0])) for g in block_grads]
 
 
 def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -408,7 +481,9 @@ def statevector(embedding: np.ndarray, angles: np.ndarray) -> np.ndarray:
     dense matrix products.
     """
     encoding, angles, lead, _ = _circuit_inputs(embedding, angles, None)
-    return np.swapaxes(_simulate(encoding, angles), 1, 2).reshape(*lead, -1)
+    g, n, q = encoding.shape
+    states = _simulate(encoding.reshape(-1, q), _gate_trig(angles), np.repeat(np.arange(g), n))[0]
+    return np.ascontiguousarray(states.T).reshape(*lead, -1)
 
 
 def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | None = None) -> np.ndarray:
@@ -423,7 +498,9 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     its own angles, bit-identical to G separate calls.
     """
     encoding, angles, lead, c = _circuit_inputs(embedding, angles, n_classes)
-    return _z_expectations(_simulate(encoding, angles), c).reshape(*lead, c)
+    g, n, q = encoding.shape
+    pair = _simulate(encoding.reshape(-1, q), _gate_trig(angles), np.repeat(np.arange(g), n))
+    return _z_expectations(pair, c, [(g, n)])[0].reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -437,7 +514,7 @@ def param_shift_grad(
     Every rotation angle theta obeys d<Z>/dtheta =
     (<Z>(theta + pi/2) - <Z>(theta - pi/2)) / 2: the shift rule, run as
     2K explicitly shifted forward circuits per sample (K = (L + 1) * Q
-    rotations), all in one stacked simulation. Training takes the same
+    rotations), all in one simulation. Training takes the same
     gradients from the adjoint sweep (_adjoint); this is its oracle. The
     embedding gradient additionally carries the pi factor of the encoding
     map e -> RY(pi * e). For an (n, Q) embedding batch with (n, C) upstream
@@ -453,9 +530,10 @@ def param_shift_grad(
     g, n, q = encoding.shape
     k = (stacked.shape[1] + 1) * q
     shifts = HALF_PI * np.concatenate([np.eye(k), -np.eye(k)])  # block s shifts rotation s % K by +-pi/2
-    shifted_encoding = (encoding[:, None] + shifts[:, None, :q]).reshape(-1, n, q)
+    shifted_encoding = (encoding[:, None] + shifts[:, None, :q]).reshape(-1, q)
     shifted_angles = (stacked[:, None] + shifts[:, q:].reshape(2 * k, -1, q)).reshape(-1, *stacked.shape[1:])
-    z = _z_expectations(_simulate(shifted_encoding, shifted_angles), c).reshape(g, 2, k, n, c)
+    pair = _simulate(shifted_encoding, _gate_trig(shifted_angles), np.repeat(np.arange(g * 2 * k), n))
+    z = _z_expectations(pair, c, [(g * 2 * k, n)])[0].reshape(g, 2, k, n, c)
     grad = 0.5 * np.einsum("gknc,gnc->gkn", z[:, 0] - z[:, 1], upstream.reshape(g, n, c))
     return grad[:, q:].sum(axis=2).reshape(np.shape(angles)), np.pi * _transpose(grad[:, :q]).reshape(*lead, q)
 
@@ -465,10 +543,10 @@ def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray
 
     For (..., C) logits and labels of shape (...), the losses have shape
     (...) and the gradients (..., C); one row of logits gives a float.
-    Every label must lie in [0, C).
+    Every label must be a whole number in [0, C), else ParameterError.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    label = np.asarray(label, dtype=np.int64)
+    label = whole_numbers(label, "labels")
     if label.shape != logits.shape[:-1]:
         raise ParameterError("expected one label per row of logits")
     one_hot = np.arange(logits.shape[-1]) == label[..., None]
@@ -480,6 +558,19 @@ def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray
     return (float(loss) if logits.ndim == 1 else loss), probs - one_hot
 
 
+def _size_groups(sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(n, positions) per distinct entry n of sizes, in increasing n: the positions holding n, in order."""
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order].tolist()
+    cuts = [0, *(i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1]), len(ordered)]
+    return [(ordered[a], order[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _offsets(counts) -> list[int]:
+    """0 and the running totals of counts: where each of a run of consecutive spans starts, then where the last ends."""
+    return list(itertools.accumulate(counts, initial=0))
+
+
 def hybrid_loss_and_grads(
     features: np.ndarray,
     labels: np.ndarray,
@@ -488,50 +579,93 @@ def hybrid_loss_and_grads(
     n_classes: int,
     prox_mu: float = 0.0,
     prox_anchor: np.ndarray | None = None,
+    sizes: Sequence[int] | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Batch-mean cross-entropy loss and its exact gradient, laid out like params.
 
-    params is one vector, or a (G, P) stack of G clients' vectors that all
-    train on batches of the same size n: features are then (G * n, F) rows
-    and labels (G * n,), client g owning rows g * n .. g * n + n - 1, and
-    the result is a (G,) array of losses and a (G, P) gradient stack, each
-    client's bit-identical to a call with its vector alone. A label outside
-    [0, n_classes) raises ParameterError.
+    params is one vector, or a (G, P) stack of G clients' vectors. Client
+    g owns the next sizes[g] of the (N, F) feature rows and (N,) labels,
+    in client order; sizes = None splits the rows equally, n = N / G per
+    client. The result is then a (G,) array of losses and a (G, P)
+    gradient stack, each client's bit-identical to a call with its vector
+    and rows alone. A label that is not a whole number in [0, n_classes),
+    or sizes of the wrong length, with an entry below 1 or a sum other
+    than N, raise ParameterError.
 
-    Each sample's circuit runs once (_simulate), and its logits are
-    exactly those of circuit_forward. The circuit gradient comes from one
-    adjoint sweep back through those states (_adjoint), equal to
-    param_shift_grad's to rounding; backprop through the MLP follows.
+    Inside, the clients are grouped by batch size n. Each group runs the
+    dense layers, the softmax, the <Z> products, the co-state products,
+    the sums over rows and the mean loss as one (k, n, ·) stack, so every
+    BLAS product keeps the operand shape and layout of a lone client's
+    call. The circuits of all the rows, whatever their group, run as one
+    forward simulation (_simulate) and one adjoint sweep back through
+    those states (_adjoint): their passes are elementwise per row. The
+    logits are exactly those of circuit_forward; the circuit gradient
+    equals param_shift_grad's to rounding; backprop through the MLP
+    follows.
 
     When prox_mu > 0 and an anchor (laid out like params) is given, adds the
     proximal penalty (prox_mu / 2) * ||params - anchor||^2 over all
     parameters, classical and quantum alike. prox_mu = 0 skips the penalty
     entirely so the result is bit-identical with or without an anchor.
+
+    Memory: about Q + 5 statevectors of its rows at the peak (see
+    _adjoint), plus the dense layers' activations.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = whole_numbers(labels, "labels")
     params = np.asarray(params, dtype=np.float64)
     if len(labels) == 0:
         raise ParameterError("batch must be non-empty")
     if params.ndim not in (1, 2):
         raise ParameterError("params must be one vector or a (clients, size) stack")
+    if n_classes > layout.qubits:
+        raise ParameterError(f"need n_classes <= {layout.qubits} qubits")
     stack = np.atleast_2d(params)
     g = len(stack)
-    if labels.ndim != 1 or features.shape != (len(labels), layout.features) or len(labels) % g:
-        raise ParameterError(f"expected one length-{layout.features} feature row per label, n per client")
-    n = len(labels) // g
-    dense, angles = layout.dense(stack), layout.angles(stack)
-    grad = np.zeros(stack.shape)
-    grad_dense, grad_angles = layout.dense(grad), layout.angles(grad)
-    embeddings, cache = mlp_forward(dense, features.reshape(g, n, -1))
-    encoding, _, _, _ = _circuit_inputs(embeddings, angles, n_classes)
-    states = _simulate(encoding, angles)
-    losses, upstream = softmax_cross_entropy(_z_expectations(states, n_classes), labels.reshape(g, n))
-    grad_var, grad_embeddings = _adjoint(states, angles, upstream)
-    mlp_backward(dense, cache, grad_embeddings, grad_dense)
-    grad_angles += grad_var
-    loss = losses.mean(axis=1)
-    grad /= n
+    if labels.ndim != 1 or features.shape != (len(labels), layout.features):
+        raise ParameterError(f"expected one length-{layout.features} feature row per label")
+    if sizes is None:
+        if g == 0 or len(labels) % g:
+            raise ParameterError("expected n rows per client")
+        sizes = np.full(g, len(labels) // g)
+    sizes = whole_numbers(sizes, "sizes")
+    if sizes.shape != (g,) or not g or sizes.min() < 1 or sizes.sum() != len(labels):
+        raise ParameterError(f"expected {g} sizes of at least 1 that sum to the {len(labels)} rows")
+    # the clients grouped by batch size, and their rows in that order: group by group, client after client
+    groups = _size_groups(sizes)
+    clients = np.repeat(np.arange(g), sizes)
+    rows = np.argsort(sizes[clients], kind="stable")
+    owners = clients[rows]
+    features, labels = features[rows], labels[rows]
+    blocks = [(len(members), n) for n, members in groups]
+    bounds = _offsets(k * n for k, n in blocks)
+
+    encoding = np.empty((len(labels), layout.qubits))
+    batches = []
+    for (n, members), a, b in zip(groups, bounds, bounds[1:]):
+        dense = layout.dense(stack[members])
+        embeddings, cache = mlp_forward(dense, features[a:b].reshape(len(members), n, -1))
+        np.multiply(np.pi, embeddings, out=encoding[a:b].reshape(embeddings.shape))
+        batches.append((dense, cache))
+    gates = _gate_trig(layout.angles(stack))
+    pair = _simulate(encoding, gates, owners)
+    del encoding
+    loss = np.empty(g)
+    upstream = []
+    for logits, (n, members), a, b in zip(_z_expectations(pair, n_classes, blocks), groups, bounds, bounds[1:]):
+        losses, block_upstream = softmax_cross_entropy(logits, labels[a:b].reshape(len(members), n))
+        loss[members] = losses.mean(axis=1)
+        upstream.append(block_upstream)
+    circuit_grads = _adjoint(pair, gates, owners, upstream)
+    del pair, upstream
+    grad = np.empty(stack.shape)
+    for (n, members), (dense, cache), (grad_var, grad_embeddings) in zip(groups, batches, circuit_grads):
+        block_grad = np.zeros((len(members), layout.size))
+        mlp_backward(dense, cache, grad_embeddings, layout.dense(block_grad))
+        grad_angles = layout.angles(block_grad)
+        grad_angles += grad_var
+        block_grad /= n
+        grad[members] = block_grad
     if prox_mu > 0.0 and prox_anchor is not None:
         diff = stack - np.asarray(prox_anchor, dtype=np.float64).reshape(stack.shape)
         # two dot products rather than one over diff: the summation order fixes the loss's last bits;
@@ -656,13 +790,14 @@ def local_train(
     in [0, 2**64), else ParameterError names its client. All the seeds are
     hashed into PCG64 states in one pass, and one reused generator is set
     to each client's state in turn. Client g keeps its own Adam moments and
-    the loss total of its final epoch; its step count is the cohort's step index s, so every
-    client that still has a batch at step s takes its step together with
-    the others. All of those whose batches hold the same number n of
-    samples share one hybrid_loss_and_grads call and one Adam step, so a
-    step makes one call per distinct batch size; the call holds about
-    Q + 5 statevectors of its samples at its peak (see _adjoint). Every row
-    is bit-identical to training its client alone, as a one-client cohort.
+    the loss total of its final epoch; its step count is the cohort's step
+    index s, so every client that still has a batch at step s takes its
+    step together with the others. A step makes one hybrid_loss_and_grads
+    call over all of those batches, whatever their sizes, which holds about
+    Q + 5 statevectors of the step's samples at its peak (see _adjoint);
+    the clients whose batches hold the same number n of samples then share
+    one Adam step. Every row is bit-identical to training its client alone,
+    as a one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
     the local objective from drifting far from the broadcast parameters.
@@ -707,23 +842,25 @@ def local_train(
     # a diverging step may overflow; the finiteness check below turns that into NumericError
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(max(map(len, schedules), default=0)):
-            by_size: dict[int, list[int]] = {}
-            for g, schedule in enumerate(schedules):
-                if step < len(schedule) and not diverged[g]:
-                    by_size.setdefault(len(schedule[step]), []).append(g)
-            for n, members in by_size.items():
-                batch = np.concatenate([schedules[g][step] for g in members])
+            active = np.array([g for g, s in enumerate(schedules) if step < len(s) and not diverged[g]], dtype=np.intp)
+            if not len(active):  # every client left has diverged
+                break
+            batches = [schedules[g][step] for g in active]
+            batch = np.concatenate(batches)
+            step_sizes = np.array([len(b) for b in batches])
+            loss, grads = hybrid_loss_and_grads(
+                dataset.features[batch], dataset.labels[batch], params[active], layout, dataset.n_classes,
+                prox_mu, None if anchors is None else anchors[active], step_sizes,
+            )
+            for n, positions in _size_groups(step_sizes):
+                members = active[positions]
                 rows = params[members]
-                loss, grads = hybrid_loss_and_grads(
-                    dataset.features[batch], dataset.labels[batch], rows, layout,
-                    dataset.n_classes, prox_mu, None if anchors is None else anchors[members],
-                )
                 # the moments are those of the members' own earlier steps (or zeros): valid by construction
                 state = AdamState._stepped(m[members], v[members], step)
-                stepped, state = adam_local_step(rows, grads, state, lr)
+                stepped, state = adam_local_step(rows, grads[positions], state, lr)
                 params[members], m[members], v[members] = stepped, state.m, state.v
                 diverged[members] = ~np.all(np.isfinite(stepped), axis=1)
-                totals[members] += np.where(step >= final_epoch[members], loss * n, 0.0)
+                totals[members] += np.where(step >= final_epoch[members], loss[positions] * n, 0.0)
     if diverged.any():
         raise NumericError(f"client {int(np.argmax(diverged))}: local training diverged to non-finite parameters")
     params[:, layout.n_classical:] = wrap_angles(params[:, layout.n_classical:])

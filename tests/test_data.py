@@ -144,10 +144,18 @@ class TestDatasetInvariants:
         (np.zeros((4, 2)), np.zeros(4), 0, "n_classes must be >= 1"),
         (np.zeros((3, 2)), np.array([0, 2, 1]), 2, r"labels must lie in \[0, 2\)"),
         (np.zeros((3, 2)), np.array([0, -1, 1]), 2, r"labels must lie in \[0, 2\)"),
+        (np.zeros((2, 3)), np.array([0.5, 1.7]), 2, "labels must be whole numbers"),
+        (np.zeros((2, 3)), np.array([0.0, np.nan]), 2, "labels must be whole numbers"),
+        (np.zeros((2, 3)), np.array([np.inf, 1.0]), 2, "labels must be whole numbers"),
     ])
     def test_malformed_arrays_rejected(self, features, labels, n_classes, named):
         with pytest.raises(ParameterError, match=named):
             Dataset(features, labels, n_classes)
+
+    def test_whole_float_labels_are_kept_as_integers(self):
+        data = Dataset(np.zeros((3, 2)), np.array([1.0, 0.0, -0.0]), 2)
+        assert data.labels.dtype == np.int64
+        np.testing.assert_array_equal(data.labels, [1, 0, 0])
 
 
 class TestStratifiedSplit:

@@ -23,6 +23,7 @@ from fedsim.model import (
     softmax_cross_entropy,
     statevector,
     _circuit_inputs,
+    _gate_trig,
     _simulate,
     _z_expectations,
 )
@@ -355,6 +356,23 @@ class TestHybridLoss:
         with pytest.raises(ParameterError, match=r"labels must lie in \[0, 3\)"):
             hybrid_loss_and_grads(rng.uniform(-1, 1, (2, 4)), np.array([1, label]), params, layout, 3)
 
+    @pytest.mark.parametrize("label", [1.9, 0.2, math.nan, math.inf])
+    def test_label_that_is_not_a_whole_number_rejected(self, rng, label):
+        # int64 conversion would truncate 1.9 to class 1 and raise a bare ValueError for nan
+        with pytest.raises(ParameterError, match="labels must be whole numbers"):
+            softmax_cross_entropy(np.zeros(3), label)
+        with pytest.raises(ParameterError, match="labels must be whole numbers"):
+            softmax_cross_entropy(np.zeros((2, 3)), [0, label])
+        layout, params = random_hybrid(rng)
+        with pytest.raises(ParameterError, match="labels must be whole numbers"):
+            hybrid_loss_and_grads(rng.uniform(-1, 1, (2, 4)), np.array([label, 1.6]), params, layout, 3)
+        # whole numbers in a float array are the classes they name
+        xs = rng.uniform(-1, 1, (2, 4))
+        loss, grad = hybrid_loss_and_grads(xs, np.array([2.0, 0.0]), params, layout, 3)
+        want_loss, want_grad = hybrid_loss_and_grads(xs, np.array([2, 0]), params, layout, 3)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad, want_grad)
+
 
 class TestAdamLocalStep:
     def test_zero_gradient_is_identity(self, rng):
@@ -538,6 +556,48 @@ class TestCohortStacking:
         with pytest.raises(ParameterError):
             hybrid_loss_and_grads(np.zeros((4, 4)), np.zeros((2, 2), dtype=int), params, layout, 3)
 
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @pytest.mark.parametrize("qubits,classes", [(1, 1), (2, 2), (4, 3), (6, 4)])
+    @pytest.mark.parametrize("sizes", [[8, 1, 8, 3, 2], [5], [1], [2, 9, 2, 1, 1, 3]])
+    def test_mixed_sizes_equal_per_client_calls(self, rng, prox_mu, qubits, classes, sizes):
+        # unsorted batch sizes in one call, each client's rows bit-identical to its own call
+        layout = ParamLayout(4, 5, qubits, 2)
+        params = np.stack([init_params(layout, 10 + g) for g in range(len(sizes))])
+        anchors = np.stack([init_params(layout, 20 + g) for g in range(len(sizes))])
+        xs = rng.uniform(-1, 1, (sum(sizes), 4))
+        ys = rng.integers(0, classes, sum(sizes))
+        losses, grads = hybrid_loss_and_grads(xs, ys, params, layout, classes, prox_mu, anchors, sizes)
+        assert losses.shape == (len(sizes),) and grads.shape == params.shape
+        bounds = np.cumsum([0, *sizes])
+        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            loss, grad = hybrid_loss_and_grads(xs[a:b], ys[a:b], params[g], layout, classes, prox_mu, anchors[g])
+            assert losses[g] == loss
+            np.testing.assert_array_equal(grads[g], grad)
+
+    def test_equal_sizes_equal_the_default_split(self, rng):
+        layout = ParamLayout(4, 5, 3, 2)
+        params = np.stack([init_params(layout, g) for g in range(3)])
+        xs, ys = rng.uniform(-1, 1, (12, 4)), rng.integers(0, 3, 12)
+        loss, grad = hybrid_loss_and_grads(xs, ys, params, layout, 3)
+        sized_loss, sized_grad = hybrid_loss_and_grads(xs, ys, params, layout, 3, 0.0, None, np.array([4, 4, 4]))
+        np.testing.assert_array_equal(sized_loss, loss)
+        np.testing.assert_array_equal(sized_grad, grad)
+
+    @pytest.mark.parametrize("sizes,named", [
+        ([4, 4], "sizes of at least 1"),
+        ([4, 4, 4, 0], "sizes of at least 1"),
+        ([13, -1, 0], "sizes of at least 1"),
+        ([4, 4, 5], "sizes of at least 1"),
+        ([4, 4, 3], "sizes of at least 1"),
+        ([[4, 4, 4]], "sizes of at least 1"),
+        ([4.0, 4.5, 3.5], "sizes must be whole numbers"),
+    ])
+    def test_bad_sizes_rejected(self, rng, sizes, named):
+        layout = ParamLayout(4, 5, 3, 2)
+        params = np.stack([init_params(layout, g) for g in range(3)])
+        with pytest.raises(ParameterError, match=named):
+            hybrid_loss_and_grads(rng.uniform(-1, 1, (12, 4)), rng.integers(0, 3, 12), params, layout, 3, 0.0, None, sizes)
+
     def test_adam_step_on_a_stack_equals_row_wise_steps(self, rng):
         params = rng.standard_normal((5, 7))
         grads = rng.standard_normal((5, 7))
@@ -620,15 +680,16 @@ class TestCohortStacking:
             local_lr=0.03, server_lr=0.05, features=8, spread=0.3, per_class=100, seed=42,
         ).validate()
         context = build_context(config)
-        calls = []
+        calls, adam_steps = [], []
         loss_and_grads, adam = model.hybrid_loss_and_grads, model.adam_local_step
 
-        def counted_loss_and_grads(features, labels, params, *args):
-            calls.append([len(labels) // len(params), len(params)])
-            return loss_and_grads(features, labels, params, *args)
+        def counted_loss_and_grads(features, labels, params, layout, n_classes, prox_mu, anchor, sizes):
+            calls.append(list(sizes))
+            assert len(params) == len(sizes) and sum(sizes) == len(labels)
+            return loss_and_grads(features, labels, params, layout, n_classes, prox_mu, anchor, sizes)
 
         def counted_adam(params, grads, state, lr):
-            calls[-1].append(state.t)
+            adam_steps.append((state.t, len(params)))
             return adam(params, grads, state, lr)
 
         monkeypatch.setattr(model, "hybrid_loss_and_grads", counted_loss_and_grads)
@@ -640,8 +701,10 @@ class TestCohortStacking:
             full, rest = divmod(len(client), config.batch_size)
             epoch = [config.batch_size] * full + [rest] * (rest > 0)
             expected.update((step, n) for step, n in enumerate(epoch * config.local_epochs))
-        assert Counter({(step, n): clients for n, clients, step in calls}) == expected
-        assert len(calls) == len(expected)
+        # one call per step, holding every batch of that step; then one Adam step per step and batch size
+        assert len(calls) == max(step for step, _ in expected) + 1
+        assert Counter((step, n) for step, sizes in enumerate(calls) for n in sizes) == expected
+        assert Counter(adam_steps) == Counter((step, clients) for (step, _), clients in expected.items())
 
     def test_a_converge_round_trains_through_the_traced_names(self, monkeypatch):
         # perfbench's per-layer counters see training through these two module names
@@ -664,7 +727,7 @@ class TestCohortStacking:
         monkeypatch.setattr(model, "hybrid_loss_and_grads", counted_loss_and_grads)
         monkeypatch.setattr(model, "adam_local_step", counted_adam)
         run_round(init_state(config, context), config, context)
-        assert (len(samples), sum(samples), len(adam_calls)) == (96, 1600, 96)
+        assert (len(samples), sum(samples), len(adam_calls)) == (65, 1600, 96)
 
     def test_one_seed_and_one_init_per_client(self):
         data, clients, layout, inits = self.mixed_cohort()
@@ -733,8 +796,27 @@ class TestCohortStacking:
 
 
 def circuit_major(states):
-    """The (G, circuits, 2^Q) view of the simulator's amplitude-major (G, 2^Q, circuits) result."""
+    """The (G, circuits, 2^Q) view of a stack of amplitude-major (G, 2^Q, circuits) states."""
     return np.swapaxes(states, 1, 2)
+
+
+def simulate_stack(encoding, angles):
+    """_simulate on G clients' (G, rows, Q) encoding angles and (G, L, Q) angles, client g owning rows g * rows ...
+
+    Returns the buffer pair, the (G, 2^Q, rows) view of its states, and
+    the gate table and row owners the pass ran with.
+    """
+    g, rows, q = encoding.shape
+    gates, owners = _gate_trig(angles), np.repeat(np.arange(g), rows)
+    pair = _simulate(encoding.reshape(-1, q), gates, owners)
+    return pair, pair[0].reshape(2**q, g, rows).transpose(1, 0, 2), gates, owners
+
+
+def adjoint_stack(encoding, angles, upstream):
+    """The adjoint's (G, L, Q) angle and (G, rows, Q) embedding gradients of one (G, rows, ·) block."""
+    pair, _, gates, owners = simulate_stack(encoding, angles)
+    [grads] = model._adjoint(pair, gates, owners, [upstream])
+    return grads
 
 
 def peak_memory(call):
@@ -777,6 +859,20 @@ class TestOffsetTable:
         peak = peak_memory(lambda: hybrid_loss_and_grads(features, labels, params, layout, qubits))
         state_bytes = clients * rows * 2**qubits * 8
         assert peak <= (qubits + 5) * state_bytes + clients * rows * 64 * 8 + 512 * 1024
+
+    @pytest.mark.parametrize("clients,most,qubits,layers", [(100, 127, 4, 2), (4, 160, 10, 1)])
+    def test_mixed_size_training_call_peak_memory_is_within_its_buffers(self, rng, clients, most, qubits, layers):
+        # the bound of an equal-size call, over the call's total rows, whatever their batch sizes
+        layout = ParamLayout(4, 5, qubits, layers)
+        params = np.stack([init_params(layout, g) for g in range(clients)])
+        sizes = rng.integers(1, most + 1, clients)
+        sizes[:3] = [1, 2, 3]
+        rows = int(sizes.sum())
+        features = rng.uniform(-1, 1, (rows, 4))
+        labels = rng.integers(0, qubits, rows)
+        peak = peak_memory(lambda: hybrid_loss_and_grads(features, labels, params, layout, qubits, 0.0, None, sizes))
+        state_bytes = rows * 2**qubits * 8
+        assert peak <= (qubits + 5) * state_bytes + rows * 64 * 8 + 512 * 1024
 
     def test_forward_pass_peak_memory_is_under_three_and_a_quarter_states(self, rng):
         # _simulate's bound at Q = 4, plus room for (L+1)Q input angles per sample;
@@ -848,13 +944,13 @@ class TestReferenceSimulator:
                 # the reference takes every row's rotations: its encoding, then its client's angles
                 shared = np.broadcast_to(angles[:, None], (clients, rows, layers, qubits))
                 reference = reference_simulate(np.concatenate([encoding[:, :, None], shared], axis=2))
-                states = _simulate(encoding, angles)
+                pair, states, _, _ = simulate_stack(encoding, angles)
                 where = f"{clients} clients, {rows} rows"
                 # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
                 np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
                 probabilities = np.ascontiguousarray(circuit_major(np.square(states)))
                 assert probabilities.tobytes() == np.ascontiguousarray(reference**2).tobytes(), where
-                z = _z_expectations(states, qubits)
+                [z] = _z_expectations(pair, qubits, [(clients, rows)])
                 assert z.shape == reference.shape[:2] + (qubits,)
                 assert z.tobytes() == reference_z_expectations(reference, qubits).tobytes(), where
 
@@ -909,7 +1005,7 @@ class TestAdjoint:
             angles = draw_angles(rng, (clients, layers, qubits))
             upstream = rng.standard_normal((clients, rows, classes))
             encoding, _, _, _ = _circuit_inputs(embeddings, angles, classes)
-            grad_var, grad_emb = model._adjoint(_simulate(encoding, angles), angles, upstream)
+            grad_var, grad_emb = adjoint_stack(encoding, angles, upstream)
             want_var, want_emb = param_shift_grad(embeddings, angles, upstream, classes)
             np.testing.assert_allclose(grad_var, want_var, rtol=0, atol=1e-12)
             np.testing.assert_allclose(grad_emb, want_emb, rtol=0, atol=1e-12)
@@ -922,11 +1018,39 @@ class TestAdjoint:
             encoding = draw_angles(rng, (clients, rows, qubits))
             angles = draw_angles(rng, (clients, layers, qubits))
             upstream = rng.standard_normal((clients, rows, classes))
-            stacked = model._adjoint(_simulate(encoding, angles), angles, upstream)
+            stacked = adjoint_stack(encoding, angles, upstream)
             for g in range(clients):
-                alone = model._adjoint(_simulate(encoding[g:g + 1], angles[g:g + 1]), angles[g:g + 1], upstream[g:g + 1])
+                alone = adjoint_stack(encoding[g:g + 1], angles[g:g + 1], upstream[g:g + 1])
                 for got, want in zip(stacked, alone):
                     assert np.ascontiguousarray(got[g]).tobytes() == np.ascontiguousarray(want[0]).tobytes()
+
+
+class TestRaggedPass:
+    """One pass over blocks of different row counts: each block's results are those of its own pass, byte for byte."""
+
+    @pytest.mark.parametrize("qubits,layers,classes", [(1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 2, 3), (6, 3, 4)])
+    def test_blocks_of_any_row_counts_equal_each_block_alone(self, rng, qubits, layers, classes):
+        blocks = [(2, 3), (1, 1), (3, 8), (2, 2), (1, 13)]
+        encodings = [draw_angles(rng, (k, n, qubits)) for k, n in blocks]
+        angles = [draw_angles(rng, (k, layers, qubits)) for k, _ in blocks]
+        upstream = [rng.standard_normal((k, n, classes)) for k, n in blocks]
+        encoding = np.concatenate([e.reshape(-1, qubits) for e in encodings])
+        gates = _gate_trig(np.concatenate(angles))
+        owners = np.repeat(np.arange(sum(k for k, _ in blocks)), [n for k, n in blocks for _ in range(k)])
+        pair = _simulate(encoding, gates, owners)
+        states = pair[0].copy()
+        logits = _z_expectations(pair, classes, blocks)
+        grads = model._adjoint(pair, gates, owners, upstream)
+        start = 0
+        for (k, n), e, a, u, z, (grad_var, grad_emb) in zip(blocks, encodings, angles, upstream, logits, grads):
+            alone, _, _, _ = simulate_stack(e, a)
+            assert states[:, start:start + k * n].tobytes() == np.ascontiguousarray(alone[0]).tobytes()
+            [alone_z] = _z_expectations(alone, classes, [(k, n)])
+            assert z.tobytes() == alone_z.tobytes()
+            want_var, want_emb = adjoint_stack(e, a, u)
+            assert grad_var.tobytes() == want_var.tobytes()
+            assert np.ascontiguousarray(grad_emb).tobytes() == np.ascontiguousarray(want_emb).tobytes()
+            start += k * n
 
 
 class TestTrainingPass:
@@ -944,10 +1068,10 @@ class TestTrainingPass:
         params = np.stack([init_params(layout, g) for g in range(3)])
         features = rng.uniform(-1, 1, (12, 4))
         labels = rng.integers(0, 3, 12)
-        # a stack, one client's batch and one sample
-        for p, rows in ((params, 12), (params[0], 4), (params[0], 1)):
+        # a stack, a stack of mixed batch sizes, one client's batch and one sample
+        for p, rows, sizes in ((params, 12, None), (params, 12, [5, 1, 6]), (params[0], 4, None), (params[0], 1, None)):
             calls.clear()
-            hybrid_loss_and_grads(features[:rows], labels[:rows], p, layout, 3, 0.3, p)
+            hybrid_loss_and_grads(features[:rows], labels[:rows], p, layout, 3, 0.3, p, sizes)
             assert calls == Counter({"_simulate": 1})
 
     def test_cached_tables_are_shared_and_read_only(self):
