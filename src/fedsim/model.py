@@ -27,15 +27,17 @@ is a one-row batch.
 
 Clients train as a cohort. Parameters, gradients and Adam moments of G
 clients stack on a leading client axis as (G, P) arrays. A step of the
-cohort is one hybrid_loss_and_grads call: its clients are grouped by
-batch size n, each group's k equal-size batches run as one (k, n, ·)
-stack through the MLP, the softmax and the Adam step, and the circuits
-of all the groups' rows run through one forward simulation and one
-adjoint sweep. A client's result is bit-identical to a call of its own
-because every BLAS product keeps its per-client operand shape and layout:
-the dense layers are (k, n, ·) @ (k, ·, ·) products, <Z> is taken per
-group as a contiguous (k, 2^Q, n) block rather than over the shared state
-(a one-row block must stay a gemv), the adjoint's read-off gathers each
+cohort is one hybrid_loss_and_grads call and one Adam step over the
+stack of the clients still training, whatever their batch sizes: Adam
+is elementwise per parameter. Inside the call the clients are grouped
+by batch size n, each group's k equal-size batches run as one (k, n, ·)
+stack through the MLP and the softmax, and the circuits of all the
+groups' rows run through one forward simulation and one adjoint sweep.
+A client's result is bit-identical to a call of its own because every
+BLAS product keeps its per-client operand shape and layout: the dense
+layers are (k, n, ·) @ (k, ·, ·) products, <Z> is taken per group as a
+contiguous (k, 2^Q, n) block rather than over the shared state (a
+one-row block must stay a gemv), the adjoint's read-off gathers each
 group's partner amplitudes into a contiguous block too, and the proximal
 term is a (G, 1, k) @ (G, k, 1) product, one ddot per client. Everything
 else is elementwise or a reduction along a client's own rows.
@@ -606,7 +608,9 @@ def hybrid_loss_and_grads(
     When prox_mu > 0 and an anchor (laid out like params) is given, adds the
     proximal penalty (prox_mu / 2) * ||params - anchor||^2 over all
     parameters, classical and quantum alike. prox_mu = 0 skips the penalty
-    entirely so the result is bit-identical with or without an anchor.
+    entirely so the result is bit-identical with or without an anchor. A
+    prox_mu that is nan, infinite or negative, or an anchor not shaped like
+    params, raise ParameterError.
 
     Memory: about Q + 5 statevectors of its rows at the peak (see
     _adjoint), plus the dense layers' activations.
@@ -620,6 +624,10 @@ def hybrid_loss_and_grads(
         raise ParameterError("params must be one vector or a (clients, size) stack")
     if n_classes > layout.qubits:
         raise ParameterError(f"need n_classes <= {layout.qubits} qubits")
+    if not 0.0 <= prox_mu < math.inf:  # written so that nan fails it
+        raise ParameterError("prox_mu must be finite and >= 0")
+    if prox_anchor is not None and np.shape(prox_anchor) != params.shape:
+        raise ParameterError(f"prox_anchor must be shaped like params, {params.shape}")
     stack = np.atleast_2d(params)
     g = len(stack)
     if labels.ndim != 1 or features.shape != (len(labels), layout.features):
@@ -792,12 +800,17 @@ def local_train(
     to each client's state in turn. Client g keeps its own Adam moments and
     the loss total of its final epoch; its step count is the cohort's step
     index s, so every client that still has a batch at step s takes its
-    step together with the others. A step makes one hybrid_loss_and_grads
-    call over all of those batches, whatever their sizes, which holds about
-    Q + 5 statevectors of the step's samples at its peak (see _adjoint);
-    the clients whose batches hold the same number n of samples then share
-    one Adam step. Every row is bit-identical to training its client alone,
-    as a one-client cohort.
+    step together with the others. The training state is the parameter
+    rows, proximal anchors and Adam moments of those clients, in cohort
+    order. A step makes one hybrid_loss_and_grads call over all of their
+    batches, whatever their sizes, which holds about Q + 5 statevectors of
+    the step's samples at its peak (see _adjoint), and one Adam step over
+    the whole state, whose result is the next step's state. A client
+    leaves the state, and its row is written to the output, at the step
+    that ends its schedule or leaves it non-finite; only then are rows
+    gathered. Every row is bit-identical to training its client alone, as
+    a one-client cohort. lr and prox_mu must be finite and >= 0, else
+    ParameterError.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
     the local objective from drifting far from the broadcast parameters.
@@ -806,12 +819,15 @@ def local_train(
     (G,) mean losses of each client's final epoch: the sum of loss * n over
     that epoch's batches, in step order from 0.0, divided by the client's
     size. A step that leaves any of a client's parameters non-finite stops
-    that client before the circuit could see an infinite angle; the
-    overflows of such a step raise no numpy warning, and NumericError
-    names the first such client by its position in the cohort.
+    that client before the circuit could see an infinite angle; the others
+    train on, the overflows of such a step raise no numpy warning, and
+    NumericError names the first such client by its position in the
+    cohort.
     """
     if epochs < 1:
         raise ParameterError("epochs must be >= 1")
+    if not (0.0 <= lr < math.inf and 0.0 <= prox_mu < math.inf):  # written so that nan fails it
+        raise ParameterError("lr and prox_mu must be finite and >= 0")
     if len(seeds) != len(clients):
         raise ParameterError("expected one seed per client")
     for g, seed in enumerate(seeds):
@@ -820,12 +836,9 @@ def local_train(
     sizes = np.array([len(client) for client in clients], dtype=np.int64)
     if np.any(sizes < 1):
         raise ParameterError(f"client {int(np.argmin(sizes))} has no samples")
-    inits = np.asarray(inits, dtype=np.float64)
+    inits = np.ascontiguousarray(inits, dtype=np.float64)
     if inits.shape != (len(clients), layout.size):
         raise ParameterError("expected one initial parameter vector per client")
-    params = inits.copy()
-    anchors = inits if prox_mu > 0.0 else None
-    m, v = np.zeros(params.shape), np.zeros(params.shape)
     # one generator, set in turn to the state default_rng(seed) starts from for each client
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
@@ -835,32 +848,37 @@ def local_train(
         bit_generator.state = state
         epoch = [epoch_batches(len(client), batch_size, rng) for _ in range(epochs)]
         schedules.append([client[batch] for batches in epoch for batch in batches])
+    steps = np.array([len(s) for s in schedules], dtype=np.int64)
     # the step at which each client's final epoch starts; only its losses are summed
-    final_epoch = np.array([len(s) - len(s) // epochs for s in schedules])
+    final_epoch = steps - steps // epochs
     totals = np.zeros(len(clients))
-    diverged = np.zeros(len(clients), dtype=bool)
+    # row g is written once, when client g leaves the training state
+    params = np.empty(inits.shape)
+    # the training state: the clients still training, in cohort order, with their parameter rows, proximal
+    # anchors and Adam moments; each has taken every step so far, so they share Adam's step counter
+    live = np.arange(len(clients))
+    rows, anchors, state = inits, inits, AdamState.zeros(inits.shape)
     # a diverging step may overflow; the finiteness check below turns that into NumericError
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(max(map(len, schedules), default=0)):
-            active = np.array([g for g, s in enumerate(schedules) if step < len(s) and not diverged[g]], dtype=np.intp)
-            if not len(active):  # every client left has diverged
-                break
-            batches = [schedules[g][step] for g in active]
+        for step in range(steps.max(initial=0)):
+            batches = [schedules[g][step] for g in live]
             batch = np.concatenate(batches)
             step_sizes = np.array([len(b) for b in batches])
             loss, grads = hybrid_loss_and_grads(
-                dataset.features[batch], dataset.labels[batch], params[active], layout, dataset.n_classes,
-                prox_mu, None if anchors is None else anchors[active], step_sizes,
+                dataset.features[batch], dataset.labels[batch], rows, layout, dataset.n_classes,
+                prox_mu, anchors, step_sizes,
             )
-            for n, positions in _size_groups(step_sizes):
-                members = active[positions]
-                rows = params[members]
-                # the moments are those of the members' own earlier steps (or zeros): valid by construction
-                state = AdamState._stepped(m[members], v[members], step)
-                stepped, state = adam_local_step(rows, grads[positions], state, lr)
-                params[members], m[members], v[members] = stepped, state.m, state.v
-                diverged[members] = ~np.all(np.isfinite(stepped), axis=1)
-                totals[members] += np.where(step >= final_epoch[members], loss[positions] * n, 0.0)
+            rows, state = adam_local_step(rows, grads, state, lr)
+            totals[live] += np.where(step >= final_epoch[live], loss * step_sizes, 0.0)
+            # a client leaves when its schedule ends or its step leaves a parameter non-finite
+            stay = np.isfinite(rows).all(axis=1) & (steps[live] > step + 1)
+            if not stay.all():
+                params[live[~stay]] = rows[~stay]
+                live, rows, anchors = live[stay], rows[stay], anchors[stay]
+                state = AdamState._stepped(state.m[stay], state.v[stay], state.t)
+                if not len(live):  # every client has left
+                    break
+    diverged = ~np.isfinite(params).all(axis=1)
     if diverged.any():
         raise NumericError(f"client {int(np.argmax(diverged))}: local training diverged to non-finite parameters")
     params[:, layout.n_classical:] = wrap_angles(params[:, layout.n_classical:])

@@ -373,6 +373,23 @@ class TestHybridLoss:
         assert loss == want_loss
         np.testing.assert_array_equal(grad, want_grad)
 
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    def test_anchor_not_shaped_like_params_rejected(self, rng, prox_mu):
+        # a (P,) anchor for a (2, P) stack, or the reverse, made reshape raise a bare ValueError
+        layout = ParamLayout(4, 5, 3, 2)
+        params = np.stack([init_params(layout, g) for g in range(2)])
+        xs, ys = rng.uniform(-1, 1, (4, 4)), rng.integers(0, 3, 4)
+        for p, anchor in ((params, params[0]), (params, params[:1]), (params[0], params), (params[0], params[0, 1:])):
+            with pytest.raises(ParameterError, match="prox_anchor must be shaped like params"):
+                hybrid_loss_and_grads(xs, ys, p, layout, 3, prox_mu, anchor)
+
+    @pytest.mark.parametrize("prox_mu", [-0.1, -math.inf, math.inf, math.nan])
+    def test_prox_mu_that_is_not_finite_and_non_negative_rejected(self, rng, prox_mu):
+        # prox_mu > 0 is false for nan and negative values, which skipped the penalty; inf made the loss inf
+        layout, params = random_hybrid(rng)
+        with pytest.raises(ParameterError, match="prox_mu must be finite and >= 0"):
+            hybrid_loss_and_grads(rng.uniform(-1, 1, (2, 4)), np.array([0, 1]), params, layout, 3, prox_mu, params)
+
 
 class TestAdamLocalStep:
     def test_zero_gradient_is_identity(self, rng):
@@ -508,6 +525,15 @@ class TestLocalTrain:
         data, client, layout, params = self.toy_setup()
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="client 0"):
             train_alone(client, data, params, layout, 3, 4, 1e308, 0.0, seed=0)
+
+    @pytest.mark.parametrize("lr,prox_mu", [
+        (math.nan, 0.0), (math.inf, 0.0), (-0.05, 0.0), (0.05, math.nan), (0.05, math.inf), (0.05, -0.1),
+    ])
+    def test_rate_that_is_not_finite_and_non_negative_rejected(self, lr, prox_mu):
+        # a nan lr once ended as NumericError "diverged", and a nan or negative prox_mu skipped the penalty
+        data, client, layout, params = self.toy_setup()
+        with pytest.raises(ParameterError, match="lr and prox_mu must be finite and >= 0"):
+            train_alone(client, data, params, layout, 1, 8, lr, prox_mu, seed=3)
 
 
 class TestCohortStacking:
@@ -701,10 +727,13 @@ class TestCohortStacking:
             full, rest = divmod(len(client), config.batch_size)
             epoch = [config.batch_size] * full + [rest] * (rest > 0)
             expected.update((step, n) for step, n in enumerate(epoch * config.local_epochs))
-        # one call per step, holding every batch of that step; then one Adam step per step and batch size
+        # one call per step, holding every batch of that step; then one Adam step over all of that step's clients
         assert len(calls) == max(step for step, _ in expected) + 1
         assert Counter((step, n) for step, sizes in enumerate(calls) for n in sizes) == expected
-        assert Counter(adam_steps) == Counter((step, clients) for (step, _), clients in expected.items())
+        clients_per_step = Counter()
+        for (step, _), clients in expected.items():
+            clients_per_step[step] += clients
+        assert adam_steps == sorted(clients_per_step.items())
 
     def test_a_converge_round_trains_through_the_traced_names(self, monkeypatch):
         # perfbench's per-layer counters see training through these two module names
@@ -727,7 +756,7 @@ class TestCohortStacking:
         monkeypatch.setattr(model, "hybrid_loss_and_grads", counted_loss_and_grads)
         monkeypatch.setattr(model, "adam_local_step", counted_adam)
         run_round(init_state(config, context), config, context)
-        assert (len(samples), sum(samples), len(adam_calls)) == (65, 1600, 96)
+        assert (len(samples), sum(samples), len(adam_calls)) == (65, 1600, 65)
 
     def test_one_seed_and_one_init_per_client(self):
         data, clients, layout, inits = self.mixed_cohort()
@@ -793,6 +822,42 @@ class TestCohortStacking:
             with pytest.raises(NumericError, match="^client 0:"):
                 train_alone(late, data, inits[1], layout, 1, 1, 0.05, 0.0, seed)
             train_alone(healthy, data, inits[0], layout, 1, 1, 0.05, 0.0, seed)
+
+    def test_a_diverged_client_is_in_no_later_training_call(self, monkeypatch):
+        # the cohorts of the test above over two epochs, so that each diverging client has steps left
+        data, _, layout, inits = self.mixed_cohort()
+        features = data.features.copy()
+        features[[0, 1]] = np.nan
+        data = Dataset(features, data.labels, data.n_classes)
+        seed = next(s for s in range(100) if np.random.default_rng(s).permutation(2)[0] == 1)
+        healthy, late, early = np.array([5, 6, 7]), np.array([1, 2]), np.array([0])
+        loss_and_grads = model.hybrid_loss_and_grads
+        calls = []
+
+        def finite_rows_only(features, labels, params, *args):
+            assert np.all(np.isfinite(params))
+            calls.append(len(params))
+            return loss_and_grads(features, labels, params, *args)
+
+        monkeypatch.setattr(model, "hybrid_loss_and_grads", finite_rows_only)
+        with np.errstate(all="ignore"):
+            for cohort, first in (
+                ([healthy, late, early], "client 1"),
+                ([late, healthy, early], "client 0"),
+                ([healthy, early, late], "client 1"),
+                ([healthy, healthy, late], "client 2"),
+            ):
+                calls.clear()
+                with pytest.raises(NumericError, match=f"^{first}:"):
+                    local_train(cohort, data, inits[:3], layout, 2, 1, 0.05, 0.0, [seed] * 3)
+                # the healthy client still takes all six of its steps
+                assert len(calls) == 6
+
+    def test_an_empty_cohort_returns_empty_arrays(self):
+        data, _, layout, _ = self.mixed_cohort()
+        params, losses = local_train([], data, np.zeros((0, layout.size)), layout, 2, 4, 0.05, 0.0, [])
+        assert params.shape == (0, layout.size) and params.dtype == np.float64
+        assert losses.shape == (0,) and losses.dtype == np.float64
 
 
 def circuit_major(states):
