@@ -31,8 +31,9 @@ cohort is one hybrid_loss_and_grads call and one Adam step over the
 stack of the clients still training, whatever their batch sizes: Adam
 is elementwise per parameter. Inside the call the clients are grouped
 by batch size n, each group's k equal-size batches run as one (k, n, ·)
-stack through the MLP and the softmax, and the circuits of all the
-groups' rows run through one forward simulation and one adjoint sweep.
+stack through the MLP, and the circuits and the softmax of all the
+groups' rows run as one pass each: one forward simulation, one adjoint
+sweep and one softmax over the step's rows.
 A client's result is bit-identical to a call of its own because every
 BLAS product keeps its per-client operand shape and layout: the dense
 layers are (k, n, ·) @ (k, ·, ·) products, <Z> is taken per group as a
@@ -56,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -340,7 +342,9 @@ def _block_columns(state: np.ndarray, start: int, k: int, n: int) -> np.ndarray:
     return state[:, start:start + k * n].reshape(len(state), k, n).transpose(1, 0, 2)
 
 
-def _z_expectations(buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+def _z_expectations(
+    buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[int, int]], out: np.ndarray | None = None
+) -> list[np.ndarray]:
     """<Z_0> .. <Z_{C-1}> of _simulate's statevectors: one (k, n, C) array per block of k clients of n rows each, in row order.
 
     One product per block of its probabilities against the +-1 sign
@@ -350,7 +354,8 @@ def _z_expectations(buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[
     call (gemm, or gemv for a one-row block) on the same operand layout as
     for that block alone, and the results are bit-identical. A strided
     view of the shared state would not be: for blocks of up to three rows
-    it changes the last bits.
+    it changes the last bits. Given an (R, C) out, each block's array is a
+    view of its rows of out.
     """
     state, spare = buffers
     dim = len(state)
@@ -359,7 +364,8 @@ def _z_expectations(buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[
     for (k, n), start in zip(blocks, _offsets(k * n for k, n in blocks)):
         probabilities = spare.reshape(-1)[dim * start:dim * (start + k * n)].reshape(k, dim, n)
         np.square(_block_columns(state, start, k, n), out=probabilities)
-        logits.append(np.swapaxes(probabilities, 1, 2) @ signs)
+        rows = None if out is None else out[start:start + k * n].reshape(k, n, n_classes)
+        logits.append(np.matmul(np.swapaxes(probabilities, 1, 2), signs, out=rows))
     return logits
 
 
@@ -595,12 +601,13 @@ def hybrid_loss_and_grads(
     than N, raise ParameterError.
 
     Inside, the clients are grouped by batch size n. Each group runs the
-    dense layers, the softmax, the <Z> products, the co-state products,
-    the sums over rows and the mean loss as one (k, n, ·) stack, so every
-    BLAS product keeps the operand shape and layout of a lone client's
-    call. The circuits of all the rows, whatever their group, run as one
-    forward simulation (_simulate) and one adjoint sweep back through
-    those states (_adjoint): their passes are elementwise per row. The
+    dense layers, the <Z> products, the co-state products, the sums over
+    rows and the mean loss as one (k, n, ·) stack, so every BLAS product
+    keeps the operand shape and layout of a lone client's call. The
+    circuits of all the rows, whatever their group, run as one forward
+    simulation (_simulate) and one adjoint sweep back through those
+    states (_adjoint), and the softmax as one pass over the (N, C)
+    logits: all are elementwise or reductions per row. The
     logits are exactly those of circuit_forward; the circuit gradient
     equals param_shift_grad's to rounding; backprop through the MLP
     follows.
@@ -658,13 +665,16 @@ def hybrid_loss_and_grads(
     gates = _gate_trig(layout.angles(stack))
     pair = _simulate(encoding, gates, owners)
     del encoding
+    logits = np.empty((len(labels), n_classes))
+    _z_expectations(pair, n_classes, blocks, out=logits)
+    # the softmax is row-local, so one pass over every group's rows; the loss means stay per group
+    losses, upstream = softmax_cross_entropy(logits, labels)
     loss = np.empty(g)
-    upstream = []
-    for logits, (n, members), a, b in zip(_z_expectations(pair, n_classes, blocks), groups, bounds, bounds[1:]):
-        losses, block_upstream = softmax_cross_entropy(logits, labels[a:b].reshape(len(members), n))
-        loss[members] = losses.mean(axis=1)
-        upstream.append(block_upstream)
-    circuit_grads = _adjoint(pair, gates, owners, upstream)
+    for (n, members), a, b in zip(groups, bounds, bounds[1:]):
+        loss[members] = losses[a:b].reshape(len(members), n).mean(axis=1)
+    circuit_grads = _adjoint(
+        pair, gates, owners, [upstream[a:b].reshape(k, n, -1) for (k, n), a, b in zip(blocks, bounds, bounds[1:])]
+    )
     del pair, upstream
     grad = np.empty(stack.shape)
     for (n, members), (dense, cache), (grad_var, grad_embeddings) in zip(groups, batches, circuit_grads):
@@ -737,17 +747,34 @@ def adam_step(
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam step on a parameter vector or a (G, P) stack; client and server share it.
 
-    beta1 and beta2 must lie in [0, 1). The returned state is not checked
-    again (AdamState._stepped): these betas keep the moments valid.
+    params, grads and the state's moments share one shape. The step
+    computes params - lr * m_hat / (sqrt(v_hat) + eps), with m_hat and
+    v_hat the bias-corrected moments, operation by operation in that
+    order, so its bits are those of the expression; but it allocates only
+    four arrays of that shape: the new m and v, one scratch and the
+    output, each later operation writing into one of them (ufunc out=).
+    params, grads and the state passed in are left unmodified. beta1 and
+    beta2 must lie in [0, 1). The returned state is not checked again
+    (AdamState._stepped): these betas keep the moments valid.
     """
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ParameterError("beta1 and beta2 must lie in [0, 1)")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState._stepped(m, v, t)
+    scratch = np.multiply(1.0 - beta1, grads)
+    m = np.multiply(beta1, state.m)
+    m += scratch  # beta1 * m + (1 - beta1) * g
+    np.square(grads, out=scratch)
+    scratch *= 1.0 - beta2
+    v = np.multiply(beta2, state.v)
+    v += scratch  # beta2 * v + (1 - beta2) * g**2
+    np.divide(v, 1.0 - beta2**t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    out = np.divide(m, 1.0 - beta1**t)  # m_hat
+    np.multiply(lr, out, out=out)
+    out /= scratch
+    np.subtract(params, out, out=out)
+    return out, AdamState._stepped(m, v, t)
 
 
 def adam_local_step(
@@ -766,14 +793,41 @@ def adam_local_step(
     return adam_step(params, grads, state, lr, beta1, beta2, eps)
 
 
+def _count(value, what: str) -> int:
+    """value as an int if it is an integer of at least 1, else ParameterError: 2.0 is a float, not a count."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, not {value!r}") from None
+    if count < 1:
+        raise ParameterError(f"{what} must be >= 1")
+    return count
+
+
+def _whole_seeds(seeds: Sequence[int]) -> np.ndarray:
+    """The seeds as uint64; ParameterError names the first client whose seed is not a whole number in [0, 2**64).
+
+    A uint64 array, as derived_seeds gives, holds only such seeds and is
+    taken as it is. Any other sequence is checked entry by entry, as given,
+    so a Python int above 2**53 is not rounded through a float; the rule is
+    data.whole_numbers': 1.5, nan and inf are not whole numbers.
+    """
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        for g, seed in enumerate(seeds):
+            if not (math.isfinite(seed) and seed == math.floor(seed) and 0 <= seed < 1 << 64):
+                raise ParameterError(f"client {g}: seed {seed} is not a whole number in [0, 2**64)")
+    return np.asarray(seeds, dtype=np.uint64)
+
+
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Shuffled mini-batch index blocks covering 0..n-1 exactly once.
 
     The final block is kept even when shorter than batch_size, so every
-    epoch touches every sample exactly once.
+    epoch touches every sample exactly once. A batch_size that is not an
+    integer of at least 1 raises ParameterError. local_train draws the same
+    blocks: one rng.permutation(n) per epoch, cut into runs of batch_size.
     """
-    if batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
+    batch_size = _count(batch_size, "batch_size")
     perm = rng.permutation(n)
     return [perm[start:start + batch_size] for start in range(0, n, batch_size)]
 
@@ -794,23 +848,38 @@ def local_train(
     clients[g] is client g's index array into dataset, and an empty one
     raises ParameterError. Client g starts from row g of the (G, P)
     `inits` and reshuffles its samples every epoch from a generator in the
-    state np.random.default_rng(seeds[g]) starts from; every seed must lie
-    in [0, 2**64), else ParameterError names its client. All the seeds are
-    hashed into PCG64 states in one pass, and one reused generator is set
-    to each client's state in turn. Client g keeps its own Adam moments and
-    the loss total of its final epoch; its step count is the cohort's step
-    index s, so every client that still has a batch at step s takes its
-    step together with the others. The training state is the parameter
-    rows, proximal anchors and Adam moments of those clients, in cohort
-    order. A step makes one hybrid_loss_and_grads call over all of their
-    batches, whatever their sizes, which holds about Q + 5 statevectors of
-    the step's samples at its peak (see _adjoint), and one Adam step over
-    the whole state, whose result is the next step's state. A client
-    leaves the state, and its row is written to the output, at the step
-    that ends its schedule or leaves it non-finite; only then are rows
-    gathered. Every row is bit-identical to training its client alone, as
-    a one-client cohort. lr and prox_mu must be finite and >= 0, else
-    ParameterError.
+    state np.random.default_rng(seeds[g]) starts from; every seed must be
+    a whole number in [0, 2**64), else ParameterError names its client.
+    epochs and batch_size must be integers of at least 1, lr and prox_mu
+    finite and >= 0, else ParameterError.
+
+    Schedules: all the seeds are hashed into PCG64 states in one pass, and
+    one reused generator is set to each client's state in turn. The
+    schedule is one flat array of dataset indices, each client's once per
+    epoch, client after client, and each epoch is shuffled in place: the
+    draws of rng.permutation(n), so client g's batches are those of
+    epoch_batches(n, batch_size, rng) taken from clients[g]. A table of
+    every batch of the run, built once, puts the batches and their rows in
+    step order, so a step's batch sizes and rows are one slice each and no
+    per-client batch list is built.
+
+    Client g keeps its own Adam moments and the loss total of its final
+    epoch; its step count is the cohort's step index s, so every client
+    that still has a batch at step s takes its step together with the
+    others. The training state is the parameter rows, proximal anchors
+    and Adam moments of those clients, in cohort order. A step makes one
+    hybrid_loss_and_grads call over all of their batches, whatever their
+    sizes, which holds about Q + 5 statevectors of the step's samples at
+    its peak (see _adjoint), and one Adam step over the whole state, whose
+    output is the next step's state. For k clients in the state that step
+    allocates four (k, P) arrays: the new moments, a scratch and the
+    output (see adam_step); the first step's zero moments are one
+    read-only broadcast, not arrays. A client leaves the state, and its
+    row is written to the output, at the step that ends its schedule or
+    leaves it non-finite; only then are rows gathered. When the whole
+    cohort leaves at one step, the Adam output itself is the upload
+    stack. Every row is bit-identical to training its client alone, as a
+    one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
     the local objective from drifting far from the broadcast parameters.
@@ -824,46 +893,68 @@ def local_train(
     NumericError names the first such client by its position in the
     cohort.
     """
-    if epochs < 1:
-        raise ParameterError("epochs must be >= 1")
+    epochs = _count(epochs, "epochs")
+    batch_size = _count(batch_size, "batch_size")
     if not (0.0 <= lr < math.inf and 0.0 <= prox_mu < math.inf):  # written so that nan fails it
         raise ParameterError("lr and prox_mu must be finite and >= 0")
     if len(seeds) != len(clients):
         raise ParameterError("expected one seed per client")
-    for g, seed in enumerate(seeds):
-        if not 0 <= int(seed) < 1 << 64:
-            raise ParameterError(f"client {g}: seed {seed} lies outside [0, 2**64)")
+    seeds = _whole_seeds(seeds)
     sizes = np.array([len(client) for client in clients], dtype=np.int64)
     if np.any(sizes < 1):
         raise ParameterError(f"client {int(np.argmin(sizes))} has no samples")
     inits = np.ascontiguousarray(inits, dtype=np.float64)
     if inits.shape != (len(clients), layout.size):
         raise ParameterError("expected one initial parameter vector per client")
-    # one generator, set in turn to the state default_rng(seed) starts from for each client
+    # the schedule: each client's dataset indices once per epoch, client after client, each epoch shuffled in
+    # place as rng.permutation(n) shuffles 0..n-1 (the shuffle's swaps do not depend on the values); the
+    # leading empty int64 array keeps a cohort of none valid
+    schedule = np.concatenate([np.zeros(0, dtype=np.int64), *(client for client in clients for _ in range(epochs))])
+    runs = np.repeat(sizes, epochs)  # one run per client and epoch
+    spans = zip((np.cumsum(runs) - runs).tolist(), runs.tolist())
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    # each client's batches, as dataset indices, for all of its epochs in order
-    schedules = []
-    for client, state in zip(clients, pcg64_states(seeds)):
-        bit_generator.state = state
-        epoch = [epoch_batches(len(client), batch_size, rng) for _ in range(epochs)]
-        schedules.append([client[batch] for batches in epoch for batch in batches])
-    steps = np.array([len(s) for s in schedules], dtype=np.int64)
+    for state in pcg64_states(seeds):
+        bit_generator.state = state  # the state default_rng(seed) starts from
+        for start, n in itertools.islice(spans, epochs):
+            rng.shuffle(schedule[start:start + n])
+    per_epoch = -(-sizes // batch_size)
+    steps = per_epoch * epochs
+    # every batch of the run: a client's batches, in step order, tile its runs, and batch j of an epoch of n
+    # samples holds min(batch_size, n - j * batch_size) of them
+    owners = np.repeat(np.arange(len(clients)), steps)
+    step_of = np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
+    lengths = np.minimum(sizes[owners] - step_of % per_epoch[owners] * batch_size, batch_size)
+    # the batches reordered step by step, in cohort order within a step, and the schedule's rows with them:
+    # each step's batches and its rows are then one slice each
+    by_step = np.argsort(step_of, kind="stable")
+    firsts = (np.cumsum(lengths) - lengths)[by_step]
+    owners, lengths = owners[by_step], lengths[by_step]
+    ends = np.cumsum(lengths)
+    schedule = schedule[np.repeat(firsts - (ends - lengths), lengths) + np.arange(len(schedule))]
+    batch_at = np.searchsorted(step_of[by_step], np.arange(steps.max(initial=0) + 1))  # each step's first batch
+    row_at = np.concatenate([[0], ends])[batch_at].tolist()
+    batch_at = batch_at.tolist()
     # the step at which each client's final epoch starts; only its losses are summed
-    final_epoch = steps - steps // epochs
+    final_epoch = steps - per_epoch
     totals = np.zeros(len(clients))
     # row g is written once, when client g leaves the training state
     params = np.empty(inits.shape)
     # the training state: the clients still training, in cohort order, with their parameter rows, proximal
     # anchors and Adam moments; each has taken every step so far, so they share Adam's step counter
     live = np.arange(len(clients))
-    rows, anchors, state = inits, inits, AdamState.zeros(inits.shape)
+    # fresh moments as one read-only zero broadcast over the stack: adam_step only reads them
+    zeros = np.broadcast_to(0.0, inits.shape)
+    rows, anchors, state = inits, inits, AdamState._stepped(zeros, zeros, 0)
     # a diverging step may overflow; the finiteness check below turns that into NumericError
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps.max(initial=0)):
-            batches = [schedules[g][step] for g in live]
-            batch = np.concatenate(batches)
-            step_sizes = np.array([len(b) for b in batches])
+            step_sizes = lengths[batch_at[step]:batch_at[step + 1]]
+            batch = schedule[row_at[step]:row_at[step + 1]]
+            if len(step_sizes) > len(live):  # a client that left non-finite still has batches here: drop them
+                keep = np.isin(owners[batch_at[step]:batch_at[step + 1]], live)
+                batch = batch[np.repeat(keep, step_sizes)]
+                step_sizes = step_sizes[keep]
             loss, grads = hybrid_loss_and_grads(
                 dataset.features[batch], dataset.labels[batch], rows, layout, dataset.n_classes,
                 prox_mu, anchors, step_sizes,
@@ -873,6 +964,9 @@ def local_train(
             # a client leaves when its schedule ends or its step leaves a parameter non-finite
             stay = np.isfinite(rows).all(axis=1) & (steps[live] > step + 1)
             if not stay.all():
+                if len(live) == len(clients) and not stay.any():  # the whole cohort leaves: the output is the uploads
+                    params = rows
+                    break
                 params[live[~stay]] = rows[~stay]
                 live, rows, anchors = live[stay], rows[stay], anchors[stay]
                 state = AdamState._stepped(state.m[stay], state.v[stay], state.t)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import tracemalloc
 from collections import Counter
@@ -13,6 +14,7 @@ from fedsim.model import (
     AdamState,
     ParamLayout,
     adam_local_step,
+    adam_step,
     circuit_forward,
     epoch_batches,
     hybrid_loss_and_grads,
@@ -441,6 +443,61 @@ class TestAdamLocalStep:
             adam_local_step(np.zeros(3), np.ones(3), AdamState.zeros(3), 0.01, *betas)
 
 
+class TestAdamStep:
+    """adam_step against the one-expression step it computes in four arrays: same bits, inputs untouched."""
+
+    @staticmethod
+    def expression(params, grads, m, v, t, lr, beta1, beta2, eps):
+        """The Adam step as one numpy expression, each temporary a fresh array: the oracle of adam_step's bits."""
+        t += 1
+        m = beta1 * m + (1.0 - beta1) * grads
+        v = beta2 * v + (1.0 - beta2) * grads**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 9)])
+    @pytest.mark.parametrize("moments", ["zeros", "broadcast zeros", "drawn"])
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_bits_equal_the_expression_signbits_included(self, rng, shape, moments, t):
+        params, grads = rng.standard_normal((2, *shape))
+        # signed zeros where a zero step keeps params' sign and where zero moments meet zero gradients
+        params.flat[:2] = -0.0, 0.0
+        grads.flat[:4] = 0.0, -0.0, -0.0, 0.0
+        if moments == "drawn":
+            m, v = rng.standard_normal(shape), rng.uniform(0.0, 2.0, shape)
+            m.flat[2:4] = -0.0, 0.0
+            v.flat[2:4] = 0.0, 0.0
+        elif moments == "zeros":
+            m, v = np.zeros(shape), np.zeros(shape)
+        else:  # local_train's fresh moments
+            m = v = np.broadcast_to(0.0, shape)
+        for lr, beta1, beta2, eps in ((0.02, 0.9, 0.999, 1e-8), (0.5, 0.0, 0.5, 1e-3)):
+            stepped, state = adam_step(params, grads, AdamState(m, v, t), lr, beta1, beta2, eps)
+            want, want_m, want_v = self.expression(params, grads, m, v, t, lr, beta1, beta2, eps)
+            assert state.t == t + 1
+            for got, expected in ((stepped, want), (state.m, want_m), (state.v, want_v)):
+                assert got.shape == shape
+                assert got.tobytes() == expected.tobytes()
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 6)])
+    def test_leaves_its_inputs_unmodified(self, rng, shape):
+        # the server state and fedadam_update hand in arrays they keep
+        params, grads, m = rng.standard_normal((3, *shape))
+        state = AdamState(m, rng.uniform(0.0, 1.0, shape), 2)
+        inputs = (params, grads, state.m, state.v)
+        before = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False  # a write into any of them raises
+        stepped, after = adam_step(params, grads, state, 0.1, 0.9, 0.999, 1e-8)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+        assert state.t == 2
+        for out in (stepped, after.m, after.v):
+            assert out.flags.writeable and not any(np.shares_memory(out, a) for a in inputs)
+
+
 class TestAdamState:
     def test_moments_must_be_equal_length_vectors(self):
         # a (clients, size) stack of equal shape is allowed; mismatched shapes, 0-d and 3-d moments are not
@@ -519,6 +576,15 @@ class TestLocalTrain:
         data, client, layout, params = self.toy_setup()
         with pytest.raises(ParameterError, match="epochs must be >= 1"):
             train_alone(client, data, params, layout, epochs, 8, 0.05, 0.0, seed=3)
+
+    @pytest.mark.parametrize(
+        "epochs,batch_size,named", [(1.5, 8, "epochs"), (2.0, 8, "epochs"), (1, 2.5, "batch_size")]
+    )
+    def test_a_count_that_is_not_an_integer_rejected(self, epochs, batch_size, named):
+        # range() once raised a bare TypeError for each of these
+        data, client, layout, params = self.toy_setup()
+        with pytest.raises(ParameterError, match=f"^{named} must be an integer"):
+            train_alone(client, data, params, layout, epochs, batch_size, 0.05, 0.0, seed=3)
 
     def test_divergence_raises_numeric_error(self):
         # steps of ~1e308 overflow the angles to inf; the circuit must never see them
@@ -771,27 +837,48 @@ class TestCohortStacking:
         data, clients, layout, inits = self.mixed_cohort()
         seeds = [0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
         clients, inits = clients[:len(seeds)], inits[:len(seeds)]
-        drawn = []
+        traced = model.hybrid_loss_and_grads
+        steps = []
 
-        def recorded(n, batch_size, rng):
-            drawn.append(epoch_batches(n, batch_size, rng))
-            return drawn[-1]
+        def recorded(*args, **kwargs):
+            call = inspect.signature(traced).bind(*args, **kwargs).arguments
+            steps.append((call["features"], call["sizes"]))
+            return traced(*args, **kwargs)
 
-        monkeypatch.setattr(model, "epoch_batches", recorded)
+        monkeypatch.setattr(model, "hybrid_loss_and_grads", recorded)
         local_train(clients, data, inits, layout, 2, 4, 0.05, 0.0, np.array(seeds, dtype=np.uint64))
-        expected = []
+        # each client's batches, as dataset indices: those of its generator's epochs, end to end
+        schedules = []
         for client, seed in zip(clients, seeds):
             rng = np.random.default_rng(seed)
-            expected += [epoch_batches(len(client), 4, rng) for _ in range(2)]
-        assert len(drawn) == len(expected)
-        for got, want in zip(drawn, expected):
-            assert [b.tolist() for b in got] == [b.tolist() for b in want]
+            schedules.append([client[batch] for _ in range(2) for batch in epoch_batches(len(client), 4, rng)])
+        assert len(steps) == max(len(schedule) for schedule in schedules)
+        for step, (features, sizes) in enumerate(steps):
+            # the clients with a batch at this step, in cohort order, each training on its batch's rows
+            batches = [schedule[step] for schedule in schedules if step < len(schedule)]
+            assert list(sizes) == [len(batch) for batch in batches]
+            np.testing.assert_array_equal(features, data.features[np.concatenate(batches)])
 
     @pytest.mark.parametrize("seeds,named", [([0, -1, 2], "client 1"), ([0, 1, 2**64], "client 2")])
     def test_a_seed_outside_0_to_2_64_names_its_client(self, seeds, named):
         data, clients, layout, inits = self.mixed_cohort()
         with pytest.raises(ParameterError, match=f"^{named}: seed"):
             local_train(clients[:3], data, inits[:3], layout, 1, 4, 0.05, 0.0, seeds)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf])
+    def test_a_seed_that_is_not_a_whole_number_names_its_client(self, seed):
+        # 1.5 once trained silently as seed 1, and nan raised a bare ValueError from int()
+        data, clients, layout, inits = self.mixed_cohort()
+        with pytest.raises(ParameterError, match="^client 1: seed .* is not a whole number"):
+            local_train(clients[:3], data, inits[:3], layout, 1, 4, 0.05, 0.0, [0, seed, 2])
+
+    def test_whole_seeds_keep_every_bit_whatever_their_type(self):
+        # a float 2.0 is seed 2, and a Python int above 2**53 next to it is not rounded through a float
+        data, clients, layout, inits = self.mixed_cohort()
+        args = (data, inits[:3], layout, 2, 4, 0.05, 0.0)
+        want, want_losses = local_train(clients[:3], *args, np.array([2**63 + 5, 2, 7], dtype=np.uint64))
+        got, losses = local_train(clients[:3], *args, [2**63 + 5, 2.0, np.int64(7)])
+        assert got.tobytes() == want.tobytes() and losses.tobytes() == want_losses.tobytes()
 
     def test_an_empty_client_is_a_parameter_error(self):
         data, clients, layout, inits = self.mixed_cohort()
@@ -1173,6 +1260,11 @@ class TestEpochBatches:
     def test_batch_size_below_one_rejected(self, rng, batch_size):
         with pytest.raises(ParameterError, match="batch_size must be >= 1"):
             epoch_batches(10, batch_size, rng)
+
+    def test_batch_size_that_is_not_an_integer_rejected(self, rng):
+        # range() once raised a bare TypeError
+        with pytest.raises(ParameterError, match="^batch_size must be an integer"):
+            epoch_batches(5, 2.5, rng)
 
     def test_samples_seen_conservation(self, rng):
         # one epoch sees n samples, so E epochs see n * E

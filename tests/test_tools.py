@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import shutil
+import statistics
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,19 @@ class TestPairedRounds:
         rows = "\n".join(metrics_rows(run_experiment(config)))
         assert result["metrics_rows_sha256"] == hashlib.sha256(rows.encode()).hexdigest()
         assert lines[4].endswith(result["metrics_rows_sha256"])
+
+    def test_prints_and_records_each_trees_minor_page_faults(self, tmp_path, capsys):
+        out = tmp_path / "pairs.json"
+        args = [str(ROOT), str(ROOT), "--workload", "wide", "--smoke", "--seed", "7", "--pairs", "3"]
+        assert paired_rounds.main(args + ["--json", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        result = json.loads(out.read_text())
+        for line, name in zip(lines[1:3], paired_rounds.TREES):
+            faults = result[f"{name}_minflt"]
+            # one count per paired round, from getrusage around the run_round call
+            assert len(faults) == 3 and all(isinstance(f, int) and f >= 0 for f in faults)
+            assert line.startswith(f"{name:<7} round_s median ")
+            assert line.endswith(f"; minor page faults per round median {statistics.median(faults):g}")
 
     def test_sweep_runs_every_strategy_and_alpha(self):
         configs = paired_rounds.workload_configs("sweep", 3, True)

@@ -9,15 +9,17 @@ from perfbench/workloads.py: one run for converge and wide, the sweep's
 strategy x alpha runs for sweep. A pair runs every config once in each
 tree, in lockstep: both trees' round r run back to back, the tree that
 goes first alternating from round to round and from pair to pair. Each
-run_round call is timed, as perfbench times it; set-up is not. Both trees
-must give equal metrics rows (round 0, the untrained baseline, from a run
-of no rounds), or the tool exits 1; their sha256 is perfbench's
-metrics_rows digest. It prints, per tree, the median round_s with its
-quartiles, and the change/base ratio of each paired round: median,
-quartiles and how many rounds the change won. The two rounds of a pair
-run under nearly the same host load, which is what makes their ratio
-tighter than separate benchmark runs. BLAS is pinned to one thread, as
-perfbench pins it.
+run_round call is timed, as perfbench times it, and the minor page faults
+the process takes in it are counted (getrusage's ru_minflt): fresh pages
+are a cost that follows allocation, not arithmetic. Set-up is neither
+timed nor counted. Both trees must give equal metrics rows (round 0, the
+untrained baseline, from a run of no rounds), or the tool exits 1; their
+sha256 is perfbench's metrics_rows digest. It prints, per tree, the
+median round_s with its quartiles and the median minor page faults per
+round, and the change/base ratio of each paired round: median, quartiles
+and how many rounds the change won. The two rounds of a pair run under
+nearly the same host load, which is what makes their ratio tighter than
+separate benchmark runs. BLAS is pinned to one thread, as perfbench pins it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import importlib
 import importlib.util
 import json
 import os
+import resource
 import shutil
 import statistics
 import sys
@@ -72,8 +75,8 @@ def baseline_rows(orchestrator, cli, fields: dict) -> list[str]:
     return cli.metrics_rows(orchestrator.run_experiment(orchestrator.ExperimentConfig(**{**fields, "rounds": 0})))
 
 
-def paired_run(trees: dict, fields: dict, first: int) -> tuple[dict, dict]:
-    """One run of the config in every tree, round by round in lockstep; each tree's round walls and rows.
+def paired_run(trees: dict, fields: dict, first: int) -> tuple[dict, dict, dict]:
+    """One run of the config in every tree, round by round in lockstep; each tree's round walls, minor faults and rows.
 
     At round r the tree TREES[(first + r) % 2] runs first.
     """
@@ -83,15 +86,18 @@ def paired_run(trees: dict, fields: dict, first: int) -> tuple[dict, dict]:
         context = orchestrator.build_context(config)
         runs[name] = [config, context, orchestrator.init_state(config, context)]
     walls = {name: [] for name in trees}
+    faults = {name: [] for name in trees}
     metrics = {name: [] for name in trees}
     for r in range(fields["rounds"]):
         for name in TREES if (first + r) % 2 == 0 else TREES[::-1]:
             config, context, state = runs[name]
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             runs[name][2], row = trees[name][0].run_round(state, config, context)
             walls[name].append(time.perf_counter() - start)
+            faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
             metrics[name].append(row)
-    return walls, {name: trees[name][1].metrics_rows(metrics[name]) for name in trees}
+    return walls, faults, {name: trees[name][1].metrics_rows(metrics[name]) for name in trees}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -129,11 +135,13 @@ def main(argv: list[str]) -> int:
             for name in TREES:
                 rows[name].append(baseline_rows(*trees[name], fields))
         walls = {name: [] for name in TREES}
+        faults = {name: [] for name in TREES}
         for pair in range(args.pairs):
             for index, fields in enumerate(configs):
-                run_walls, run_rows = paired_run(trees, fields, pair + index)
+                run_walls, run_faults, run_rows = paired_run(trees, fields, pair + index)
                 for name in TREES:
                     walls[name].extend(run_walls[name])
+                    faults[name].extend(run_faults[name])
                     if pair == 0:
                         rows[name][index] += run_rows[name]
                     elif run_rows[name] != rows[name][index][1:]:
@@ -150,7 +158,8 @@ def main(argv: list[str]) -> int:
           f"{args.pairs} pairs, {len(ratios)} paired rounds")
     for name in TREES:
         q1, q2, q3 = quartiles(walls[name])
-        print(f"{name:<7} round_s median {q2:.4f} s [{q1:.4f}, {q3:.4f}]")
+        print(f"{name:<7} round_s median {q2:.4f} s [{q1:.4f}, {q3:.4f}]; "
+              f"minor page faults per round median {statistics.median(faults[name]):g}")
     q1, q2, q3 = quartiles(ratios)
     print(f"change/base round_s ratio median {q2:.3f} [{q1:.3f}, {q3:.3f}]; "
           f"change faster in {wins} of {len(ratios)} paired rounds")
@@ -159,6 +168,7 @@ def main(argv: list[str]) -> int:
         args.json.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "smoke": args.smoke, "pairs": args.pairs,
             "base_round_s": walls["base"], "change_round_s": walls["change"],
+            "base_minflt": faults["base"], "change_minflt": faults["change"],
             "ratio_median": q2, "ratio_quartiles": [q1, q3], "change_wins": wins,
             "metrics_rows_sha256": digest,
         }, indent=1) + "\n")
