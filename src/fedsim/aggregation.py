@@ -172,13 +172,15 @@ def fedadam_update(
     phi_bar) in (-pi, pi]: angles 0.02 rad apart across the -pi/pi cut
     give a gap of 0.02, not of 2pi - 0.02, so the step moves phi_t toward
     the aggregate. Gaps already inside (-pi, pi] pass through unchanged.
-    g is fed to the same Adam step clients use. The result is wrapped back
-    to (-pi, pi] and has phi_t's shape; the moments are flat vectors.
+    g is fed to adam_step, the one Adam step clients use too, which
+    raises ParameterError unless the state's moments are flat vectors of
+    phi_t's size. The result is wrapped back to (-pi, pi] and has phi_t's
+    shape.
     """
     phi_t = np.asarray(phi_t, dtype=np.float64)
-    if phi_t.shape != np.shape(phi_bar) or phi_t.size != len(state.m):
-        raise ParameterError("parameter and state dimensions must match")
-    if not (0 < eta < math.inf and 0 < eps < math.inf):  # written so that nan fails it; adam_step checks the betas
+    if phi_t.shape != np.shape(phi_bar):
+        raise ParameterError("phi_t and phi_bar must have one shape")
+    if not (0 < eta < math.inf and 0 < eps < math.inf):  # written so that nan fails it; adam_step checks the rest
         raise ParameterError("eta and eps must be finite and > 0")
     g = wrap_angles(phi_t - phi_bar).reshape(-1)
     stepped, next_state = adam_step(phi_t.reshape(-1), g, state, eta, beta1, beta2, eps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import whole_numbers
+from .data import integer, whole_numbers
 from .errors import NumericError, ParameterError
 
 KMEANS_RESTARTS = 10
@@ -192,7 +192,8 @@ class ClusterAssignment:
     """Cluster label per client; every cluster index in [0, M) is occupied.
 
     Labels are stored as int64; labels that are not whole numbers (0.7,
-    nan, inf) raise ParameterError rather than being truncated.
+    nan, inf) raise ParameterError rather than being truncated, as does an
+    n_clusters that is not an integer (data.integer: 2.0 is not one).
     """
 
     labels: np.ndarray
@@ -202,8 +203,7 @@ class ClusterAssignment:
         self.labels = whole_numbers(self.labels, "labels")
         if self.labels.ndim != 1 or len(self.labels) < 1:
             raise ParameterError("labels must be a non-empty vector")
-        if self.n_clusters < 1:
-            raise ParameterError("n_clusters must be >= 1")
+        integer(self.n_clusters, "n_clusters")
         if self.labels.min() < 0 or self.labels.max() >= self.n_clusters:
             raise ParameterError("labels must lie in [0, n_clusters)")
         # bincount, not np.unique: unique's first call imports numpy.ma (about 8 ms)
@@ -318,14 +318,14 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
     inertia wins. Any empty cluster is repaired by donating the farthest
     point of the largest cluster, and labels are canonicalized by ascending
     smallest member index, so equal (points, k, seed) always yields the
-    identical result.
+    identical result. k must be an integer in [1, n], else ParameterError.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.size == 0:
         raise ParameterError("points must be a non-empty (n, d) array, n and d >= 1")
     if not np.all(np.isfinite(pts)):
         raise ParameterError("points must be finite")
-    if k < 1 or k > len(pts):
+    if integer(k, "k") > len(pts):
         raise ParameterError(f"k must lie in [1, {len(pts)}]")
     rng = np.random.default_rng(seed)
     centers = np.stack([_plusplus_centers(pts, k, rng) for _ in range(KMEANS_RESTARTS)])
@@ -339,10 +339,11 @@ def spectral_cluster(similarity: SimilarityMatrix, n_clusters: int, seed: int) -
 
     Embeds clients into the eigenvectors of the M smallest normalized-
     Laplacian eigenvalues, row-normalizes the embedding (rows below 1e-12
-    norm stay zero), and k-means the rows with k = M.
+    norm stay zero), and k-means the rows with k = M. M must be an integer
+    in [1, n_clients], else ParameterError.
     """
     n = similarity.n_clients
-    if not 1 <= n_clusters <= n:
+    if integer(n_clusters, "n_clusters") > n:
         raise ParameterError(f"n_clusters must lie in [1, {n}]")
     _, vecs = symmetric_eig(normalized_laplacian(similarity))
     embedding = vecs[:, :n_clusters].copy()

@@ -12,6 +12,7 @@ is no module-level random state.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +40,21 @@ def whole_numbers(values, what: str) -> np.ndarray:
     if np.any(whole != given):
         raise ParameterError(f"{what} must be whole numbers")
     return whole
+
+
+def integer(value, what: str, minimum: float = 1) -> int:
+    """value as an int if it is an integer of at least minimum, else ParameterError naming `what`.
+
+    The rule is operator.index's: 2.0 is a float, not an integer, though
+    whole_numbers takes it as a whole number.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, not {value!r}") from None
+    if number < minimum:
+        raise ParameterError(f"{what} must be >= {minimum}")
+    return number
 
 
 @dataclass

@@ -57,7 +57,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,7 +64,7 @@ import numpy as np
 
 from ._angles import wrap_angles
 from ._seeds import pcg64_states
-from .data import Dataset, whole_numbers
+from .data import Dataset, integer, whole_numbers
 from .errors import NumericError, ParameterError
 
 HALF_PI = 0.5 * math.pi
@@ -740,23 +739,36 @@ def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
     state: AdamState,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
+    lr: float = 0.001,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam step on a parameter vector or a (G, P) stack; client and server share it.
+    """One bias-corrected Adam step on a parameter vector or a (G, P) stack: the one Adam of clients and server.
 
-    params, grads and the state's moments share one shape. The step
-    computes params - lr * m_hat / (sqrt(v_hat) + eps), with m_hat and
-    v_hat the bias-corrected moments, operation by operation in that
-    order, so its bits are those of the expression; but it allocates only
-    four arrays of that shape: the new m and v, one scratch and the
+    Clients step through the name adam_local_step, the same function
+    (local_train calls it once per cohort step), and fedadam_update steps
+    the server's angles through adam_step. The defaults are the client
+    settings. Before any arithmetic, ParameterError unless params, grads
+    (taken as float64) and the state's moments share one shape, lr is
+    finite and >= 0, eps finite and > 0, and beta1 and beta2 lie in
+    [0, 1).
+
+    The step computes params - lr * m_hat / (sqrt(v_hat) + eps), with
+    m_hat and v_hat the bias-corrected moments, operation by operation in
+    that order, so its bits are those of the expression; but it allocates
+    only four arrays of that shape: the new m and v, one scratch and the
     output, each later operation writing into one of them (ufunc out=).
-    params, grads and the state passed in are left unmodified. beta1 and
-    beta2 must lie in [0, 1). The returned state is not checked again
-    (AdamState._stepped): these betas keep the moments valid.
+    params, grads and the state passed in are left unmodified. The
+    returned state is not checked again (AdamState._stepped): these betas
+    keep the moments valid.
     """
+    grads = np.asarray(grads, dtype=np.float64)
+    if not params.shape == grads.shape == state.m.shape:
+        raise ParameterError("params, grads and Adam moments must share one shape")
+    # each written so that nan fails it
+    if not (0.0 <= lr < math.inf and 0.0 < eps < math.inf):
+        raise ParameterError("lr must be finite and >= 0, eps finite and > 0")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ParameterError("beta1 and beta2 must lie in [0, 1)")
     t = state.t + 1
@@ -777,31 +789,7 @@ def adam_step(
     return out, AdamState._stepped(m, v, t)
 
 
-def adam_local_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
-    """One client-side Adam step over the flat hybrid parameters (or a cohort's (G, P) stack)."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != params.shape:
-        raise ParameterError("gradient length does not match parameter count")
-    return adam_step(params, grads, state, lr, beta1, beta2, eps)
-
-
-def _count(value, what: str) -> int:
-    """value as an int if it is an integer of at least 1, else ParameterError: 2.0 is a float, not a count."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, not {value!r}") from None
-    if count < 1:
-        raise ParameterError(f"{what} must be >= 1")
-    return count
+adam_local_step = adam_step  # the clients' name for the step; local_train calls it through this module global
 
 
 def _whole_seeds(seeds: Sequence[int]) -> np.ndarray:
@@ -817,19 +805,6 @@ def _whole_seeds(seeds: Sequence[int]) -> np.ndarray:
             if not (math.isfinite(seed) and seed == math.floor(seed) and 0 <= seed < 1 << 64):
                 raise ParameterError(f"client {g}: seed {seed} is not a whole number in [0, 2**64)")
     return np.asarray(seeds, dtype=np.uint64)
-
-
-def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Shuffled mini-batch index blocks covering 0..n-1 exactly once.
-
-    The final block is kept even when shorter than batch_size, so every
-    epoch touches every sample exactly once. A batch_size that is not an
-    integer of at least 1 raises ParameterError. local_train draws the same
-    blocks: one rng.permutation(n) per epoch, cut into runs of batch_size.
-    """
-    batch_size = _count(batch_size, "batch_size")
-    perm = rng.permutation(n)
-    return [perm[start:start + batch_size] for start in range(0, n, batch_size)]
 
 
 def local_train(
@@ -857,11 +832,12 @@ def local_train(
     one reused generator is set to each client's state in turn. The
     schedule is one flat array of dataset indices, each client's once per
     epoch, client after client, and each epoch is shuffled in place: the
-    draws of rng.permutation(n), so client g's batches are those of
-    epoch_batches(n, batch_size, rng) taken from clients[g]. A table of
-    every batch of the run, built once, puts the batches and their rows in
-    step order, so a step's batch sizes and rows are one slice each and no
-    per-client batch list is built.
+    draws of rng.permutation(n), so each epoch of client g is
+    clients[g][rng.permutation(n)] cut into runs of batch_size, the last
+    run kept even when shorter. A table of every batch of the run, built
+    once, puts the batches and their rows in step order, so a step's batch
+    sizes and rows are one slice each and no per-client batch list is
+    built.
 
     Client g keeps its own Adam moments and the loss total of its final
     epoch; its step count is the cohort's step index s, so every client
@@ -893,8 +869,8 @@ def local_train(
     NumericError names the first such client by its position in the
     cohort.
     """
-    epochs = _count(epochs, "epochs")
-    batch_size = _count(batch_size, "batch_size")
+    epochs = integer(epochs, "epochs")
+    batch_size = integer(batch_size, "batch_size")
     if not (0.0 <= lr < math.inf and 0.0 <= prox_mu < math.inf):  # written so that nan fails it
         raise ParameterError("lr and prox_mu must be finite and >= 0")
     if len(seeds) != len(clients):

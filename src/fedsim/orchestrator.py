@@ -50,6 +50,7 @@ from .data import (
     class_counts,
     dirichlet_partition,
     generate_synthetic,
+    integer,
     load_idx,
     stratified_split,
 )
@@ -152,12 +153,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy '{self.strategy}' (choose from {', '.join(STRATEGIES)})")
         if self.dataset not in ("synthetic", "idx"):
             raise ConfigError(f"dataset must be 'synthetic' or 'idx', not '{self.dataset}'")
-        positive = ["n_clients", "local_epochs", "batch_size", "hidden", "qubits", "layers", "per_class"]
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+        # every count and the seed are integers by data.integer's rule (2.0 is not one), each with its minimum;
+        # clusters' range, [1, n_clients], is checked below
+        minima = {"n_clients": 1, "rounds": 0, "local_epochs": 1, "batch_size": 1, "clusters": -math.inf, "features": 2,
+                  "hidden": 1, "qubits": 1, "layers": 1, "classes": 2, "per_class": 1, "seed": 0}
+        for name, minimum in minima.items():
+            try:
+                integer(getattr(self, name), name, minimum)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from None
         if self.dataset == "synthetic" and round(TEST_FRACTION * self.per_class) < 1:
             raise ConfigError(f"per_class ({self.per_class}) is too small: its test share rounds to 0 samples")
         # each float check is written so that nan fails it; alpha = inf is the partition's even-split
@@ -172,16 +176,10 @@ class ExperimentConfig:
             raise ConfigError("clusters must lie in [1, n_clients]")
         if not 0 <= self.prox_mu < math.inf:
             raise ConfigError("prox_mu must be finite and >= 0")
-        if self.features < 2:
-            raise ConfigError("features must be >= 2")
-        if self.classes < 2:
-            raise ConfigError("classes must be >= 2")
         if self.classes > self.qubits:
             raise ConfigError(f"classes ({self.classes}) must not exceed qubits ({self.qubits})")
         if not 0 <= self.spread < math.inf:
             raise ConfigError("spread must be finite and >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.dataset == "idx" and (self.idx_images is None or self.idx_labels is None):
             raise ConfigError("dataset 'idx' requires idx_images and idx_labels")
         if self.keep_classes is not None:

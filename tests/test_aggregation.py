@@ -491,3 +491,9 @@ class TestFedadamUpdate:
                 np.zeros(3),
                 AdamState.zeros(2),
             )
+
+    @pytest.mark.parametrize("state", [AdamState.zeros(3), AdamState.zeros(1), AdamState.zeros((1, 2))])
+    def test_state_of_another_size_rejected_by_the_shared_step(self, state):
+        # the server's moments are flat vectors of the angles' size; adam_step's one shape rule checks them
+        with pytest.raises(ParameterError, match="params, grads and Adam moments must share one shape"):
+            fedadam_update(np.zeros(2), np.ones(2), state)

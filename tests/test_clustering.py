@@ -484,6 +484,12 @@ class TestKmeans:
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, 0)
 
+    @pytest.mark.parametrize("k, named", [(2.0, "k must be an integer, not 2.0"), (0, "k must be >= 1")])
+    def test_k_that_is_not_a_count_rejected(self, k, named):
+        # k = 2.0 once raised a bare TypeError from np.empty
+        with pytest.raises(ParameterError, match=f"^{named}$"):
+            kmeans(np.arange(8.0).reshape(4, 2), k, 0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):
         points = np.zeros((4, 2))
@@ -531,6 +537,15 @@ class TestSpectralCluster:
         with pytest.raises(ParameterError):
             spectral_cluster(self.block_similarity(), 11, 0)
 
+    @pytest.mark.parametrize("n_clusters, named", [
+        (1.5, "n_clusters must be an integer, not 1.5"), (2.0, "n_clusters must be an integer, not 2.0"),
+        (0, "n_clusters must be >= 1"),
+    ])
+    def test_cluster_count_that_is_not_a_count_rejected(self, n_clusters, named):
+        # 1.5 once raised a bare TypeError from slicing the eigenvectors
+        with pytest.raises(ParameterError, match=f"^{named}$"):
+            spectral_cluster(self.block_similarity(), n_clusters, 0)
+
 
 class TestClusterAssignment:
     def test_every_cluster_occupied(self):
@@ -544,6 +559,8 @@ class TestClusterAssignment:
         (np.array([0, 1, 2]), 2, r"lie in \[0, n_clusters\)"),
         (np.array([0, -1, 1]), 2, r"lie in \[0, n_clusters\)"),
         (np.array([0.7, 1.2]), 2, "whole numbers"),
+        (np.zeros(3), 1.5, r"n_clusters must be an integer, not 1\.5"),
+        (np.zeros(3), 1.0, r"n_clusters must be an integer, not 1\.0"),
     ])
     def test_rejects_malformed_labels_or_cluster_count(self, labels, n_clusters, named):
         with pytest.raises(ParameterError, match=named):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedsim import model
-from fedsim.data import Dataset, generate_synthetic
+from fedsim.data import Dataset, generate_synthetic, integer
 from fedsim.errors import NumericError, ParameterError
 from fedsim.model import (
     AdamState,
@@ -16,7 +16,6 @@ from fedsim.model import (
     adam_local_step,
     adam_step,
     circuit_forward,
-    epoch_batches,
     hybrid_loss_and_grads,
     init_params,
     local_train,
@@ -45,6 +44,20 @@ def random_hybrid(rng, f=4, h=5, q=3, layers=1):
 def random_dense(rng):
     layout, params = random_hybrid(rng)
     return layout.dense(params)
+
+
+def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Shuffled mini-batch index blocks covering 0..n-1 exactly once: the reference for local_train's schedules.
+
+    The final block is kept even when shorter than batch_size, so every
+    epoch touches every sample exactly once. A batch_size that is not an
+    integer of at least 1 raises ParameterError. local_train must draw the
+    same blocks: one rng.permutation(n) per epoch, cut into runs of
+    batch_size.
+    """
+    batch_size = integer(batch_size, "batch_size")
+    perm = rng.permutation(n)
+    return [perm[start:start + batch_size] for start in range(0, n, batch_size)]
 
 
 class TestMlp:
@@ -441,6 +454,35 @@ class TestAdamLocalStep:
         # the step returns its moments unchecked, so it checks the betas that keep them valid
         with pytest.raises(ParameterError, match="beta1 and beta2"):
             adam_local_step(np.zeros(3), np.ones(3), AdamState.zeros(3), 0.01, *betas)
+
+    def test_is_adam_step_itself(self):
+        # one Adam for clients and server: the clients' name is bound to the same function
+        assert model.adam_local_step is model.adam_step
+
+    @pytest.mark.parametrize("params, state", [
+        (np.zeros(3), AdamState.zeros(2)),
+        (np.zeros(3), AdamState.zeros((1, 3))),
+        (np.zeros((2, 3)), AdamState.zeros(3)),
+    ])
+    def test_moments_of_another_shape_rejected(self, params, state):
+        # each of these once failed inside numpy's broadcasting with a bare ValueError
+        with pytest.raises(ParameterError, match="params, grads and Adam moments must share one shape"):
+            adam_local_step(params, np.ones(params.shape), state)
+
+    @pytest.mark.parametrize("step", [
+        {"lr": math.nan}, {"lr": math.inf}, {"lr": -1.0}, {"eps": 0.0}, {"eps": -1e-8}, {"eps": math.nan},
+    ])
+    def test_lr_or_eps_out_of_range_rejected(self, step):
+        # a nan lr or eps once returned nan parameters, an infinite lr infinite ones, and the others stepped silently
+        with pytest.raises(ParameterError, match="lr must be finite and >= 0, eps finite and > 0"):
+            adam_local_step(np.zeros(3), np.ones(3), AdamState.zeros(3), **step)
+
+    def test_zero_lr_is_a_step_that_keeps_params(self):
+        # lr = 0 is the one boundary value allowed: the moments and counter move, the parameters do not
+        params = np.array([0.5, -1.5, 2.0])
+        stepped, state = adam_local_step(params, np.ones(3), AdamState.zeros(3), lr=0.0)
+        np.testing.assert_array_equal(stepped, params)
+        assert state.t == 1 and np.all(state.m > 0)
 
 
 class TestAdamStep:

@@ -134,6 +134,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=named):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_clients", 2.5), ("n_clients", 3.0), ("rounds", 1.5), ("local_epochs", 1.5), ("batch_size", 8.0),
+        ("clusters", 1.5), ("features", 2.5), ("hidden", 4.5), ("qubits", 4.0), ("layers", 1.5), ("classes", 2.0),
+        ("per_class", 12.5), ("seed", 42.5), ("seed", "42"),
+    ])
+    def test_integer_fields_that_are_not_integers_rejected(self, field, value):
+        # each once failed deep inside the run with a bare TypeError; seed 42.5 ran silently as seed 42
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {value!r}$"):
+            small_config(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        config = small_config(n_clients=np.int64(4), rounds=np.uint8(0), seed=np.int32(7))
+        assert (config.n_clients, config.rounds, config.seed) == (4, 0, 7)
+
     @pytest.mark.parametrize("field", ["alpha", "local_lr", "server_lr", "lambda1", "lambda2", "prox_mu", "spread"])
     def test_nan_float_fields_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
