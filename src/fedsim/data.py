@@ -59,7 +59,7 @@ def integer(value, what: str, minimum: float = 1) -> int:
 
 @dataclass
 class Dataset:
-    """A labelled sample universe: features of shape (n, F), labels in [0, C)."""
+    """A labelled sample universe: features of shape (n, F), labels in [0, C), C an integer >= 1 (integer's rule)."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -72,8 +72,7 @@ class Dataset:
             raise ParameterError("features must be a (n, F) array with F >= 1")
         if len(self.features) != len(self.labels):
             raise ParameterError("features and labels must have equal length")
-        if self.n_classes < 1:
-            raise ParameterError("n_classes must be >= 1")
+        self.n_classes = integer(self.n_classes, "n_classes")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ParameterError(f"labels must lie in [0, {self.n_classes})")
 
@@ -92,14 +91,14 @@ def generate_synthetic(classes: int, features: int, per_class: int, spread: floa
     unit vector along axis c mod features, scaled up by one for every full
     cycle through the axes. The seed drives only the noise, whose
     per-dimension standard deviation is `spread`, finite and >= 0 (zero
-    yields every sample exactly at its class mean).
+    yields every sample exactly at its class mean). classes and features
+    must be integers of at least 2, per_class of at least 1 (integer's
+    rule: 2.0 is not one), else ParameterError.
 
     Samples are emitted class-major: all of class 0, then class 1, etc.
     """
-    if classes < 2 or features < 2:
-        raise ParameterError("need classes >= 2 and features >= 2")
-    if per_class < 1:
-        raise ParameterError("per_class must be >= 1")
+    classes, features = integer(classes, "classes", 2), integer(features, "features", 2)
+    per_class = integer(per_class, "per_class")
     if not 0 <= spread < math.inf:
         raise ParameterError("spread must be finite and >= 0")
     means = np.zeros((classes, features))
@@ -138,8 +137,10 @@ def load_idx(images_path, labels_path, keep_classes) -> Dataset:
     values are scaled from bytes to [0, 1]. Images are flattened row-major,
     so F = rows * cols. A pair with no images, images of zero pixels, or a
     kept label that no sample carries raises DataFormatError naming the file.
+    Each kept class must be an integer >= 0 (integer's rule, so 2.5 is not
+    truncated to 2), else ParameterError.
     """
-    keep = [int(c) for c in keep_classes]
+    keep = [integer(c, "keep_classes", 0) for c in keep_classes]
     if len(keep) < 1 or len(set(keep)) != len(keep):
         raise ParameterError("keep_classes must be non-empty and free of duplicates")
     img_dims, img_magic, img_bytes = _read_idx(images_path)
@@ -214,10 +215,10 @@ def dirichlet_partition(
     only when the pool holds fewer samples than there are clients.
 
     `indices` restricts the partition to a sample pool (normally the train
-    split); by default the whole dataset is partitioned.
+    split); by default the whole dataset is partitioned. n_clients must be
+    an integer of at least 1 (integer's rule), else ParameterError.
     """
-    if n_clients < 1:
-        raise ParameterError("n_clients must be >= 1")
+    n_clients = integer(n_clients, "n_clients")
     if not alpha > 0:  # nan included
         raise ParameterError("alpha must be > 0")
     pool = np.arange(len(dataset), dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)

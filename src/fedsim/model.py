@@ -33,7 +33,11 @@ is elementwise per parameter. Inside the call the clients are grouped
 by batch size n, each group's k equal-size batches run as one (k, n, ·)
 stack through the MLP, and the circuits and the softmax of all the
 groups' rows run as one pass each: one forward simulation, one adjoint
-sweep and one softmax over the step's rows.
+sweep and one softmax over the step's rows. Between those passes the
+step's rows travel as one array each, in one row order (group by group,
+client after client): the (R, C) logits from <Z> to the softmax and its
+(R, C) gradient back into the adjoint sweep, with the groups named by
+their (k, n) blocks.
 A client's result is bit-identical to a call of its own because every
 BLAS product keeps its per-client operand shape and layout: the dense
 layers are (k, n, ·) @ (k, ·, ·) products, <Z> is taken per group as a
@@ -57,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -163,22 +168,21 @@ def mlp_forward(dense, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
 
 
 def mlp_backward(dense, cache: MlpCache, grad_embedding: np.ndarray, grad_dense) -> None:
-    """Add a batch's dense-layer gradients, given its (n, Q) dLoss/dEmbedding rows, into grad_dense.
+    """Add a stack's dense-layer gradients, given its (G, n, Q) dLoss/dEmbedding rows, into grad_dense.
 
-    cache comes from mlp_forward on an (n, F) batch; the gradients are
-    summed over its rows. grad_dense is the (w1, b1, w2, b2) view tuple of
-    the flat gradient. For a (G, n, F) stack, each client's gradient is
-    summed over its own rows into its row of a (G, P) gradient stack.
+    dense and cache come from mlp_forward with the views of a (G, P) stack
+    on a (G, n, F) stack of batches; grad_dense is the view tuple of a
+    (G, P) gradient stack. Each client's gradient is summed over its own
+    rows into its row of that stack.
     """
     _, _, w2, _ = dense
     gw1, gb1, gw2, gb2 = grad_dense
-    stacked = gw1.ndim == 3
     d_pre2 = grad_embedding * (1.0 - cache.embedding**2)
     gw2 += _transpose(d_pre2) @ cache.hidden
     d_pre1 = (d_pre2 @ w2) * (1.0 - cache.hidden**2)
     gw1 += _transpose(d_pre1) @ cache.x
-    gb1 += d_pre1.sum(axis=-2, keepdims=stacked)
-    gb2 += d_pre2.sum(axis=-2, keepdims=stacked)
+    gb1 += d_pre1.sum(axis=-2, keepdims=True)
+    gb2 += d_pre2.sum(axis=-2, keepdims=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,30 +345,28 @@ def _block_columns(state: np.ndarray, start: int, k: int, n: int) -> np.ndarray:
     return state[:, start:start + k * n].reshape(len(state), k, n).transpose(1, 0, 2)
 
 
-def _z_expectations(
-    buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[int, int]], out: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """<Z_0> .. <Z_{C-1}> of _simulate's statevectors: one (k, n, C) array per block of k clients of n rows each, in row order.
+def _z_expectations(buffers: np.ndarray, n_classes: int, blocks: Sequence[tuple[int, int]]) -> np.ndarray:
+    """<Z_0> .. <Z_{C-1}> of _simulate's statevectors, as (R, C) logits in row order.
 
-    One product per block of its probabilities against the +-1 sign
-    table. Each block's probabilities are written, into slot 1 of the
-    buffer pair, as one C-contiguous (k, 2^Q, n) run, the layout a block
-    has when simulated alone: BLAS then sees, for every block, the same
-    call (gemm, or gemv for a one-row block) on the same operand layout as
-    for that block alone, and the results are bit-identical. A strided
-    view of the shared state would not be: for blocks of up to three rows
-    it changes the last bits. Given an (R, C) out, each block's array is a
-    view of its rows of out.
+    The rows form blocks of k clients of n rows each, in row order. One
+    product per block of its probabilities against the +-1 sign table
+    writes the block's rows of the logits. Each block's probabilities are
+    written, into slot 1 of the buffer pair, as one
+    C-contiguous (k, 2^Q, n) run, the layout a block has when simulated
+    alone: BLAS then sees, for every block, the same call (gemm, or gemv
+    for a one-row block) on the same operand layout as for that block
+    alone, and the results are bit-identical. A strided view of the shared
+    state would not be: for blocks of up to three rows it changes the last
+    bits.
     """
     state, spare = buffers
-    dim = len(state)
+    dim, rows = state.shape
     signs = _z_signs(dim.bit_length() - 1, n_classes)
-    logits = []
+    logits = np.empty((rows, n_classes))
     for (k, n), start in zip(blocks, _offsets(k * n for k, n in blocks)):
         probabilities = spare.reshape(-1)[dim * start:dim * (start + k * n)].reshape(k, dim, n)
         np.square(_block_columns(state, start, k, n), out=probabilities)
-        rows = None if out is None else out[start:start + k * n].reshape(k, n, n_classes)
-        logits.append(np.matmul(np.swapaxes(probabilities, 1, 2), signs, out=rows))
+        np.matmul(np.swapaxes(probabilities, 1, 2), signs, out=logits[start:start + k * n].reshape(k, n, n_classes))
     return logits
 
 
@@ -398,26 +400,26 @@ def _circuit_inputs(embedding, angles, n_classes: int | None) -> tuple[np.ndarra
 
 
 def _adjoint(
-    pair: np.ndarray, gates: np.ndarray, owners: np.ndarray, upstream: Sequence[np.ndarray]
+    pair: np.ndarray, gates: np.ndarray, owners: np.ndarray, upstream: np.ndarray, blocks: Sequence[tuple[int, int]]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Circuit gradients of sum_c u_c <Z_c>, block by block, from _simulate's buffer pair, which the sweep overwrites.
 
-    gates and owners are those _simulate ran. upstream holds one
-    (k, n, C) array of rows u per block of k clients of n rows each, in
-    row order. Returns, per block, the (k, L, Q) variational gradient,
-    each client's summed over its own rows, and the (k, n, Q) embedding
-    gradient, which carries the pi of the encoding e -> RY(pi * e). The
-    observable sum_c u_c Z_c is diagonal, so the co-state is
-    lambda = (_z_signs @ u) * psi, per row; it fills the pair's scratch
-    slot, next to psi. A backward sweep then walks the layers in reverse
-    on the stacked (psi, lambda) pair, all rows at once: it undoes the
-    CNOT ring, reads off the layer's Q gradients and undoes its RY gates
-    with RY(-theta), whose (c, s, -s) is a reversed view of the gate's
-    table. An RY gate's derivative is J_q / 2 times the gate, and the
-    gates of one layer commute, so the gradient of gate (l, q) is
-    2 <lambda | J_q psi / 2>, taken after the layer's gates. A block's Q
-    gradients of a layer come from one gather of its psi columns at the
-    partner amplitudes x ^ bit_q (_partners) into a C-contiguous
+    gates and owners are those _simulate ran, upstream the (R, C) rows u
+    in row order, and blocks the (k, n) of each block of k clients of n
+    rows each, in row order, as _z_expectations takes them. Returns, per
+    block, the (k, L, Q) variational gradient, each client's summed over
+    its own rows, and the (k, n, Q) embedding gradient, which carries the
+    pi of the encoding e -> RY(pi * e). The observable sum_c u_c Z_c is
+    diagonal, so the co-state is lambda = (_z_signs @ u) * psi, per row; it
+    fills the pair's scratch slot, next to psi. A backward sweep then walks
+    the layers in reverse on the stacked (psi, lambda) pair, all rows at
+    once: it undoes the CNOT ring, reads off the layer's Q gradients and
+    undoes its RY gates with RY(-theta), whose (c, s, -s) is a reversed
+    view of the gate's table. An RY gate's derivative is J_q / 2 times the
+    gate, and the gates of one layer commute, so the gradient of gate
+    (l, q) is 2 <lambda | J_q psi / 2>, taken after the layer's gates. A
+    block's Q gradients of a layer come from one gather of its psi columns
+    at the partner amplitudes x ^ bit_q (_partners) into a C-contiguous
     (k, Q, 2^Q, n) block, one product with lambda and one signed sum per
     qubit. At the bottom the same read-off on the encoding product state
     gives each row's encoding-angle gradient. Every BLAS product and every
@@ -433,12 +435,13 @@ def _adjoint(
     """
     _, dim, rows = pair.shape
     layers, n_qubits = gates.shape[:2]
-    blocks = [u.shape[:2] for u in upstream]
     starts = _offsets(k * n for k, n in blocks)
     index, signs = _partners(n_qubits)
     psi, costate = pair
-    for u, start in zip(upstream, starts):
-        np.matmul(_z_signs(n_qubits, u.shape[-1]), _transpose(u), out=_block_columns(costate, start, *u.shape[:2]))
+    z_signs = _z_signs(n_qubits, upstream.shape[1])
+    for (k, n), start in zip(blocks, starts):
+        u = upstream[start:start + k * n].reshape(k, n, -1)
+        np.matmul(z_signs, _transpose(u), out=_block_columns(costate, start, k, n))
     costate *= psi
     buffers = (pair, np.empty_like(pair))
     # per buffer and qubit q, axes (psi or lambda, higher qubits, q's bit, lower qubits, row)
@@ -507,7 +510,7 @@ def circuit_forward(embedding: np.ndarray, angles: np.ndarray, n_classes: int | 
     encoding, angles, lead, c = _circuit_inputs(embedding, angles, n_classes)
     g, n, q = encoding.shape
     pair = _simulate(encoding.reshape(-1, q), _gate_trig(angles), np.repeat(np.arange(g), n))
-    return _z_expectations(pair, c, [(g, n)])[0].reshape(*lead, c)
+    return _z_expectations(pair, c, [(g, n)]).reshape(*lead, c)
 
 
 def param_shift_grad(
@@ -540,7 +543,7 @@ def param_shift_grad(
     shifted_encoding = (encoding[:, None] + shifts[:, None, :q]).reshape(-1, q)
     shifted_angles = (stacked[:, None] + shifts[:, q:].reshape(2 * k, -1, q)).reshape(-1, *stacked.shape[1:])
     pair = _simulate(shifted_encoding, _gate_trig(shifted_angles), np.repeat(np.arange(g * 2 * k), n))
-    z = _z_expectations(pair, c, [(g * 2 * k, n)])[0].reshape(g, 2, k, n, c)
+    z = _z_expectations(pair, c, [(g * 2 * k, n)]).reshape(g, 2, k, n, c)
     grad = 0.5 * np.einsum("gknc,gnc->gkn", z[:, 0] - z[:, 1], upstream.reshape(g, n, c))
     return grad[:, q:].sum(axis=2).reshape(np.shape(angles)), np.pi * _transpose(grad[:, :q]).reshape(*lead, q)
 
@@ -599,24 +602,29 @@ def hybrid_loss_and_grads(
     or sizes of the wrong length, with an entry below 1 or a sum other
     than N, raise ParameterError.
 
-    Inside, the clients are grouped by batch size n. Each group runs the
+    Inside, the clients are grouped by batch size n, and the rows are put
+    in group order, client after client; every stage of the pass takes and
+    gives one array of all the rows in that order. Each group runs the
     dense layers, the <Z> products, the co-state products, the sums over
     rows and the mean loss as one (k, n, ·) stack, so every BLAS product
     keeps the operand shape and layout of a lone client's call. The
     circuits of all the rows, whatever their group, run as one forward
-    simulation (_simulate) and one adjoint sweep back through those
-    states (_adjoint), and the softmax as one pass over the (N, C)
-    logits: all are elementwise or reductions per row. The
-    logits are exactly those of circuit_forward; the circuit gradient
-    equals param_shift_grad's to rounding; backprop through the MLP
-    follows.
+    simulation (_simulate), whose (N, C) logits (_z_expectations) go
+    straight to one softmax pass, and one adjoint sweep back through those
+    states (_adjoint) from the softmax's (N, C) gradient: all are
+    elementwise or reductions per row. So the pass loops over the groups
+    twice, once forward through the MLP and once back, taking each group's
+    mean loss on the way back. The logits are exactly those of
+    circuit_forward; the circuit gradient equals param_shift_grad's to
+    rounding; backprop through the MLP follows.
 
-    When prox_mu > 0 and an anchor (laid out like params) is given, adds the
-    proximal penalty (prox_mu / 2) * ||params - anchor||^2 over all
-    parameters, classical and quantum alike. prox_mu = 0 skips the penalty
-    entirely so the result is bit-identical with or without an anchor. A
-    prox_mu that is nan, infinite or negative, or an anchor not shaped like
-    params, raise ParameterError.
+    When prox_mu > 0, adds the proximal penalty (prox_mu / 2) *
+    ||params - anchor||^2 over all parameters, classical and quantum
+    alike, with the anchor laid out like params. prox_mu = 0 skips the
+    penalty entirely so the result is bit-identical with or without an
+    anchor. A prox_mu that is nan, infinite or negative, a prox_mu > 0
+    without an anchor, or an anchor not shaped like params, raise
+    ParameterError.
 
     Memory: about Q + 5 statevectors of its rows at the peak (see
     _adjoint), plus the dense layers' activations.
@@ -632,6 +640,8 @@ def hybrid_loss_and_grads(
         raise ParameterError(f"need n_classes <= {layout.qubits} qubits")
     if not 0.0 <= prox_mu < math.inf:  # written so that nan fails it
         raise ParameterError("prox_mu must be finite and >= 0")
+    if prox_anchor is None and prox_mu > 0.0:
+        raise ParameterError("prox_mu > 0 needs a prox_anchor")
     if prox_anchor is not None and np.shape(prox_anchor) != params.shape:
         raise ParameterError(f"prox_anchor must be shaped like params, {params.shape}")
     stack = np.atleast_2d(params)
@@ -655,35 +665,30 @@ def hybrid_loss_and_grads(
     bounds = _offsets(k * n for k, n in blocks)
 
     encoding = np.empty((len(labels), layout.qubits))
-    batches = []
+    batches = []  # per group: the span of its rows, its dense views and its activations
     for (n, members), a, b in zip(groups, bounds, bounds[1:]):
         dense = layout.dense(stack[members])
         embeddings, cache = mlp_forward(dense, features[a:b].reshape(len(members), n, -1))
         np.multiply(np.pi, embeddings, out=encoding[a:b].reshape(embeddings.shape))
-        batches.append((dense, cache))
+        batches.append((slice(a, b), dense, cache))
     gates = _gate_trig(layout.angles(stack))
     pair = _simulate(encoding, gates, owners)
     del encoding
-    logits = np.empty((len(labels), n_classes))
-    _z_expectations(pair, n_classes, blocks, out=logits)
     # the softmax is row-local, so one pass over every group's rows; the loss means stay per group
-    losses, upstream = softmax_cross_entropy(logits, labels)
-    loss = np.empty(g)
-    for (n, members), a, b in zip(groups, bounds, bounds[1:]):
-        loss[members] = losses[a:b].reshape(len(members), n).mean(axis=1)
-    circuit_grads = _adjoint(
-        pair, gates, owners, [upstream[a:b].reshape(k, n, -1) for (k, n), a, b in zip(blocks, bounds, bounds[1:])]
-    )
+    losses, upstream = softmax_cross_entropy(_z_expectations(pair, n_classes, blocks), labels)
+    circuit_grads = _adjoint(pair, gates, owners, upstream, blocks)
     del pair, upstream
+    loss = np.empty(g)
     grad = np.empty(stack.shape)
-    for (n, members), (dense, cache), (grad_var, grad_embeddings) in zip(groups, batches, circuit_grads):
+    for (n, members), (span, dense, cache), (grad_var, grad_embeddings) in zip(groups, batches, circuit_grads):
+        loss[members] = losses[span].reshape(len(members), n).mean(axis=1)
         block_grad = np.zeros((len(members), layout.size))
         mlp_backward(dense, cache, grad_embeddings, layout.dense(block_grad))
         grad_angles = layout.angles(block_grad)
         grad_angles += grad_var
         block_grad /= n
         grad[members] = block_grad
-    if prox_mu > 0.0 and prox_anchor is not None:
+    if prox_mu > 0.0:
         diff = stack - np.asarray(prox_anchor, dtype=np.float64).reshape(stack.shape)
         # two dot products rather than one over diff: the summation order fixes the loss's last bits;
         # a (G, 1, k) @ (G, k, 1) product makes the same ddot call per client that a vector product does
@@ -796,13 +801,20 @@ def _whole_seeds(seeds: Sequence[int]) -> np.ndarray:
     """The seeds as uint64; ParameterError names the first client whose seed is not a whole number in [0, 2**64).
 
     A uint64 array, as derived_seeds gives, holds only such seeds and is
-    taken as it is. Any other sequence is checked entry by entry, as given,
-    so a Python int above 2**53 is not rounded through a float; the rule is
-    data.whole_numbers': 1.5, nan and inf are not whole numbers.
+    taken as it is. Any other sequence is checked entry by entry, as given.
+    An integer, Python's or NumPy's, is taken through operator.index (the
+    rule of data.integer), so no bit of it is rounded through a float; a
+    float is a whole number when it is finite and integral, the rule of
+    data.whole_numbers: 2.0 is seed 2, and 1.5, nan, inf and "2" are no
+    seeds.
     """
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
         for g, seed in enumerate(seeds):
-            if not (math.isfinite(seed) and seed == math.floor(seed) and 0 <= seed < 1 << 64):
+            try:
+                whole = 0 <= operator.index(seed) < 1 << 64
+            except TypeError:  # not an integer: only a float can still be whole (is_integer is False for nan and inf)
+                whole = isinstance(seed, (float, np.floating)) and seed.is_integer() and 0 <= seed < 1 << 64
+            if not whole:
                 raise ParameterError(f"client {g}: seed {seed} is not a whole number in [0, 2**64)")
     return np.asarray(seeds, dtype=np.uint64)
 
@@ -831,8 +843,10 @@ def local_train(
     Schedules: all the seeds are hashed into PCG64 states in one pass, and
     one reused generator is set to each client's state in turn. The
     schedule is one flat array of dataset indices, each client's once per
-    epoch, client after client, and each epoch is shuffled in place: the
-    draws of rng.permutation(n), so each epoch of client g is
+    epoch, client after client, so client g's epochs are the runs of its
+    size n from epochs times the sizes of the clients before it. Each
+    epoch is shuffled in place: the draws of rng.permutation(n), so each
+    epoch of client g is
     clients[g][rng.permutation(n)] cut into runs of batch_size, the last
     run kept even when shorter. A table of every batch of the run, built
     once, puts the batches and their rows in step order, so a step's batch
@@ -886,13 +900,11 @@ def local_train(
     # place as rng.permutation(n) shuffles 0..n-1 (the shuffle's swaps do not depend on the values); the
     # leading empty int64 array keeps a cohort of none valid
     schedule = np.concatenate([np.zeros(0, dtype=np.int64), *(client for client in clients for _ in range(epochs))])
-    runs = np.repeat(sizes, epochs)  # one run per client and epoch
-    spans = zip((np.cumsum(runs) - runs).tolist(), runs.tolist())
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for state in pcg64_states(seeds):
+    for state, first, n in zip(pcg64_states(seeds), (epochs * (np.cumsum(sizes) - sizes)).tolist(), sizes.tolist()):
         bit_generator.state = state  # the state default_rng(seed) starts from
-        for start, n in itertools.islice(spans, epochs):
+        for start in range(first, first + epochs * n, n):
             rng.shuffle(schedule[start:start + n])
     per_epoch = -(-sizes // batch_size)
     steps = per_epoch * epochs

@@ -153,13 +153,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategy '{self.strategy}' (choose from {', '.join(STRATEGIES)})")
         if self.dataset not in ("synthetic", "idx"):
             raise ConfigError(f"dataset must be 'synthetic' or 'idx', not '{self.dataset}'")
-        # every count and the seed are integers by data.integer's rule (2.0 is not one), each with its minimum;
-        # clusters' range, [1, n_clients], is checked below
+        # every count, the seed and each kept class are integers by data.integer's rule (2.0 is not one), each
+        # with its minimum; clusters' range, [1, n_clients], is checked below
         minima = {"n_clients": 1, "rounds": 0, "local_epochs": 1, "batch_size": 1, "clusters": -math.inf, "features": 2,
                   "hidden": 1, "qubits": 1, "layers": 1, "classes": 2, "per_class": 1, "seed": 0}
-        for name, minimum in minima.items():
+        checks = [(getattr(self, name), name, minimum) for name, minimum in minima.items()]
+        for value, name, minimum in checks + [(label, "keep_classes", 0) for label in self.keep_classes or ()]:
             try:
-                integer(getattr(self, name), name, minimum)
+                integer(value, name, minimum)
             except ParameterError as exc:
                 raise ConfigError(str(exc)) from None
         if self.dataset == "synthetic" and round(TEST_FRACTION * self.per_class) < 1:
@@ -183,8 +184,8 @@ class ExperimentConfig:
         if self.dataset == "idx" and (self.idx_images is None or self.idx_labels is None):
             raise ConfigError("dataset 'idx' requires idx_images and idx_labels")
         if self.keep_classes is not None:
-            if len(set(self.keep_classes)) != len(self.keep_classes) or min(self.keep_classes, default=0) < 0:
-                raise ConfigError("keep_classes must be distinct labels >= 0")
+            if len(set(self.keep_classes)) != len(self.keep_classes):
+                raise ConfigError("keep_classes must be distinct labels")
             if len(self.keep_classes) != self.classes:
                 raise ConfigError(f"classes ({self.classes}) must equal len(keep_classes) ({len(self.keep_classes)})")
         return self

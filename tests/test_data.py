@@ -125,6 +125,13 @@ class TestLoadIdx:
         with pytest.raises(ParameterError, match="non-empty and free of duplicates"):
             load_idx(images_path, labels_path, keep_classes=keep)
 
+    @pytest.mark.parametrize("keep, named", [((2.5, 1), "must be an integer, not 2.5"), ((1, -1), "must be >= 0")])
+    def test_kept_classes_that_are_not_labels_rejected(self, tmp_path, keep, named):
+        # 2.5 once loaded class 2, truncated by int()
+        images_path, labels_path = write_idx_pair(tmp_path, np.zeros((6, 2, 2), dtype=np.uint8), [0, 1, 2, 0, 1, 2])
+        with pytest.raises(ParameterError, match=f"^keep_classes {named}"):
+            load_idx(images_path, labels_path, keep_classes=keep)
+
     def test_count_mismatch_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -156,6 +163,21 @@ class TestDatasetInvariants:
         data = Dataset(np.zeros((3, 2)), np.array([1.0, 0.0, -0.0]), 2)
         assert data.labels.dtype == np.int64
         np.testing.assert_array_equal(data.labels, [1, 0, 0])
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: Dataset(np.zeros((2, 2)), np.zeros(2), 2.5), "n_classes"),
+    (lambda: Dataset(np.zeros((2, 2)), np.zeros(2), 2.0), "n_classes"),
+    (lambda: generate_synthetic(3.0, 4, 5, 0.1, 0), "classes"),
+    (lambda: generate_synthetic(3, 4.0, 5, 0.1, 0), "features"),
+    (lambda: generate_synthetic(3, 4, 2.5, 0.1, 0), "per_class"),
+    (lambda: dirichlet_partition(generate_synthetic(2, 2, 5, 0.1, 0), 2.0, 1.0, 0), "n_clients"),
+], ids=["Dataset n_classes 2.5", "Dataset n_classes 2.0", "generate_synthetic classes", "generate_synthetic features",
+        "generate_synthetic per_class", "dirichlet_partition n_clients"])
+def test_data_layer_counts_that_are_not_integers_rejected(call, named):
+    # data.integer's rule, operator.index's: 2.0 is not a count; these once passed or raised a bare TypeError
+    with pytest.raises(ParameterError, match=f"^{named} must be an integer"):
+        call()
 
 
 class TestStratifiedSplit:

@@ -405,6 +405,14 @@ class TestHybridLoss:
         with pytest.raises(ParameterError, match="prox_mu must be finite and >= 0"):
             hybrid_loss_and_grads(rng.uniform(-1, 1, (2, 4)), np.array([0, 1]), params, layout, 3, prox_mu, params)
 
+    def test_prox_mu_without_an_anchor_rejected(self, rng):
+        # the penalty was once dropped silently: the loss equalled prox_mu = 0's, bit for bit
+        layout, params = random_hybrid(rng)
+        xs, ys = rng.uniform(-1, 1, (5, 4)), rng.integers(0, 3, 5)
+        with pytest.raises(ParameterError, match="prox_mu > 0 needs a prox_anchor"):
+            hybrid_loss_and_grads(xs, ys, params, layout, 3, 5.0, None)
+        hybrid_loss_and_grads(xs, ys, params, layout, 3, 0.0, None)
+
 
 class TestAdamLocalStep:
     def test_zero_gradient_is_identity(self, rng):
@@ -907,7 +915,7 @@ class TestCohortStacking:
         with pytest.raises(ParameterError, match=f"^{named}: seed"):
             local_train(clients[:3], data, inits[:3], layout, 1, 4, 0.05, 0.0, seeds)
 
-    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, np.float32(1.5), "2", None])
     def test_a_seed_that_is_not_a_whole_number_names_its_client(self, seed):
         # 1.5 once trained silently as seed 1, and nan raised a bare ValueError from int()
         data, clients, layout, inits = self.mixed_cohort()
@@ -920,6 +928,20 @@ class TestCohortStacking:
         args = (data, inits[:3], layout, 2, 4, 0.05, 0.0)
         want, want_losses = local_train(clients[:3], *args, np.array([2**63 + 5, 2, 7], dtype=np.uint64))
         got, losses = local_train(clients[:3], *args, [2**63 + 5, 2.0, np.int64(7)])
+        assert got.tobytes() == want.tobytes() and losses.tobytes() == want_losses.tobytes()
+
+    @pytest.mark.parametrize("given", [
+        lambda seeds: np.array(seeds),
+        lambda seeds: [np.int64(s) for s in seeds],
+        lambda seeds: list(np.array(seeds, dtype=np.uint64)),
+    ], ids=["int64 array", "list of np.int64", "list of np.uint64, as derived_seeds gives"])
+    def test_numpy_integer_seeds_keep_every_bit(self, given):
+        # math.floor of a NumPy integer rounds through a float: 2**53 + 1 was once rejected as not whole
+        data, clients, layout, inits = self.mixed_cohort()
+        seeds = [2**53 + 1, 2**53 + 3, 2**62 + 1]
+        args = (data, inits[:3], layout, 2, 4, 0.05, 0.0)
+        want, want_losses = local_train(clients[:3], *args, seeds)
+        got, losses = local_train(clients[:3], *args, given(seeds))
         assert got.tobytes() == want.tobytes() and losses.tobytes() == want_losses.tobytes()
 
     def test_an_empty_client_is_a_parameter_error(self):
@@ -994,23 +1016,43 @@ def circuit_major(states):
     return np.swapaxes(states, 1, 2)
 
 
-def simulate_stack(encoding, angles):
-    """_simulate on G clients' (G, rows, Q) encoding angles and (G, L, Q) angles, client g owning rows g * rows ...
+def simulate_stack(encoding, angles, classes=1):
+    """_simulate, then _z_expectations of the first `classes` qubits, over blocks of k clients of n rows each.
 
-    Returns the buffer pair, the (G, 2^Q, rows) view of its states, and
-    the gate table and row owners the pass ran with.
+    encoding and angles are one block's (k, n, Q) encoding angles and
+    (k, L, Q) variational angles, or lists of them, one per block in row
+    order; each client owns its next n rows. Returns the buffer pair, the
+    (k, 2^Q, n) view of the first block's states, the (k, n, C) logits of
+    a lone block (of each block, as a list, for lists), and the gate table
+    and row owners the pass ran with.
     """
-    g, rows, q = encoding.shape
-    gates, owners = _gate_trig(angles), np.repeat(np.arange(g), rows)
-    pair = _simulate(encoding.reshape(-1, q), gates, owners)
-    return pair, pair[0].reshape(2**q, g, rows).transpose(1, 0, 2), gates, owners
+    lone = isinstance(encoding, np.ndarray)
+    encodings, angles = ([encoding], [angles]) if lone else (encoding, angles)
+    blocks = [e.shape[:2] for e in encodings]
+    q = encodings[0].shape[-1]
+    gates = _gate_trig(np.concatenate(angles))
+    owners = np.repeat(np.arange(sum(k for k, _ in blocks)), [n for k, n in blocks for _ in range(k)])
+    pair = _simulate(np.concatenate([e.reshape(-1, q) for e in encodings]), gates, owners)
+    rows = _z_expectations(pair, classes, blocks)
+    starts = np.cumsum([0] + [k * n for k, n in blocks])
+    logits = [rows[a:b].reshape(k, n, classes) for (k, n), a, b in zip(blocks, starts, starts[1:])]
+    k, n = blocks[0]
+    states = pair[0, :, :k * n].reshape(2**q, k, n).transpose(1, 0, 2)
+    return pair, states, logits[0] if lone else logits, gates, owners
 
 
 def adjoint_stack(encoding, angles, upstream):
-    """The adjoint's (G, L, Q) angle and (G, rows, Q) embedding gradients of one (G, rows, ·) block."""
-    pair, _, gates, owners = simulate_stack(encoding, angles)
-    [grads] = model._adjoint(pair, gates, owners, [upstream])
-    return grads
+    """The adjoint's (k, L, Q) angle and (k, n, Q) embedding gradients of one (k, n, ·) block, after its <Z>.
+
+    Lists of blocks, as simulate_stack takes them, with one (k, n, C)
+    upstream array per block, give a list of per-block gradient pairs.
+    """
+    lone = isinstance(encoding, np.ndarray)
+    upstreams = [upstream] if lone else upstream
+    pair, _, _, gates, owners = simulate_stack(encoding, angles, upstreams[0].shape[-1])
+    rows = np.concatenate([u.reshape(-1, u.shape[-1]) for u in upstreams])
+    grads = model._adjoint(pair, gates, owners, rows, [u.shape[:2] for u in upstreams])
+    return grads[0] if lone else grads
 
 
 def peak_memory(call):
@@ -1138,13 +1180,12 @@ class TestReferenceSimulator:
                 # the reference takes every row's rotations: its encoding, then its client's angles
                 shared = np.broadcast_to(angles[:, None], (clients, rows, layers, qubits))
                 reference = reference_simulate(np.concatenate([encoding[:, :, None], shared], axis=2))
-                pair, states, _, _ = simulate_stack(encoding, angles)
+                _, states, z, _, _ = simulate_stack(encoding, angles, qubits)
                 where = f"{clients} clients, {rows} rows"
                 # signed zeros aside (the product-state encoding may flip the sign of an exact zero)
                 np.testing.assert_array_equal(circuit_major(states), reference, err_msg=where)
                 probabilities = np.ascontiguousarray(circuit_major(np.square(states)))
                 assert probabilities.tobytes() == np.ascontiguousarray(reference**2).tobytes(), where
-                [z] = _z_expectations(pair, qubits, [(clients, rows)])
                 assert z.shape == reference.shape[:2] + (qubits,)
                 assert z.tobytes() == reference_z_expectations(reference, qubits).tobytes(), where
 
@@ -1228,18 +1269,13 @@ class TestRaggedPass:
         encodings = [draw_angles(rng, (k, n, qubits)) for k, n in blocks]
         angles = [draw_angles(rng, (k, layers, qubits)) for k, _ in blocks]
         upstream = [rng.standard_normal((k, n, classes)) for k, n in blocks]
-        encoding = np.concatenate([e.reshape(-1, qubits) for e in encodings])
-        gates = _gate_trig(np.concatenate(angles))
-        owners = np.repeat(np.arange(sum(k for k, _ in blocks)), [n for k, n in blocks for _ in range(k)])
-        pair = _simulate(encoding, gates, owners)
+        pair, _, logits, _, _ = simulate_stack(encodings, angles, classes)
         states = pair[0].copy()
-        logits = _z_expectations(pair, classes, blocks)
-        grads = model._adjoint(pair, gates, owners, upstream)
+        grads = adjoint_stack(encodings, angles, upstream)
         start = 0
         for (k, n), e, a, u, z, (grad_var, grad_emb) in zip(blocks, encodings, angles, upstream, logits, grads):
-            alone, _, _, _ = simulate_stack(e, a)
+            alone, _, alone_z, _, _ = simulate_stack(e, a, classes)
             assert states[:, start:start + k * n].tobytes() == np.ascontiguousarray(alone[0]).tobytes()
-            [alone_z] = _z_expectations(alone, classes, [(k, n)])
             assert z.tobytes() == alone_z.tobytes()
             want_var, want_emb = adjoint_stack(e, a, u)
             assert grad_var.tobytes() == want_var.tobytes()

@@ -168,6 +168,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="keep_classes"):
             small_config(keep_classes=keep, classes=len(keep), qubits=4)
 
+    @pytest.mark.parametrize("keep", [(2.5, 1), (2.0, 1), (1, "0")])
+    def test_kept_classes_that_are_not_integers_rejected(self, keep):
+        # (2.5, 1) once validated, and load_idx kept class 2
+        with pytest.raises(ConfigError, match="^keep_classes must be an integer"):
+            small_config(keep_classes=keep, classes=len(keep), qubits=4)
+
 
 class TestDerivedSeed:
     def test_deterministic_and_path_sensitive(self):
