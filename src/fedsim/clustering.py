@@ -212,8 +212,8 @@ class ClusterAssignment:
 
     @classmethod
     def single(cls, n_clients: int) -> "ClusterAssignment":
-        """All n_clients in one cluster."""
-        return cls(np.zeros(n_clients, dtype=np.int64), 1)
+        """All n_clients in one cluster; n_clients must be an integer >= 1 (data.integer's rule)."""
+        return cls(np.zeros(integer(n_clients, "n_clients"), dtype=np.int64), 1)
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)
@@ -318,7 +318,8 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
     inertia wins. Any empty cluster is repaired by donating the farthest
     point of the largest cluster, and labels are canonicalized by ascending
     smallest member index, so equal (points, k, seed) always yields the
-    identical result. k must be an integer in [1, n], else ParameterError.
+    identical result. k must be an integer in [1, n] and seed one >= 0
+    (data.integer's rule), else ParameterError.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.size == 0:
@@ -327,7 +328,7 @@ def kmeans(points, k: int, seed: int) -> ClusterAssignment:
         raise ParameterError("points must be finite")
     if integer(k, "k") > len(pts):
         raise ParameterError(f"k must lie in [1, {len(pts)}]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     centers = np.stack([_plusplus_centers(pts, k, rng) for _ in range(KMEANS_RESTARTS)])
     labels, inertia = _lloyd(pts, centers)
     repaired = _repair_empty_clusters(labels[np.argmin(inertia)], pts, k)

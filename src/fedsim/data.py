@@ -92,8 +92,8 @@ def generate_synthetic(classes: int, features: int, per_class: int, spread: floa
     cycle through the axes. The seed drives only the noise, whose
     per-dimension standard deviation is `spread`, finite and >= 0 (zero
     yields every sample exactly at its class mean). classes and features
-    must be integers of at least 2, per_class of at least 1 (integer's
-    rule: 2.0 is not one), else ParameterError.
+    must be integers of at least 2, per_class of at least 1 and seed of at
+    least 0 (integer's rule: 2.0 is not one), else ParameterError.
 
     Samples are emitted class-major: all of class 0, then class 1, etc.
     """
@@ -105,7 +105,7 @@ def generate_synthetic(classes: int, features: int, per_class: int, spread: floa
     for c in range(classes):
         means[c, c % features] = 1.0 + (c // features)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     noise = rng.standard_normal((classes * per_class, features))
     return Dataset(means[labels] + spread * noise, labels, classes)
 
@@ -169,10 +169,10 @@ def load_idx(images_path, labels_path, keep_classes) -> Dataset:
 
 
 def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-determined train/test index split, stratified per class."""
+    """Seed-determined train/test index split, stratified per class; the seed is an integer >= 0 (integer's rule)."""
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError("test_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     train_parts, test_parts = [], []
     for c in range(dataset.n_classes):
         idx = np.flatnonzero(dataset.labels == c)
@@ -216,9 +216,11 @@ def dirichlet_partition(
 
     `indices` restricts the partition to a sample pool (normally the train
     split); by default the whole dataset is partitioned. n_clients must be
-    an integer of at least 1 (integer's rule), else ParameterError.
+    an integer of at least 1 and seed one of at least 0 (integer's rule),
+    else ParameterError; seed + attempt is then Python-int arithmetic,
+    which cannot wrap.
     """
-    n_clients = integer(n_clients, "n_clients")
+    n_clients, seed = integer(n_clients, "n_clients"), integer(seed, "seed", 0)
     if not alpha > 0:  # nan included
         raise ParameterError("alpha must be > 0")
     pool = np.arange(len(dataset), dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)

@@ -61,7 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -89,12 +88,19 @@ class ParamLayout:
     The canonical angle domain is (-pi, pi]; protocol boundaries
     (initialization, trained uploads, aggregated broadcasts) always wrap,
     while intermediate optimizer steps may briefly leave the interval.
+
+    Each of the four sizes must be an integer >= 1 (data.integer's rule:
+    2.0 is not one), else ParameterError.
     """
 
     features: int
     hidden: int
     qubits: int
     layers: int
+
+    def __post_init__(self):
+        for name in ("features", "hidden", "qubits", "layers"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
 
     @property
     def n_classical(self) -> int:
@@ -202,21 +208,18 @@ def _ring_gather(n_qubits: int, inverse: bool = False) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _partners(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (Q * 2^Q,) gather index of x ^ bit_q for every qubit q, and the (Q, 1, 2^Q) signs of J_q.
+def _partners(n_qubits: int) -> np.ndarray:
+    """Read-only (Q * 2^Q,) gather index of x ^ bit_q for every qubit q: slot q * 2^Q + x holds x ^ bit_q.
 
     J_q maps qubit q's amplitude pair (a0, a1) to (-a1, a0), so
     (J_q psi)[x] = sign_q(x) * psi[x ^ bit_q], the sign -1 where q's bit
-    is clear and +1 where it is set; slot q * 2^Q + x of the index holds
-    x ^ bit_q. Cached per qubit count.
+    is clear and +1 where it is set: minus <Z_q>'s sign (_z_signs).
+    Cached per qubit count.
     """
-    amplitudes = np.arange(2**n_qubits)
     bits = 1 << (n_qubits - 1 - np.arange(n_qubits))[:, None]
-    index = (amplitudes ^ bits).reshape(-1)
-    signs = np.where(amplitudes & bits, 1.0, -1.0)[:, None]
-    for table in (index, signs):
-        table.flags.writeable = False
-    return index, signs
+    index = (np.arange(2**n_qubits) ^ bits).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def _half_angle_trig(angles: np.ndarray, kinds: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -421,8 +424,9 @@ def _adjoint(
     block's Q gradients of a layer come from one gather of its psi columns
     at the partner amplitudes x ^ bit_q (_partners) into a C-contiguous
     (k, Q, 2^Q, n) block, one product with lambda and one signed sum per
-    qubit. At the bottom the same read-off on the encoding product state
-    gives each row's encoding-angle gradient. Every BLAS product and every
+    qubit, J_q's signs being minus <Z_q>'s (_z_signs), transposed into a
+    C-contiguous (Q, 1, 2^Q) table. At the bottom the same read-off on the
+    encoding product state gives each row's encoding-angle gradient. Every BLAS product and every
     sum over rows stays within one block, on the operand layout the block
     has alone: a strided view of the shared pair would change the last
     bits of blocks of up to three rows. So each block's gradients are
@@ -436,7 +440,9 @@ def _adjoint(
     _, dim, rows = pair.shape
     layers, n_qubits = gates.shape[:2]
     starts = _offsets(k * n for k, n in blocks)
-    index, signs = _partners(n_qubits)
+    index = _partners(n_qubits)
+    # J_q's signs, (Q, 1, 2^Q): C-contiguous, as a transposed operand would change the product's last bits
+    signs = np.ascontiguousarray(-_z_signs(n_qubits, n_qubits).T)[:, None]
     psi, costate = pair
     z_signs = _z_signs(n_qubits, upstream.shape[1])
     for (k, n), start in zip(blocks, starts):
@@ -706,7 +712,8 @@ class AdamState:
     """Adam's first/second moments and step counter, for client and server alike.
 
     The moments are vectors, or (G, P) stacks for a cohort of G clients
-    that step together and so share the counter.
+    that step together and so share the counter, an integer >= 0
+    (data.integer's rule), else ParameterError.
     """
 
     m: np.ndarray
@@ -720,16 +727,17 @@ class AdamState:
             raise ParameterError("moment buffers must be vectors or (clients, size) stacks of equal shape")
         if np.any(self.v < 0):
             raise ParameterError("second moments must be non-negative")
-        if self.t < 0:
-            raise ParameterError("step counter must be >= 0")
+        self.t = integer(self.t, "step counter", 0)
 
     @classmethod
     def zeros(cls, shape: int | tuple[int, int]) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape), 0)
+        """Fresh moments of a vector or a (G, P) stack: one read-only zero broadcast, as adam_step only reads them."""
+        zeros = np.broadcast_to(0.0, shape)
+        return cls(zeros, zeros, 0)
 
     @classmethod
     def _stepped(cls, m: np.ndarray, v: np.ndarray, t: int) -> "AdamState":
-        """A state built without the checks of __post_init__, for moments that Adam steps produced (or zeros).
+        """A state built without the checks of __post_init__, for moments that Adam steps produced.
 
         adam_step keeps what those checks hold: from float64 moments of one
         shape with v >= 0, its betas in [0, 1) give the same (v >= 0
@@ -797,28 +805,6 @@ def adam_step(
 adam_local_step = adam_step  # the clients' name for the step; local_train calls it through this module global
 
 
-def _whole_seeds(seeds: Sequence[int]) -> np.ndarray:
-    """The seeds as uint64; ParameterError names the first client whose seed is not a whole number in [0, 2**64).
-
-    A uint64 array, as derived_seeds gives, holds only such seeds and is
-    taken as it is. Any other sequence is checked entry by entry, as given.
-    An integer, Python's or NumPy's, is taken through operator.index (the
-    rule of data.integer), so no bit of it is rounded through a float; a
-    float is a whole number when it is finite and integral, the rule of
-    data.whole_numbers: 2.0 is seed 2, and 1.5, nan, inf and "2" are no
-    seeds.
-    """
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        for g, seed in enumerate(seeds):
-            try:
-                whole = 0 <= operator.index(seed) < 1 << 64
-            except TypeError:  # not an integer: only a float can still be whole (is_integer is False for nan and inf)
-                whole = isinstance(seed, (float, np.floating)) and seed.is_integer() and 0 <= seed < 1 << 64
-            if not whole:
-                raise ParameterError(f"client {g}: seed {seed} is not a whole number in [0, 2**64)")
-    return np.asarray(seeds, dtype=np.uint64)
-
-
 def local_train(
     clients: Sequence[np.ndarray],
     dataset: Dataset,
@@ -836,7 +822,9 @@ def local_train(
     raises ParameterError. Client g starts from row g of the (G, P)
     `inits` and reshuffles its samples every epoch from a generator in the
     state np.random.default_rng(seeds[g]) starts from; every seed must be
-    a whole number in [0, 2**64), else ParameterError names its client.
+    an integer in [0, 2**64), by data.integer's rule (2.0 is not one), else
+    ParameterError names its client. A uint64 array, as derived_seeds
+    gives, holds only such seeds and is taken without a check.
     epochs and batch_size must be integers of at least 1, lr and prox_mu
     finite and >= 0, else ParameterError.
 
@@ -863,12 +851,12 @@ def local_train(
     its peak (see _adjoint), and one Adam step over the whole state, whose
     output is the next step's state. For k clients in the state that step
     allocates four (k, P) arrays: the new moments, a scratch and the
-    output (see adam_step); the first step's zero moments are one
-    read-only broadcast, not arrays. A client leaves the state, and its
-    row is written to the output, at the step that ends its schedule or
-    leaves it non-finite; only then are rows gathered. When the whole
-    cohort leaves at one step, the Adam output itself is the upload
-    stack. Every row is bit-identical to training its client alone, as a
+    output (see adam_step); the first step's zero moments are the
+    read-only broadcast of AdamState.zeros, not arrays. A client leaves
+    the state, and its row is written to the output, at the step that
+    ends its schedule or leaves it non-finite; only then are rows
+    gathered. When the whole cohort leaves at one step, the Adam output
+    itself is the upload stack. Every row is bit-identical to training its client alone, as a
     one-client cohort.
 
     When prox_mu > 0 the received model is the proximal anchor, which keeps
@@ -889,7 +877,11 @@ def local_train(
         raise ParameterError("lr and prox_mu must be finite and >= 0")
     if len(seeds) != len(clients):
         raise ParameterError("expected one seed per client")
-    seeds = _whole_seeds(seeds)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):  # derived_seeds' uint64 array holds only seeds
+        for g, seed in enumerate(seeds):
+            if integer(seed, f"client {g}: seed", 0) >= 1 << 64:
+                raise ParameterError(f"client {g}: seed {seed} is not below 2**64")
+    seeds = np.asarray(seeds, dtype=np.uint64)
     sizes = np.array([len(client) for client in clients], dtype=np.int64)
     if np.any(sizes < 1):
         raise ParameterError(f"client {int(np.argmin(sizes))} has no samples")
@@ -931,9 +923,7 @@ def local_train(
     # the training state: the clients still training, in cohort order, with their parameter rows, proximal
     # anchors and Adam moments; each has taken every step so far, so they share Adam's step counter
     live = np.arange(len(clients))
-    # fresh moments as one read-only zero broadcast over the stack: adam_step only reads them
-    zeros = np.broadcast_to(0.0, inits.shape)
-    rows, anchors, state = inits, inits, AdamState._stepped(zeros, zeros, 0)
+    rows, anchors, state = inits, inits, AdamState.zeros(inits.shape)
     # a diverging step may overflow; the finiteness check below turns that into NumericError
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps.max(initial=0)):
@@ -971,9 +961,10 @@ def init_params(layout: ParamLayout, seed: int) -> np.ndarray:
     """Seeded initialization: Glorot-uniform weights, zero biases, uniform angles.
 
     Angles land in (-pi, pi] by construction (pi minus a uniform [0, 2pi)
-    draw), matching the canonical domain.
+    draw), matching the canonical domain. The seed must be an integer >= 0
+    (data.integer's rule), else ParameterError.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     lim1 = math.sqrt(6.0 / (layout.features + layout.hidden))
     lim2 = math.sqrt(6.0 / (layout.hidden + layout.qubits))
     params = np.zeros(layout.size)

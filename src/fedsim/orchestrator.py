@@ -98,13 +98,17 @@ _SEED_KMEANS = 5
 def derived_seeds(master: int, path: Sequence[int], ids: Sequence[int]) -> np.ndarray:
     """derived_seed(master, *path, i) for every i of ids, as one (N,) uint64 array hashed in one pass.
 
-    master and path are non-negative ints and every id lies in [0, 2**32),
-    else ParameterError; the range is checked before any fixed-width
+    master and path are non-negative integers and every id an integer in
+    [0, 2**32), each by data.integer's rule (42.5, "42" and nan are none),
+    else ParameterError: ids are an integer-dtype array or each is taken
+    through operator.index. The range is checked before any fixed-width
     conversion, so an id of 2**63 or more is rejected, not overflowed.
     """
+    prefix = [integer(value, "a non-negative seed path entry", 0) for value in (master, *path)]
     ids = np.asarray(ids).reshape(-1)
-    prefix = [int(value) for value in (master, *path)]
-    if min(prefix) < 0 or np.any((ids < 0) | (ids > MASK32)):
+    if ids.dtype.kind not in "iu":  # an object array: Python ints of any size, range-checked below
+        ids = np.array([integer(i, "a non-negative seed id", 0) for i in ids.tolist()], dtype=object)
+    if np.any((ids < 0) | (ids > MASK32)):
         raise ParameterError("seed paths must be non-negative, with every id in [0, 2**32)")
     words = [word for value in prefix for word in int_words(value)]
     entropy = np.empty((len(words) + 1, len(ids)), dtype=np.uint32)
@@ -276,9 +280,11 @@ class ServerState:
     client in one of those clusters: a state that never clustered holds the
     one-cluster assignment of all clients. quantum is the global (L, Q)
     angle array. clustering is a clustered strategy's clustering of the
-    run's clients, computed once and passed on from round to round; the
-    state init_state builds for an unclustered strategy holds None, and so
-    may a state built by hand, whose first clustered round clusters.
+    run's clients, computed once, by init_state, and passed on from round
+    to round; an unclustered strategy's state holds None. A state built by
+    hand for a clustered strategy must carry it too,
+    clustering=cluster_clients(context.class_counts, config), or run_round
+    raises ParameterError.
     """
 
     round_index: int
@@ -442,21 +448,25 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
     Client i trains from the classical parameters of its cluster in the
     state's assignment; everyone receives the same global quantum
     parameters, and a broadcast is the concatenation of the two. A
-    clustered strategy aggregates into the state's clustering, computed
-    here only for a state built without one, and passes it on to the next
-    state, so every round reports the same assignment and eigengaps. An
-    unclustered strategy always aggregates into one cluster of all
-    clients. The clients train as one cohort, in one local_train call, and
-    its (n_clients, P) stack goes straight to aggregation. Per-client seeds
-    derive from (master seed, round, client id), so a round is
-    reproducible regardless of scheduling; derived_seeds hashes the whole
-    cohort's in one pass, each equal to SeedSequence([master, 4, round,
-    id]) and so in [0, 2**64). A client whose training diverges raises
+    clustered strategy aggregates into the state's clustering and passes
+    it on to the next state, so every round reports the same assignment
+    and eigengaps; a state without one (clustering None) raises
+    ParameterError before any client trains, as only init_state clusters
+    (a hand-built state takes cluster_clients(context.class_counts,
+    config)). An unclustered strategy always aggregates into one cluster
+    of all clients. The clients train as one cohort, in one local_train
+    call, and its (n_clients, P) stack goes straight to aggregation.
+    Per-client seeds derive from (master seed, round, client id), so a
+    round is reproducible regardless of scheduling; derived_seeds hashes
+    the whole cohort's in one pass, each equal to SeedSequence([master, 4,
+    round, id]) and so in [0, 2**64). A client whose training diverges raises
     NumericError naming the round and the client.
     """
     start = time.perf_counter()
     round_index = state.round_index + 1
     strategy = STRATEGIES[config.strategy]
+    if strategy.clustered and state.clustering is None:
+        raise ParameterError(f"a {config.strategy} round needs a state that holds the run's clustering (init_state's)")
     layout = _layout(config, context)
 
     n_clients = len(context.clients)
@@ -477,11 +487,8 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         raise NumericError(f"round {round_index}, {exc}") from exc
     counts = context.counts
 
-    clustering = state.clustering
-    if strategy.clustered and clustering is None:
-        clustering = cluster_clients(context.class_counts, config)
-    assignment = clustering.assignment if strategy.clustered else ClusterAssignment.single(n_clients)
-    eigengaps = clustering.eigengaps if strategy.clustered else None
+    assignment = state.clustering.assignment if strategy.clustered else ClusterAssignment.single(n_clients)
+    eigengaps = state.clustering.eigengaps if strategy.clustered else None
     cluster_models = cluster_weighted_average(uploads[:, :layout.n_classical], counts, assignment)
 
     if strategy.circular:
@@ -499,7 +506,7 @@ def run_round(state: ServerState, config: ExperimentConfig, context: RunContext)
         assignment=assignment,
         quantum=quantum,
         opt_state=opt_state,
-        clustering=clustering,
+        clustering=state.clustering,
     )
     return next_state, _round_metrics(next_state, config, context, start, losses, eigengaps, len(degenerate))
 

@@ -43,6 +43,7 @@ from fedsim.orchestrator import (
     ExperimentConfig,
     ServerState,
     build_context,
+    cluster_clients,
     derived_seed,
     init_state,
     run_experiment,
@@ -320,13 +321,14 @@ ABLATION_CONFIG = dict(
 )
 
 
-def branch_cut_state():
+def branch_cut_state(config, context):
     return ServerState(
         round_index=0,
         cluster_models=branch_cut_classical()[None],
         assignment=ClusterAssignment.single(ABLATION_CONFIG["n_clients"]),
         quantum=np.full((1, 2), math.pi - 0.002),
         opt_state=AdamState.zeros(2),
+        clustering=cluster_clients(context.class_counts, config),
     )
 
 
@@ -334,7 +336,7 @@ def test_criterion_08_ablation_direction():
     # premise check: round-1 uploads genuinely straddle the branch cut
     probe = ExperimentConfig(**ABLATION_CONFIG, seed=0).validate()
     context = build_context(probe)
-    state = branch_cut_state()
+    state = branch_cut_state(probe, context)
     params, _ = local_train(
         context.clients, context.dataset,
         np.tile(np.concatenate([state.cluster_models[0], state.quantum.ravel()]), (len(context.clients), 1)),
@@ -353,7 +355,7 @@ def test_criterion_08_ablation_direction():
         finals = {}
         for strategy in ("fedcompass", "fedcompass_no_circular"):
             config = dataclasses.replace(base, strategy=strategy)
-            state = branch_cut_state()
+            state = branch_cut_state(config, context)
             for _ in range(config.rounds):
                 state, metrics = run_round(state, config, context)
             finals[strategy] = metrics.accuracy
@@ -422,6 +424,7 @@ def test_criterion_10_strategy_equivalences():
             assignment=ClusterAssignment.single(settings["n_clients"]),
             quantum=state.quantum.copy(),
             opt_state=AdamState.zeros(state.quantum.size),
+            clustering=cluster_clients(context.class_counts, fc_config),
         )
         next_fc_state, _ = run_round(fc_state, fc_config, context)
         np.testing.assert_array_equal(

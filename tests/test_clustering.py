@@ -570,6 +570,12 @@ class TestClusterAssignment:
         a = ClusterAssignment(np.array([0, 1, 0, 1, 1]), 2)
         np.testing.assert_array_equal(a.cluster_sizes(), [2, 3])
 
+    @pytest.mark.parametrize("n_clients, named", [(2.5, "must be an integer, not 2.5"), (0, "must be >= 1")])
+    def test_single_takes_an_integer_count(self, n_clients, named):
+        # single(2.5) once raised a bare TypeError from np.zeros
+        with pytest.raises(ParameterError, match=f"^n_clients {named}"):
+            ClusterAssignment.single(n_clients)
+
 
 class TestAdjustedRandIndex:
     def test_identical(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.clustering import js_divergence, similarity_matrix
+from fedsim.clustering import js_divergence, kmeans, similarity_matrix
 from fedsim.data import (
     MAX_PARTITION_ATTEMPTS,
     Dataset,
@@ -17,6 +17,7 @@ from fedsim.data import (
     stratified_split,
 )
 from fedsim.errors import DataFormatError, ParameterError, PartitionError
+from fedsim.model import ParamLayout, init_params
 
 from conftest import write_idx_pair
 
@@ -178,6 +179,31 @@ def test_data_layer_counts_that_are_not_integers_rejected(call, named):
     # data.integer's rule, operator.index's: 2.0 is not a count; these once passed or raised a bare TypeError
     with pytest.raises(ParameterError, match=f"^{named} must be an integer"):
         call()
+
+
+SEED_DATA = generate_synthetic(2, 2, 40, 0.1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: kmeans(np.eye(3), 2, seed),
+    lambda seed: init_params(ParamLayout(2, 2, 2, 1), seed),
+    lambda seed: generate_synthetic(2, 2, 10, 0.1, seed),
+    lambda seed: stratified_split(SEED_DATA, 0.2, seed),
+    lambda seed: dirichlet_partition(SEED_DATA, 2, 0.3, seed),
+], ids=["kmeans", "init_params", "generate_synthetic", "stratified_split", "dirichlet_partition"])
+@pytest.mark.parametrize("seed, named", [(1.5, "must be an integer"), (2.0, "must be an integer"), (-1, "must be >= 0")])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_parameter_error(call, seed, named):
+    # these seeds once went straight to np.random.default_rng, which raised a bare TypeError or ValueError
+    with pytest.raises(ParameterError, match=f"^seed {named}"):
+        call(seed)
+
+
+def test_a_numpy_seed_at_the_top_of_uint64_retries_without_wrapping():
+    # seed + attempt once overflowed a np.uint64 seed with a RuntimeWarning and wrapped it to 0, 1, ...
+    top = 2**64 - 1
+    as_numpy = dirichlet_partition(SEED_DATA, 30, 0.05, np.uint64(top))
+    as_int = dirichlet_partition(SEED_DATA, 30, 0.05, top)
+    assert all(np.array_equal(a, b) for a, b in zip(as_numpy, as_int, strict=True))
 
 
 class TestStratifiedSplit:

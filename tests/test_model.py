@@ -124,6 +124,14 @@ class TestParamLayout:
         for a, b in zip(full, part):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("sizes, named", [
+        ((2.5, 3, 2, 1), "features"), ((2, 3.0, 2, 1), "hidden"), ((2, 3, 0, 1), "qubits"), ((2, 3, 2, -1), "layers"),
+    ])
+    def test_sizes_that_are_not_positive_integers_rejected(self, sizes, named):
+        # ParamLayout(2.5, 3, 2, 1) once had size 20.5
+        with pytest.raises(ParameterError, match=f"^{named} must be"):
+            ParamLayout(*sizes)
+
     def test_wrong_length_rejected(self):
         layout = ParamLayout(2, 2, 2, 1)
         with pytest.raises(ParameterError):
@@ -567,6 +575,21 @@ class TestAdamState:
         with pytest.raises(ParameterError):
             AdamState(np.zeros(2), np.zeros(2), -1)
 
+    def test_a_step_counter_that_is_not_an_integer_rejected(self):
+        # t = 1.5 was once kept, and the next step's bias correction used t = 2.5
+        with pytest.raises(ParameterError, match="^step counter must be an integer"):
+            AdamState(np.zeros(2), np.zeros(2), 1.5)
+
+    def test_zeros_are_one_read_only_broadcast(self):
+        state = AdamState.zeros((2, 3))
+        assert state.m.shape == state.v.shape == (2, 3) and state.t == 0
+        assert not state.m.any() and not state.v.any()
+        for moments in (state.m, state.v):
+            with pytest.raises(ValueError, match="read-only"):
+                moments[0, 0] = 1.0
+        with pytest.raises(ParameterError):
+            AdamState.zeros((2, 3, 4))
+
 
 def train_alone(client, dataset, init, layout, epochs, batch_size, lr, prox_mu, seed):
     """local_train on a one-client cohort: the client's trained vector and its last-epoch loss."""
@@ -915,19 +938,20 @@ class TestCohortStacking:
         with pytest.raises(ParameterError, match=f"^{named}: seed"):
             local_train(clients[:3], data, inits[:3], layout, 1, 4, 0.05, 0.0, seeds)
 
-    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, np.float32(1.5), "2", None])
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, np.float32(1.5), "2", None, 2.0])
     def test_a_seed_that_is_not_a_whole_number_names_its_client(self, seed):
-        # 1.5 once trained silently as seed 1, and nan raised a bare ValueError from int()
+        # 1.5 once trained silently as seed 1, and nan raised a bare ValueError from int(); seeds follow
+        # data.integer's rule, as np.random.default_rng does, so 2.0 is no seed either
         data, clients, layout, inits = self.mixed_cohort()
-        with pytest.raises(ParameterError, match="^client 1: seed .* is not a whole number"):
+        with pytest.raises(ParameterError, match="^client 1: seed must be an integer"):
             local_train(clients[:3], data, inits[:3], layout, 1, 4, 0.05, 0.0, [0, seed, 2])
 
     def test_whole_seeds_keep_every_bit_whatever_their_type(self):
-        # a float 2.0 is seed 2, and a Python int above 2**53 next to it is not rounded through a float
+        # a Python int above 2**53 is not rounded through a float, next to a NumPy integer
         data, clients, layout, inits = self.mixed_cohort()
         args = (data, inits[:3], layout, 2, 4, 0.05, 0.0)
         want, want_losses = local_train(clients[:3], *args, np.array([2**63 + 5, 2, 7], dtype=np.uint64))
-        got, losses = local_train(clients[:3], *args, [2**63 + 5, 2.0, np.int64(7)])
+        got, losses = local_train(clients[:3], *args, [2**63 + 5, 2, np.int64(7)])
         assert got.tobytes() == want.tobytes() and losses.tobytes() == want_losses.tobytes()
 
     @pytest.mark.parametrize("given", [
@@ -1309,14 +1333,13 @@ class TestTrainingPass:
         assert model._z_signs(3, 2) is signs
         # <Z_c> is +1 where qubit c (bit Q-1-c of the basis index) is clear
         np.testing.assert_array_equal(signs.T, [[1, 1, 1, 1, -1, -1, -1, -1], [1, 1, -1, -1, 1, 1, -1, -1]])
-        index, partner_signs = model._partners(2)
-        assert model._partners(2)[0] is index
-        # qubit 0 owns bit 1 and qubit 1 bit 0; J_q's sign is -1 where q's bit is clear
+        index = model._partners(2)
+        assert model._partners(2) is index
+        # qubit 0 owns bit 1 and qubit 1 bit 0
         np.testing.assert_array_equal(index, [2, 3, 0, 1, 1, 0, 3, 2])
-        np.testing.assert_array_equal(partner_signs[:, 0], [[-1, -1, 1, 1], [-1, 1, -1, 1]])
         ring, inverse = model._ring_gather(3), model._ring_gather(3, True)
         np.testing.assert_array_equal(ring[inverse], np.arange(8))
-        for table in (signs, index, partner_signs, ring, inverse):
+        for table in (signs, index, ring, inverse):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0

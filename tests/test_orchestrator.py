@@ -202,6 +202,8 @@ class TestDerivedSeed:
 
     @pytest.mark.parametrize("master,path,ids", [
         (-1, (4,), [0]), (1, (-4,), [0]), (1, (4,), [-1]), (1, (4,), [2**32]), (1, (4,), [2**63]), (1, (), [2**63]),
+        # once truncated or cast: 42.5 hashed as 42, "42" as 42, an id 1.5 as 1 and a nan id as some id
+        (42.5, (), [3]), ("42", (), [3]), (42, (4, 1), [1.5]), (42, (4, 1), [math.nan]),
     ])
     def test_negative_paths_and_wide_ids_rejected(self, master, path, ids):
         with pytest.raises(ParameterError, match="non-negative"):
@@ -365,6 +367,26 @@ class TestClusteringOncePerRun:
         assert state.clustering is record
         assert state.assignment is record.assignment
         assert [row.eigengaps for row in rows] == [record.eigengaps] * 3
+
+    def test_a_run_clusters_once(self, monkeypatch):
+        config = small_config(strategy="fedcompass", clusters=2, rounds=3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cluster_clients(*args)
+
+        monkeypatch.setattr(orch, "cluster_clients", counted)
+        rows = run_experiment(config)
+        assert len(rows) == 4 and len(calls) == 1
+
+    def test_a_clustered_round_without_a_clustering_is_a_parameter_error(self):
+        # only init_state clusters; run_round once clustered a hand-built state itself
+        config = small_config(strategy="fedcompass", clusters=2)
+        context = build_context(config)
+        state = dataclasses.replace(init_state(config, context), clustering=None)
+        with pytest.raises(ParameterError, match="clustering"):
+            run_round(state, config, context)
 
     def test_build_context_runs_no_clustering(self, monkeypatch):
         config = small_config(strategy="fedcompass", clusters=2)
